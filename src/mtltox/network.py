@@ -1,11 +1,14 @@
 """The shared network: two stacked BiLSTMs, attention pooling, dense layers,
 and K+1 sigmoid heads, with forward and hand-derived backward passes in numpy.
 
-Sequence handling: only the first ``true_length`` timesteps are processed, in
-both directions. Hidden states at padded positions are left at zero and the
-attention softmax runs over real positions only, so padded token ids can
-never influence any output. (Running the backward-direction recurrence over
-padded steps would leak their content into every real position.)
+Sequence handling: a batch is one (T, D) array of its comments' real tokens,
+comment after comment. Padding is never gathered, so it cannot influence any
+output. Each LSTM layer-direction projects all T tokens (``X·Wx``) before its
+recurrence, which runs time-major with the longest comment first: step t
+touches only the comments longer than t. The reverse direction runs the same
+recurrence over each comment's tokens reversed within its own length.
+Attention and pooling reduce over each comment's own tokens. In BPTT only
+``dh·Whᵀ`` stays per step. ``forward``/``backward`` are a batch of one.
 
 Gate layout inside the fused 4H-wide LSTM weights: input, forget, candidate,
 output, in that order.
@@ -13,13 +16,18 @@ output, in that order.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from mtltox.corpus import Comment
 from mtltox.embeddings import EmbeddingTable, lookup
+
+PREDICT_BATCH = 64  # comments per forward pass inside predict()
+# Rows per product for the input projections and the dense layers. Every
+# such product has this one shape, because OpenBLAS picks its kernel by shape
+# and two kernels can round a row differently (batch-composition rule).
+_ROW_BLOCK = 128
 
 
 class NetworkError(RuntimeError):
@@ -55,38 +63,57 @@ class ModelParams:
 
 
 @dataclass
-class _LstmCache:
-    """Per-direction activations needed by backpropagation through time."""
+class _Packing:
+    """Time-major order of a batch's tokens, longest comment first."""
 
-    i: np.ndarray  # (M, H) input gate
-    f: np.ndarray  # forget gate
-    g: np.ndarray  # candidate
-    o: np.ndarray  # output gate
-    c: np.ndarray  # cell state
-    h: np.ndarray  # hidden state
-    steps: list[int]  # processing order (reversed for the backward direction)
+    lengths: np.ndarray  # (B,) true lengths, in batch order
+    starts: np.ndarray  # (B,) first token row of each comment
+    steps: list[int]  # active comments at each step
+    order: dict[str, np.ndarray]  # direction -> token row of each packed row
+    prev: np.ndarray  # packed row one step earlier, for rows after step 0
+
+
+def _pack(lengths: np.ndarray) -> _Packing:
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    by_length = np.argsort(-lengths, kind="stable")  # ties keep batch order
+    sorted_len = lengths[by_length]
+    steps = [int(np.count_nonzero(sorted_len > t)) for t in range(sorted_len[0])]
+    step = np.repeat(np.arange(len(steps)), steps)
+    rank = np.concatenate([np.arange(n) for n in steps])
+    first = starts[by_length][rank]
+    offsets = np.concatenate([[0], np.cumsum(steps)])
+    order = {"fwd": first + step, "bwd": first + sorted_len[rank] - 1 - step}
+    return _Packing(lengths, starts, steps, order, offsets[step[steps[0] :] - 1] + rank[steps[0] :])
+
+
+@dataclass
+class BatchTrace:
+    """One forward_batch pass. Token arrays hold the real tokens, comment
+    after comment; per-comment arrays are in batch order."""
+
+    pack: _Packing
+    layer_inputs: list[np.ndarray]  # input tokens of each LSTM layer (training only)
+    lstm: dict[tuple[int, str], tuple]  # (layer, "fwd"/"bwd") -> packed gates, c, h; training only
+    h_seq: np.ndarray  # (T, 2H) second-layer outputs
+    attn_tanh: np.ndarray | None  # (T,) tanh scores
+    attn_weights: np.ndarray  # (T,)
+    pooled: np.ndarray  # (B, 2H)
+    z1: np.ndarray
+    z2: np.ndarray
+    heads: np.ndarray  # (B, 1+K) sigmoid outputs: toxicity, then the K auxiliary heads
 
 
 @dataclass
 class ForwardTrace:
-    """Everything backward() needs, cached by one forward pass."""
+    """One example's outputs, padded to its input length, and its batch of one."""
 
     true_length: int
-    layer_inputs: list[np.ndarray]  # input sequence of each LSTM layer
-    lstm: dict[tuple[int, str], _LstmCache]  # (layer, "fwd"/"bwd") -> cache
     h_seq: np.ndarray  # (M, 2H) second-layer outputs, zero at padding
-    attn_tanh: np.ndarray | None  # tanh scores at real positions
     attn_weights: np.ndarray  # (M,), zero at padding
     pooled: np.ndarray  # (2H,)
-    z1: np.ndarray
-    a1: np.ndarray
-    z2: np.ndarray
-    a2: np.ndarray  # final dense output h^f
-    y_logit: float
     y_hat: float
-    aux_logits: np.ndarray  # (K,)
     aux_hat: np.ndarray  # (K,)
-    dropout_mask: np.ndarray | None
+    batch: BatchTrace
 
 
 @dataclass
@@ -160,267 +187,253 @@ def spatial_dropout_mask(dim: int, rate: float, seed_or_rng) -> np.ndarray:
     return keep / (1.0 - rate)
 
 
-def _run_lstm(
-    x_seq: np.ndarray,
-    length: int,
-    wx: np.ndarray,
-    wh: np.ndarray,
-    b: np.ndarray,
-    reverse: bool,
-    layer: int,
-    direction: str,
-) -> _LstmCache:
-    m, _ = x_seq.shape
+def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w as a stack of _ROW_BLOCK-row products, the last one zero-padded."""
+    n, k = x.shape
+    padded = np.zeros((-(-n // _ROW_BLOCK), _ROW_BLOCK, k))
+    padded.reshape(-1, k)[:n] = x
+    return (padded @ w).reshape(-1, w.shape[1])[:n]
+
+
+def _rows_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T for a w of few rows, as elementwise products summed per row.
+    numpy sends a one-column product to GEMV, whose rounding of a row can
+    depend on the rows around it (batch-composition rule)."""
+    return (x[:, None, :] * w[None, :, :]).sum(axis=2)
+
+
+def _heads(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Toxicity and auxiliary heads as one (1+K, dense2) weight and its bias."""
+    t = params.tensors
+    w_aux = t.get("head_aux_W", np.zeros((params.hyper.dense2, 0)))
+    return np.vstack([t["head_tox_w"], w_aux.T]), np.concatenate([t["head_tox_b"], t.get("head_aux_b", [])])
+
+
+def _recurrence(zx: np.ndarray, steps: list[int], wh: np.ndarray, keep: bool):
+    """LSTM over packed rows; zx holds X·Wx + b. Returns (h, cache or None),
+    the cache being (gates (T, 4H) after their nonlinearities, c, h)."""
     hdim = wh.shape[0]
-    cache = _LstmCache(
-        i=np.zeros((m, hdim)),
-        f=np.zeros((m, hdim)),
-        g=np.zeros((m, hdim)),
-        o=np.zeros((m, hdim)),
-        c=np.zeros((m, hdim)),
-        h=np.zeros((m, hdim)),
-        steps=list(range(length - 1, -1, -1)) if reverse else list(range(length)),
-    )
-    h_prev = np.zeros(hdim)
-    c_prev = np.zeros(hdim)
-    for t in cache.steps:
-        z = x_seq[t] @ wx + h_prev @ wh + b
-        i_gate = _sigmoid(z[:hdim])
-        f_gate = _sigmoid(z[hdim : 2 * hdim])
-        g_gate = np.tanh(z[2 * hdim : 3 * hdim])
-        o_gate = _sigmoid(z[3 * hdim :])
-        c_state = f_gate * c_prev + i_gate * g_gate
-        h_state = o_gate * np.tanh(c_state)
-        if not np.all(np.isfinite(h_state)):
-            raise NetworkError(f"non-finite activation in lstm{layer}_{direction} at timestep {t}")
-        cache.i[t], cache.f[t], cache.g[t], cache.o[t] = i_gate, f_gate, g_gate, o_gate
-        cache.c[t], cache.h[t] = c_state, h_state
-        h_prev, c_prev = h_state, c_state
-    return cache
+    h = np.empty((zx.shape[0], hdim))
+    cache = (np.empty(zx.shape), np.empty(h.shape), h) if keep else None
+    # At least two state rows: a one-row product takes numpy's GEMV path,
+    # which rounds differently from GEMM (batch-composition rule). Rows past
+    # the active ones hold finished comments' states; their products are
+    # discarded.
+    h_state = np.zeros((max(steps[0], 2), hdim))
+    c_state = np.zeros_like(h_state)
+    off = 0
+    for n in steps:
+        z = zx[off : off + n] + (h_state[: max(n, 2)] @ wh)[:n]
+        gates = _sigmoid(z)
+        gates[:, 2 * hdim : 3 * hdim] = np.tanh(z[:, 2 * hdim : 3 * hdim])
+        i_g, f_g, g_g, o_g = (gates[:, k * hdim : (k + 1) * hdim] for k in range(4))
+        c_state[:n] = f_g * c_state[:n] + i_g * g_g
+        h_state[:n] = o_g * np.tanh(c_state[:n])
+        h[off : off + n] = h_state[:n]
+        if keep:
+            cache[0][off : off + n] = gates
+            cache[1][off : off + n] = c_state[:n]
+        off += n
+    return h, cache
+
+
+def forward_batch(
+    params: ModelParams, tokens: np.ndarray, lengths, dropout_masks=None, keep_caches: bool = True
+) -> BatchTrace:
+    """B comments through the whole network.
+
+    ``tokens`` is the (sum(lengths), D) array of the comments' real token
+    embeddings, comment after comment; ``dropout_masks`` is (B, D) or None.
+    Without ``keep_caches`` the trace holds outputs only (inference).
+    """
+    t = params.tensors
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != tokens.shape[0]:
+        raise NetworkError(f"lengths {lengths.tolist()} do not partition {tokens.shape[0]} token rows")
+    pack = _pack(lengths)
+    row_comment = np.repeat(np.arange(len(lengths)), lengths)
+    x = tokens * dropout_masks[row_comment] if dropout_masks is not None else tokens
+
+    layer_inputs, lstm = [], {}
+    for layer in (0, 1):
+        layer_inputs.append(x)
+        outputs = []
+        for direction, order in pack.order.items():
+            prefix = f"lstm{layer}_{direction}"
+            zx = _rows_matmul(x[order], t[f"{prefix}_Wx"]) + t[f"{prefix}_b"]
+            h, lstm[(layer, direction)] = _recurrence(zx, pack.steps, t[f"{prefix}_Wh"], keep_caches)
+            # One finiteness check per layer-direction; packed rows are
+            # time-major, so the first bad row is the first bad timestep.
+            bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
+            if bad.size:
+                row = order[bad[0]]
+                comment = int(np.searchsorted(pack.starts, row, side="right")) - 1
+                raise NetworkError(
+                    f"non-finite activation in {prefix} at timestep {row - pack.starts[comment]} "
+                    f"of batch row {comment}"
+                )
+            outputs.append(np.empty_like(h))
+            outputs[-1][order] = h
+        x = np.concatenate(outputs, axis=1)
+
+    # Softmax and pooling reduce over each comment's own rows: a reduction
+    # over a zero-padded axis rounds differently (batch-composition rule).
+    attn_tanh = None
+    if params.hyper.attention:
+        attn_tanh = np.tanh(_rows_dot(x, t["attn_w"][None, :])[:, 0])
+        shifted = np.exp(attn_tanh - np.maximum.reduceat(attn_tanh, pack.starts)[row_comment])
+        attn_weights = shifted / np.add.reduceat(shifted, pack.starts)[row_comment]
+    else:
+        attn_weights = 1.0 / lengths[row_comment]
+    pooled = np.add.reduceat(attn_weights[:, None] * x, pack.starts, axis=0)
+
+    z1 = _rows_matmul(pooled, t["dense1_W"]) + t["dense1_b"]
+    z2 = _rows_matmul(np.maximum(z1, 0.0), t["dense2_W"]) + t["dense2_b"]
+    w_heads, b_heads = _heads(params)
+    heads = _sigmoid(_rows_dot(np.maximum(z2, 0.0), w_heads) + b_heads)
+    if not np.all(np.isfinite(heads)):
+        raise NetworkError("non-finite activation in output heads")
+    if not keep_caches:
+        layer_inputs, lstm = [], {}
+    return BatchTrace(pack, layer_inputs, lstm, x, attn_tanh, attn_weights, pooled, z1, z2, heads)
 
 
 def forward(
-    params: ModelParams,
-    embedded: np.ndarray,
-    true_length: int,
-    dropout_mask: np.ndarray | None = None,
+    params: ModelParams, embedded: np.ndarray, true_length: int, dropout_mask: np.ndarray | None = None
 ) -> ForwardTrace:
-    """One example through the whole network.
+    """One example through the whole network, as a batch of one.
 
     ``embedded`` is the (max_len, D) embedding matrix for the comment;
     positions at or beyond true_length are ignored entirely.
     """
-    hyper = params.hyper
     m = embedded.shape[0]
     if not 1 <= true_length <= m:
         raise NetworkError(f"true_length {true_length} outside [1, {m}]")
-    t = params.tensors
-
-    x0 = embedded * dropout_mask if dropout_mask is not None else embedded
-
-    layer_inputs = [x0]
-    lstm: dict[tuple[int, str], _LstmCache] = {}
-    x_in = x0
-    for layer in (0, 1):
-        for direction, reverse in (("fwd", False), ("bwd", True)):
-            prefix = f"lstm{layer}_{direction}"
-            lstm[(layer, direction)] = _run_lstm(
-                x_in, true_length, t[f"{prefix}_Wx"], t[f"{prefix}_Wh"], t[f"{prefix}_b"],
-                reverse, layer, direction,
-            )
-        x_in = np.concatenate([lstm[(layer, "fwd")].h, lstm[(layer, "bwd")].h], axis=1)
-        if layer == 0:
-            layer_inputs.append(x_in)
-    h_seq = x_in  # (M, 2H); zero at padded positions by construction
-
-    attn_weights = np.zeros(m)
-    attn_tanh = None
-    if hyper.attention:
-        scores = np.tanh(h_seq[:true_length] @ t["attn_w"])
-        attn_tanh = scores
-        shifted = np.exp(scores - scores.max())
-        attn_weights[:true_length] = shifted / shifted.sum()
-        pooled = attn_weights[:true_length] @ h_seq[:true_length]
-    else:
-        attn_weights[:true_length] = 1.0 / true_length
-        pooled = h_seq[:true_length].mean(axis=0)
-
-    z1 = pooled @ t["dense1_W"] + t["dense1_b"]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ t["dense2_W"] + t["dense2_b"]
-    a2 = np.maximum(z2, 0.0)
-
-    y_logit = float(a2 @ t["head_tox_w"] + t["head_tox_b"][0])
-    y_hat = float(_sigmoid(y_logit))
-    if hyper.n_aux > 0:
-        aux_logits = a2 @ t["head_aux_W"] + t["head_aux_b"]
-        aux_hat = _sigmoid(aux_logits)
-    else:
-        aux_logits = np.zeros(0)
-        aux_hat = np.zeros(0)
-    if not (np.isfinite(y_hat) and np.all(np.isfinite(aux_hat))):
-        raise NetworkError("non-finite activation in output heads")
-
-    return ForwardTrace(
-        true_length=true_length,
-        layer_inputs=layer_inputs,
-        lstm=lstm,
-        h_seq=h_seq,
-        attn_tanh=attn_tanh,
-        attn_weights=attn_weights,
-        pooled=pooled,
-        z1=z1,
-        a1=a1,
-        z2=z2,
-        a2=a2,
-        y_logit=y_logit,
-        y_hat=y_hat,
-        aux_logits=aux_logits,
-        aux_hat=aux_hat,
-        dropout_mask=dropout_mask,
-    )
+    masks = dropout_mask[None, :] if dropout_mask is not None else None
+    batch = forward_batch(params, embedded[:true_length], [true_length], masks)
+    h_seq = np.pad(batch.h_seq, ((0, m - true_length), (0, 0)))
+    attn_weights = np.pad(batch.attn_weights, (0, m - true_length))
+    heads = batch.heads[0]
+    return ForwardTrace(true_length, h_seq, attn_weights, batch.pooled[0], float(heads[0]), heads[1:], batch)
 
 
-def _lstm_backward(
-    cache: _LstmCache,
-    x_seq: np.ndarray,
-    d_h_seq: np.ndarray,
-    wx: np.ndarray,
-    wh: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """BPTT for one direction. Returns (dWx, dWh, db, dX)."""
-    hdim = wh.shape[0]
-    d_wx = np.zeros_like(wx)
-    d_wh = np.zeros_like(wh)
-    d_b = np.zeros(4 * hdim)
-    d_x = np.zeros_like(x_seq)
-    d_h_next = np.zeros(hdim)
-    d_c_next = np.zeros(hdim)
-    steps = cache.steps
-    for pos in range(len(steps) - 1, -1, -1):
-        t = steps[pos]
-        h_prev = cache.h[steps[pos - 1]] if pos > 0 else np.zeros(hdim)
-        c_prev = cache.c[steps[pos - 1]] if pos > 0 else np.zeros(hdim)
-        i_g, f_g, g_g, o_g, c_s = cache.i[t], cache.f[t], cache.g[t], cache.o[t], cache.c[t]
-        tanh_c = np.tanh(c_s)
-
-        d_h = d_h_seq[t] + d_h_next
-        d_o = d_h * tanh_c
-        d_c = d_h * o_g * (1.0 - tanh_c**2) + d_c_next
-        d_i = d_c * g_g
-        d_g = d_c * i_g
-        d_f = d_c * c_prev
-        d_c_next = d_c * f_g
-
-        d_z = np.concatenate(
-            [
-                d_i * i_g * (1.0 - i_g),
-                d_f * f_g * (1.0 - f_g),
-                d_g * (1.0 - g_g**2),
-                d_o * o_g * (1.0 - o_g),
-            ]
-        )
-        d_wx += np.outer(x_seq[t], d_z)
-        d_wh += np.outer(h_prev, d_z)
-        d_b += d_z
-        d_x[t] = d_z @ wx.T
-        d_h_next = d_z @ wh.T
-    return d_wx, d_wh, d_b, d_x
+def _bptt(cache: tuple, d_h_out: np.ndarray, pack: _Packing, wh: np.ndarray):
+    """Backpropagation through time over packed rows. Only ``dh·Whᵀ`` runs
+    per step. Returns (dZ of every row, dWh)."""
+    hdim, steps = wh.shape[0], pack.steps
+    gates, c, h = cache
+    tanh_c = np.tanh(c)
+    slope = gates * (1.0 - gates)  # sigmoid' for i, f, o
+    slope[:, 2 * hdim : 3 * hdim] = 1.0 - gates[:, 2 * hdim : 3 * hdim] ** 2  # tanh' for g
+    d_z = np.empty_like(gates)
+    d_h_next = np.zeros((steps[0], hdim))
+    d_c_next = np.zeros_like(d_h_next)
+    offsets = np.concatenate([[0], np.cumsum(steps)])
+    for step in range(len(steps) - 1, -1, -1):
+        n = steps[step]
+        rows = slice(offsets[step], offsets[step] + n)
+        i_g, f_g, g_g, o_g = (gates[rows, k * hdim : (k + 1) * hdim] for k in range(4))
+        c_prev = c[offsets[step - 1] : offsets[step - 1] + n] if step > 0 else 0.0
+        d_h = d_h_out[rows] + d_h_next[:n]
+        d_c = d_h * o_g * (1.0 - tanh_c[rows] ** 2) + d_c_next[:n]
+        d_z[rows] = np.concatenate([d_c * g_g, d_c * c_prev, d_c * i_g, d_h * tanh_c[rows]], axis=1)
+        d_z[rows] *= slope[rows]
+        d_c_next[:n] = d_c * f_g
+        d_h_next[:n] = d_z[rows] @ wh.T
+    return d_z, h[pack.prev].T @ d_z[steps[0] :]
 
 
-def backward(
-    params: ModelParams,
-    trace: ForwardTrace,
-    d_y_hat: float,
-    d_aux_hat: np.ndarray,
+def backward_batch(
+    params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_hat: np.ndarray
 ) -> ParamGrads:
-    """Gradient of the loss w.r.t. every parameter tensor.
-
-    ``d_y_hat`` and ``d_aux_hat`` are the loss gradients at the sigmoid head
-    outputs (as produced by losses.loss_grad_heads). The frozen embedding has
-    no gradient; padded timesteps contribute exactly zero.
+    """Gradient of the loss w.r.t. every parameter tensor, summed over the
+    batch. ``d_y_hat`` (B,) and ``d_aux_hat`` (B, K) are the loss gradients at
+    the sigmoid head outputs (as produced by losses.loss_grad_heads).
     """
-    hyper = params.hyper
-    t = params.tensors
+    hyper, t, pack = params.hyper, params.tensors, trace.pack
+    if not trace.lstm:
+        raise NetworkError("trace was built without caches; backward needs keep_caches=True")
+    d_y_hat = np.asarray(d_y_hat, dtype=float)
     d_aux_hat = np.asarray(d_aux_hat, dtype=float)
-    if d_aux_hat.shape != (hyper.n_aux,):
-        raise NetworkError(f"d_aux_hat shape {d_aux_hat.shape} != ({hyper.n_aux},)")
-    grads = {name: np.zeros_like(t[name]) for name in t}
+    want = (len(pack.lengths), hyper.n_aux)
+    if d_y_hat.shape != want[:1] or d_aux_hat.shape != want:
+        raise NetworkError(f"gradient shapes {d_y_hat.shape}, {d_aux_hat.shape} != {want[:1]}, {want}")
+    grads: dict[str, np.ndarray] = {}
 
     # Heads: sigmoid backward to the logits, then linear layers.
-    d_y_logit = d_y_hat * trace.y_hat * (1.0 - trace.y_hat)
-    grads["head_tox_w"] = trace.a2 * d_y_logit
-    grads["head_tox_b"] = np.array([d_y_logit])
-    d_a2 = t["head_tox_w"] * d_y_logit
+    d_logits = np.concatenate([d_y_hat[:, None], d_aux_hat], axis=1) * trace.heads * (1.0 - trace.heads)
+    a2 = np.maximum(trace.z2, 0.0)
+    grads["head_tox_w"] = a2.T @ d_logits[:, 0]
+    grads["head_tox_b"] = d_logits[:, :1].sum(axis=0)
     if hyper.n_aux > 0:
-        d_aux_logits = d_aux_hat * trace.aux_hat * (1.0 - trace.aux_hat)
-        grads["head_aux_W"] = np.outer(trace.a2, d_aux_logits)
-        grads["head_aux_b"] = d_aux_logits
-        d_a2 = d_a2 + t["head_aux_W"] @ d_aux_logits
+        grads["head_aux_W"] = a2.T @ d_logits[:, 1:]
+        grads["head_aux_b"] = d_logits[:, 1:].sum(axis=0)
 
     # Dense stack (ReLU).
-    d_z2 = d_a2 * (trace.z2 > 0)
-    grads["dense2_W"] = np.outer(trace.a1, d_z2)
-    grads["dense2_b"] = d_z2
-    d_a1 = t["dense2_W"] @ d_z2
-    d_z1 = d_a1 * (trace.z1 > 0)
-    grads["dense1_W"] = np.outer(trace.pooled, d_z1)
-    grads["dense1_b"] = d_z1
-    d_pooled = t["dense1_W"] @ d_z1
+    d_z2 = (d_logits @ _heads(params)[0]) * (trace.z2 > 0)
+    grads["dense2_W"] = np.maximum(trace.z1, 0.0).T @ d_z2
+    grads["dense2_b"] = d_z2.sum(axis=0)
+    d_z1 = (d_z2 @ t["dense2_W"].T) * (trace.z1 > 0)
+    grads["dense1_W"] = trace.pooled.T @ d_z1
+    grads["dense1_b"] = d_z1.sum(axis=0)
+    d_pooled = np.repeat(d_z1 @ t["dense1_W"].T, pack.lengths, axis=0)
 
-    # Pooling back to the per-timestep hidden states.
-    length = trace.true_length
-    d_h_seq = np.zeros_like(trace.h_seq)
+    # Pooling back to each token's hidden state.
+    a = trace.attn_weights
+    d_h_seq = a[:, None] * d_pooled
     if hyper.attention:
-        h_real = trace.h_seq[:length]
-        a = trace.attn_weights[:length]
-        d_a = h_real @ d_pooled
-        d_h_seq[:length] = a[:, None] * d_pooled[None, :]
-        # softmax then tanh
-        d_scores = a * (d_a - float(a @ d_a))
-        d_u = d_scores * (1.0 - trace.attn_tanh**2)
-        grads["attn_w"] = d_u @ h_real
-        d_h_seq[:length] += np.outer(d_u, t["attn_w"])
-    else:
-        d_h_seq[:length] = d_pooled[None, :] / length
+        d_a = (trace.h_seq * d_pooled).sum(axis=1)
+        d_u = a * (d_a - np.repeat(np.add.reduceat(a * d_a, pack.starts), pack.lengths))
+        d_u *= 1.0 - trace.attn_tanh**2
+        grads["attn_w"] = d_u @ trace.h_seq
+        d_h_seq += d_u[:, None] * t["attn_w"][None, :]
 
-    # Stacked BiLSTMs, top down. Layer 1's input grads feed layer 0's outputs.
+    # Stacked BiLSTMs, top down. Layer 1's input grads feed layer 0's
+    # outputs; layer 0's input is the frozen embedding, so it gets none.
     h = hyper.hidden
     for layer in (1, 0):
-        x_seq = trace.layer_inputs[layer]
-        d_x_total = np.zeros_like(x_seq)
-        for direction, lo in (("fwd", 0), ("bwd", h)):
+        x = trace.layer_inputs[layer]
+        d_x = np.zeros_like(x) if layer == 1 else None
+        for (direction, order), lo in zip(pack.order.items(), (0, h)):
             prefix = f"lstm{layer}_{direction}"
-            d_wx, d_wh, d_b, d_x = _lstm_backward(
-                trace.lstm[(layer, direction)],
-                x_seq,
-                d_h_seq[:, lo : lo + h],
-                t[f"{prefix}_Wx"],
-                t[f"{prefix}_Wh"],
+            d_z, grads[f"{prefix}_Wh"] = _bptt(
+                trace.lstm[(layer, direction)], d_h_seq[order, lo : lo + h], pack, t[f"{prefix}_Wh"]
             )
-            grads[f"{prefix}_Wx"] = d_wx
-            grads[f"{prefix}_Wh"] = d_wh
-            grads[f"{prefix}_b"] = d_b
-            d_x_total += d_x
-        d_h_seq = d_x_total  # becomes the output grad of the layer below
-    return ParamGrads(tensors=grads)
+            grads[f"{prefix}_Wx"] = x[order].T @ d_z
+            grads[f"{prefix}_b"] = d_z.sum(axis=0)
+            if d_x is not None:
+                d_x[order] += d_z @ t[f"{prefix}_Wx"].T
+        d_h_seq = d_x
+    return ParamGrads(tensors={name: grads[name] for name in t})
+
+
+def backward(params: ModelParams, trace: ForwardTrace, d_y_hat: float, d_aux_hat: np.ndarray) -> ParamGrads:
+    """backward_batch for one example; padded timesteps contribute exactly zero."""
+    return backward_batch(params, trace.batch, [d_y_hat], np.asarray(d_aux_hat, dtype=float)[None, :])
+
+
+def embed_batch(table: EmbeddingTable, comments: list[Comment]) -> tuple[np.ndarray, np.ndarray]:
+    """The comments' real tokens as one (T, D) array, and their lengths."""
+    for c in comments:
+        if not 1 <= c.true_length <= len(c.token_ids):
+            raise NetworkError(
+                f"comment {c.id!r}: true_length {c.true_length} outside [1, {len(c.token_ids)}]"
+            )
+    ids = np.concatenate([c.token_ids[: c.true_length] for c in comments])
+    return lookup(table, ids), np.array([c.true_length for c in comments])
 
 
 def predict(
-    params: ModelParams,
-    table: EmbeddingTable,
-    comments: list[Comment],
+    params: ModelParams, table: EmbeddingTable, comments: list[Comment]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inference over a batch (no dropout). Order is preserved.
 
     Returns (toxicity scores shape (N,), auxiliary scores shape (N, K)).
     """
-    y_hat = np.zeros(len(comments))
-    aux_hat = np.zeros((len(comments), params.hyper.n_aux))
-    for n, comment in enumerate(comments):
-        embedded = lookup(table, comment.token_ids)
-        trace = forward(params, embedded, comment.true_length)
-        y_hat[n] = trace.y_hat
-        if params.hyper.n_aux > 0:
-            aux_hat[n] = trace.aux_hat
-    return y_hat, aux_hat
+    heads = np.zeros((len(comments), 1 + params.hyper.n_aux))
+    for start in range(0, len(comments), PREDICT_BATCH):
+        chunk = comments[start : start + PREDICT_BATCH]
+        heads[start : start + len(chunk)] = forward_batch(
+            params, *embed_batch(table, chunk), keep_caches=False
+        ).heads
+    return heads[:, 0].copy(), heads[:, 1:].copy()

@@ -15,15 +15,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from mtltox.corpus import Comment, make_folds, reweight
-from mtltox.embeddings import EmbeddingTable, lookup
+from mtltox.embeddings import EmbeddingTable
 from mtltox.losses import LossConfig, loss_grad_heads, multitask_loss
 from mtltox.metrics import BiasReport, ScoredExample, bias_report
-from mtltox.network import (
+from mtltox.network import (  # backward and forward stay bound here for perfbench's tracer test
     Hyper,
     ModelParams,
     NetworkError,
     backward,
+    backward_batch,
+    embed_batch,
     forward,
+    forward_batch,
     init_params,
     predict,
     spatial_dropout_mask,
@@ -116,16 +119,19 @@ def adam_step(
     return params, state
 
 
-def _aux_targets(comment: Comment, hyper: Hyper, cfg: TrainConfig) -> np.ndarray:
-    if hyper.n_aux == 0:
-        return np.zeros(0)
-    labels = comment.subtype_labels if cfg.aux_source == "subtypes" else comment.identity_labels
-    if len(labels) != hyper.n_aux:
-        raise ValueError(
-            f"comment has {len(labels)} {cfg.aux_source} labels but the model has "
-            f"{hyper.n_aux} auxiliary heads"
-        )
-    return labels
+def _targets(comments: list[Comment], hyper: Hyper, cfg: TrainConfig):
+    """(y, aux_y, beta) arrays for a list of comments."""
+    aux_y = np.zeros((len(comments), hyper.n_aux))
+    for n, comment in enumerate(comments):
+        labels = comment.subtype_labels if cfg.aux_source == "subtypes" else comment.identity_labels
+        if hyper.n_aux > 0 and len(labels) != hyper.n_aux:
+            raise ValueError(
+                f"comment has {len(labels)} {cfg.aux_source} labels but the model has "
+                f"{hyper.n_aux} auxiliary heads"
+            )
+        aux_y[n] = labels[: hyper.n_aux]
+    y = np.array([c.y for c in comments], dtype=float)
+    return y, aux_y, np.array([c.beta for c in comments], dtype=float)
 
 
 def _batch_pass(
@@ -138,34 +144,17 @@ def _batch_pass(
     """Forward + backward over one batch; returns (summed grads, batch loss)."""
     hyper = params.hyper
     loss_cfg = cfg.loss_config(hyper.n_aux)
-    traces = []
-    for comment in comments:
-        mask = None
-        if rng is not None and hyper.dropout_rate > 0.0:
-            mask = spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng)
-        traces.append(forward(params, lookup(table, comment.token_ids), comment.true_length, mask))
-
-    y_hat = np.array([tr.y_hat for tr in traces])
-    aux_hat = np.array([tr.aux_hat for tr in traces]).reshape(len(traces), hyper.n_aux)
-    y = np.array([c.y for c in comments], dtype=float)
-    aux_y = np.array([_aux_targets(c, hyper, cfg) for c in comments]).reshape(
-        len(traces), hyper.n_aux
-    )
-    beta = np.array([c.beta for c in comments], dtype=float)
-
-    breakdown = multitask_loss(y_hat, aux_hat, y, aux_y, beta, loss_cfg)
-    d_y, d_aux = loss_grad_heads(y_hat, aux_hat, y, aux_y, beta, loss_cfg)
-
-    total_grads: dict[str, np.ndarray] | None = None
-    for n, trace in enumerate(traces):
-        g = backward(params, trace, float(d_y[n]), d_aux[n]).tensors
-        if total_grads is None:
-            total_grads = g
-        else:
-            for name in total_grads:
-                total_grads[name] += g[name]
-    assert total_grads is not None
-    return total_grads, breakdown.total
+    masks = None
+    if rng is not None and hyper.dropout_rate > 0.0:
+        # One mask per comment, in batch order: the generator stream is the
+        # same as with one forward pass per comment.
+        masks = np.array([spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng) for _ in comments])
+    trace = forward_batch(params, *embed_batch(table, comments), masks)
+    y_hat, aux_hat = trace.heads[:, 0], trace.heads[:, 1:]
+    targets = _targets(comments, hyper, cfg)
+    breakdown = multitask_loss(y_hat, aux_hat, *targets, loss_cfg)
+    d_y, d_aux = loss_grad_heads(y_hat, aux_hat, *targets, loss_cfg)
+    return backward_batch(params, trace, d_y, d_aux).tensors, breakdown.total
 
 
 def dataset_loss(
@@ -178,12 +167,7 @@ def dataset_loss(
     hyper = params.hyper
     loss_cfg = replace(cfg.loss_config(hyper.n_aux), reduction="mean")
     y_hat, aux_hat = predict(params, table, comments)
-    y = np.array([c.y for c in comments], dtype=float)
-    aux_y = np.array([_aux_targets(c, hyper, cfg) for c in comments]).reshape(
-        len(comments), hyper.n_aux
-    )
-    beta = np.array([c.beta for c in comments], dtype=float)
-    return multitask_loss(y_hat, aux_hat, y, aux_y, beta, loss_cfg).total
+    return multitask_loss(y_hat, aux_hat, *_targets(comments, hyper, cfg), loss_cfg).total
 
 
 def train_fold(

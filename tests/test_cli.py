@@ -219,3 +219,25 @@ class TestKsCompare:
         (tmp_path / "b" / "run_fold0.json").write_text(json.dumps({"metrics": {}}))
         code = main(["ks-compare", "--run-a", str(tmp_path / "a"), "--run-b", str(tmp_path / "b")])
         assert code == 2
+
+
+def test_readme_command_lines_parse():
+    import shlex
+    from pathlib import Path
+
+    from mtltox.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = [
+        line for line in section.replace("\\\n", " ").splitlines() if line.strip().startswith("mtltox ")
+    ]
+    assert len(commands) == 7
+    parser = build_parser()
+    for command in commands:
+        tokens = shlex.split(command)[1:]
+        args = vars(parser.parse_args(tokens))
+        assert args["command"] == tokens[0]
+        # argparse accepts unambiguous prefixes; the README spells flags out.
+        for flag in (t for t in tokens if t.startswith("--")):
+            assert flag[2:].replace("-", "_") in args, (command, flag)

@@ -16,7 +16,9 @@ from mtltox.losses import LossConfig
 from mtltox.network import (
     NetworkError,
     backward,
+    embed_batch,
     forward,
+    forward_batch,
     init_params,
     param_names,
     predict,
@@ -283,3 +285,50 @@ class TestPredict:
             yi, auxi = predict(params, self.table, [c])
             assert abs(y[i] - yi[0]) <= 1e-12
             assert np.all(np.abs(aux[i] - auxi[0]) <= 1e-12)
+
+
+class TestFiniteCheck:
+    def test_nan_in_second_layer_backward_weights_names_it(self):
+        h = tiny_hyper(n_aux=1, embed_dim=3, max_len=4)
+        params = init_params(h, seed=0)
+        params.tensors["lstm1_bwd_Wh"][0, 0] = np.nan
+        x = np.random.default_rng(0).normal(size=(4, h.embed_dim))
+        with pytest.raises(NetworkError, match=r"lstm1_bwd at timestep \d+"):
+            forward(params, x, 3)
+
+
+class TestBatchComposition:
+    vocab = Vocabulary.build([[f"w{i}" for i in range(30)]])
+    table = random_table(vocab, 2, 2, seed=0)
+
+    def comments(self, n, max_len, seed):
+        # Mixed lengths with one unique longest comment, which runs alone for
+        # its last steps of the packed recurrence.
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, max_len - 1, size=n)
+        lengths[n // 2] = max_len
+        out = []
+        for i, length in enumerate(lengths):
+            ids = np.zeros(max_len, dtype=np.int64)
+            ids[:length] = rng.integers(2, len(self.vocab), size=length)
+            out.append(Comment(str(i), ids, int(length), 0.0, 0, np.zeros(2), np.zeros(5), False, 1.0))
+        return out
+
+    # dense=512 is the paper's size, where a 2- or 3-row product would take
+    # OpenBLAS's small-matrix kernel and round differently.
+    @pytest.mark.parametrize("attention, dense", [(True, 2), (False, 2), (True, 512)])
+    def test_predict_equals_chunked_predict_bitwise(self, attention, dense):
+        h = tiny_hyper(n_aux=2, embed_dim=4, hidden=8, dense=dense, max_len=9, attention=attention)
+        params = init_params(h, seed=6)
+        cs = self.comments(70, 9, seed=8)
+        y, aux = predict(params, self.table, cs)
+        whole = forward_batch(params, *embed_batch(self.table, cs), keep_caches=False)
+        for chunk in (2, 3, 16):
+            starts = range(0, len(cs), chunk)
+            parts = [predict(params, self.table, cs[s : s + chunk]) for s in starts]
+            assert np.array_equal(np.concatenate([p[0] for p in parts]), y), chunk
+            assert np.array_equal(np.concatenate([p[1] for p in parts]), aux), chunk
+            # Inner activations show a last-bit change that the sigmoid heads can round away.
+            traces = [forward_batch(params, *embed_batch(self.table, cs[s : s + chunk])) for s in starts]
+            assert np.array_equal(np.concatenate([tr.pooled for tr in traces]), whole.pooled), chunk
+            assert np.array_equal(np.concatenate([tr.z2 for tr in traces]), whole.z2), chunk

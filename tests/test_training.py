@@ -232,3 +232,45 @@ class TestRunExperiment:
         cfg = quick_cfg(epochs=1, alpha=1.0, c=1.0)
         result = run_experiment(comments, table, toy_hyper(n_aux=0), cfg, [])
         assert len(result.records) == 2
+
+
+def test_batch_pass_sums_single_example_gradients():
+    from mtltox.embeddings import lookup
+    from mtltox.losses import loss_grad_heads
+    from mtltox.network import backward, forward, spatial_dropout_mask
+    from mtltox.training import _batch_pass
+
+    comments, _, vocab = biased_corpus(n_train=12, n_eval=2, identity_cooccurrence=0.9, seed=4)
+    assert len({c.true_length for c in comments}) > 1
+    table = random_table(vocab, 3, 3, seed=1)
+    hyper = Hyper(embed_dim=6, hidden=3, dense1=4, dense2=4, n_aux=6, dropout_rate=0.3, max_len=16)
+    params = init_params(hyper, seed=2)
+    cfg = TrainConfig(seed=0)
+    got, _ = _batch_pass(params, table, comments, cfg, np.random.default_rng(9))
+
+    rng = np.random.default_rng(9)
+    traces = [
+        forward(
+            params,
+            lookup(table, c.token_ids),
+            c.true_length,
+            spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng),
+        )
+        for c in comments
+    ]
+    d_y, d_aux = loss_grad_heads(
+        np.array([tr.y_hat for tr in traces]),
+        np.array([tr.aux_hat for tr in traces]),
+        np.array([c.y for c in comments]),
+        np.array([c.identity_labels for c in comments]),
+        np.array([c.beta for c in comments]),
+        cfg.loss_config(hyper.n_aux),
+    )
+    want = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
+    for n, trace in enumerate(traces):
+        for name, g in backward(params, trace, float(d_y[n]), d_aux[n]).tensors.items():
+            want[name] += g
+    for name in want:
+        scale = np.max(np.abs(want[name]))
+        assert scale > 0.0, name
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
