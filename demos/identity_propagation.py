@@ -4,7 +4,7 @@ Only a subset of a real corpus carries identity labels. We strip the labels
 from a third of a synthetic corpus, run the propagation step (a mean-pooling
 variant of the network trained only on the auxiliary heads), and check the
 predicted labels against the ones we hid.
-Run with: python3 demos/identity_propagation.py (takes a minute or two)
+Run with: python3 demos/identity_propagation.py (takes a few seconds)
 """
 
 import dataclasses

@@ -5,6 +5,7 @@ a correct implementation should reach near-perfect validation F1 in a few
 epochs. Run with: python3 demos/train_toy_model.py
 """
 
+import os
 import tempfile
 
 from mtltox import (
@@ -41,6 +42,7 @@ scores, _ = predict(params, table, val)
 result = prf1([ScoredExample(float(s), c.y_bin) for s, c in zip(scores, val)])
 print(f"validation precision {result.precision:.3f} recall {result.recall:.3f} f1 {result.f1:.3f}")
 
-path = tempfile.mktemp(suffix=".json")
+fd, path = tempfile.mkstemp(suffix=".json")
+os.close(fd)
 save_checkpoint(path, params, table, vocab.checksum(), {"demo": "train_toy_model"})
 print(f"checkpoint written to {path}")

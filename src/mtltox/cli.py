@@ -13,12 +13,16 @@ Config file (JSON) for propagate/train, all keys optional:
                      "dim1": 50, "dim2": 50, "oov_seed": 0},
       "train":      {"epochs": 30, "batch_size": 64, "learning_rate": 0.001,
                      "alpha": 0.6, "c": 3.0, "grad_clip_norm": 5.0,
-                     "patience": 5, "aux_source": "identities"}
+                     "patience": 5, "aux_source": "identities"},
+      "subgroups":  ["male", "female", ...]
     }
 
-Missing embedding sources fall back to seeded random vectors of the
-configured dimensions. The MTLTOX_SEED environment variable overrides the
-default seed wherever --seed is not given.
+``subgroups`` (train only) names the subgroups of the per-fold bias metrics;
+the k-th name labels the k-th identity column, and the default is all nine
+identity column names. Missing embedding sources fall back to seeded random
+vectors of the configured dimensions. ``train`` refuses a corpus with
+unannotated identity rows: run ``propagate`` on it first. The MTLTOX_SEED
+environment variable overrides the default seed wherever --seed is not given.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from mtltox.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from mtltox.corpus import (
     IDENTITY_COLUMNS,
@@ -41,7 +43,6 @@ from mtltox.corpus import (
     binarize_and_weight,
     load_comments,
     load_corpus,
-    make_folds,
     save_comments,
 )
 from mtltox.embeddings import EmbeddingError, EmbeddingTable, build_table, load_vectors
@@ -58,7 +59,7 @@ from mtltox.training import (
     evaluate_model,
     grid_search_alpha,
     propagate_identities,
-    train_fold,
+    run_experiment,
 )
 
 EXIT_INPUT = 2
@@ -92,10 +93,6 @@ def _build_table(config: dict, vocab: Vocabulary) -> EmbeddingTable:
     return build_table(vocab, src1, src2, emb.get("oov_seed", 0), dim1=dim1, dim2=dim2)
 
 
-def _build_hyper(config: dict, embed_dim: int) -> Hyper:
-    return Hyper(embed_dim=embed_dim, **config.get("hyper", {}))
-
-
 def _build_train_cfg(config: dict, args) -> TrainConfig:
     fields = dict(config.get("train", {}))
     if getattr(args, "seed", None) is not None:
@@ -104,6 +101,28 @@ def _build_train_cfg(config: dict, args) -> TrainConfig:
     if getattr(args, "folds", None) is not None:
         fields["k_folds"] = args.folds
     return TrainConfig(**fields)
+
+
+def _training_inputs(args):
+    """(config, comments, vocab, table, hyper, cfg) for propagate and train."""
+    config = _load_config(args.config)
+    comments = load_comments(args.data)
+    vocab = Vocabulary.load(args.vocab)
+    table = _build_table(config, vocab)
+    hyper = Hyper(embed_dim=table.dim, **config.get("hyper", {}))
+    return config, comments, vocab, table, hyper, _build_train_cfg(config, args)
+
+
+def _load_paired_checkpoint(path: str, vocab_path: str | None):
+    """(params, table, vocab) from a checkpoint; vocab is None without a path.
+
+    A vocabulary whose checksum differs from the checkpoint's is refused.
+    """
+    params, table, vocab_checksum, _ = load_checkpoint(path)
+    vocab = Vocabulary.load(vocab_path) if vocab_path else None
+    if vocab is not None and vocab.checksum() != vocab_checksum:
+        raise CompatibilityError("vocabulary does not match the checkpoint")
+    return params, table, vocab
 
 
 def cmd_prep(args) -> int:
@@ -131,12 +150,7 @@ def cmd_prep(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    config = _load_config(args.config)
-    comments = load_comments(args.data)
-    vocab = Vocabulary.load(args.vocab)
-    table = _build_table(config, vocab)
-    hyper = _build_hyper(config, table.dim)
-    cfg = _build_train_cfg(config, args)
+    _, comments, _, table, hyper, cfg = _training_inputs(args)
     filled = propagate_identities(comments, table, hyper, cfg)
     save_comments(args.out, filled)
     print(f"propagated identities for {sum(1 for c in filled if c.propagated)} comments")
@@ -144,12 +158,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    comments = load_comments(args.data)
-    vocab = Vocabulary.load(args.vocab)
-    table = _build_table(config, vocab)
-    hyper = _build_hyper(config, table.dim)
-    cfg = _build_train_cfg(config, args)
+    config, comments, vocab, table, hyper, cfg = _training_inputs(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     subgroups = config.get("subgroups", list(IDENTITY_COLUMNS))
@@ -165,34 +174,22 @@ def cmd_train(args) -> int:
     elif args.alpha:
         cfg = dataclasses.replace(cfg, alpha=float(args.alpha))
 
-    plan = make_folds(len(comments), cfg.k_folds, cfg.seed)
-    for fold, (train_idx, val_idx) in enumerate(plan.folds):
-        fold_cfg = dataclasses.replace(cfg, seed=cfg.seed + fold)
-        val_set = [comments[i] for i in val_idx]
-        params, record = train_fold(
-            [comments[i] for i in train_idx], val_set, table, hyper, fold_cfg
-        )
-        report = evaluate_model(params, table, val_set, subgroups, cfg.power)
-        record.fold = fold
-        record.metrics = {
-            "overall_auc": report.overall_auc,
-            "f1": report.f1,
-            "precision": report.precision,
-            "recall": report.recall,
-            "generalized_mean_bias_auc": report.generalized_mean_bias_auc,
-        }
+    def write_fold(params, record, report) -> None:
+        fold = record.fold
         save_checkpoint(
             out_dir / f"checkpoint_fold{fold}.json",
             params,
             table,
             vocab.checksum(),
-            meta={"fold": fold, "alpha": cfg.alpha, "seed": fold_cfg.seed},
+            meta={"fold": fold, "alpha": record.alpha, "seed": record.seed},
         )
         (out_dir / f"run_fold{fold}.json").write_text(json.dumps(record.to_dict(), indent=2))
         print(
             f"fold {fold}: val AUC={report.overall_auc}, F1={report.f1:.4f}, "
             f"GMB AUC={report.generalized_mean_bias_auc}"
         )
+
+    run_experiment(comments, table, hyper, cfg, subgroups, on_fold=write_fold)
     return 0
 
 
@@ -205,10 +202,7 @@ def _report_to_csv(report: BiasReport, path: Path) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    params, table, vocab_checksum, _ = load_checkpoint(args.checkpoint)
-    if args.vocab:
-        if Vocabulary.load(args.vocab).checksum() != vocab_checksum:
-            raise CompatibilityError("vocabulary does not match the checkpoint")
+    params, table, _ = _load_paired_checkpoint(args.checkpoint, args.vocab)
     comments = load_comments(args.data)
     subgroups = [s for s in args.subgroups.split(",") if s] if args.subgroups else []
     report = evaluate_model(params, table, comments, subgroups, args.p)
@@ -221,24 +215,25 @@ def cmd_evaluate(args) -> int:
 
 
 def _predictions_to_examples(path: Path, subgroups: list[str]) -> list[ScoredExample]:
-    rows: list[dict] = []
+    # Rows are numbered as in load_corpus: by line for JSONL, by data row for CSV.
     if path.suffix == ".jsonl":
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                rows.append(json.loads(line))
+        lines = enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        rows = [(row_num, line) for row_num, line in lines if line.strip()]
     else:
         with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+            rows = list(enumerate(csv.DictReader(fh), 1))
     examples = []
-    for row_num, row in enumerate(rows, 1):
+    for row_num, row in rows:
         try:
+            if isinstance(row, str):
+                row = json.loads(row)
             score = float(row["score"])
             label = int(float(row["label"]))
-        except (KeyError, ValueError) as exc:
+            groups = frozenset(
+                name for name in subgroups if row.get(name) not in (None, "") and float(row[name]) >= 0.5
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"predictions row {row_num}: {exc}") from exc
-        groups = frozenset(
-            name for name in subgroups if row.get(name) not in (None, "") and float(row[name]) >= 0.5
-        )
         examples.append(ScoredExample(score=score, label=label, subgroups=groups))
     return examples
 
@@ -255,10 +250,7 @@ def cmd_bias_report(args) -> int:
 
 
 def cmd_templates(args) -> int:
-    params, table, vocab_checksum, _ = load_checkpoint(args.checkpoint)
-    vocab = Vocabulary.load(args.vocab)
-    if vocab.checksum() != vocab_checksum:
-        raise CompatibilityError("vocabulary does not match the checkpoint")
+    params, table, vocab = _load_paired_checkpoint(args.checkpoint, args.vocab)
     identities = (
         tuple(s for s in args.identities.split(",") if s)
         if args.identities

@@ -153,12 +153,15 @@ class Vocabulary:
             out[idx] = tok
         return out
 
-    def save(self, path: str | Path) -> None:
-        """Write one ``token<TAB>index`` line per token, sorted by index."""
-        lines = [
+    def _lines(self) -> list[str]:
+        """One ``token<TAB>index`` line per token, sorted by index."""
+        return [
             f"{tok}\t{idx}"
             for tok, idx in sorted(self._token_to_index.items(), key=lambda kv: kv[1])
         ]
+
+    def save(self, path: str | Path) -> None:
+        lines = self._lines()
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
     @classmethod
@@ -178,11 +181,7 @@ class Vocabulary:
         """Stable hex digest of the serialized form, for checkpoint pairing."""
         import hashlib
 
-        payload = "\n".join(
-            f"{tok}\t{idx}"
-            for tok, idx in sorted(self._token_to_index.items(), key=lambda kv: kv[1])
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256("\n".join(self._lines()).encode("utf-8")).hexdigest()
 
 
 def encode(
@@ -307,9 +306,7 @@ def binarize_and_weight(
     for i, name in enumerate(SUBTYPE_COLUMNS):
         subtype_labels[i] = record.subtype_scores.get(name, 0.0)
 
-    identity_present = bool(np.any(identity_labels >= 0.5))
-    beta = c if (y_bin == 0 and identity_present) else 1.0
-    return Comment(
+    comment = Comment(
         id=record.id,
         token_ids=token_ids,
         true_length=true_length,
@@ -317,10 +314,12 @@ def binarize_and_weight(
         y_bin=y_bin,
         identity_labels=identity_labels,
         subtype_labels=subtype_labels,
-        identity_present=identity_present,
-        beta=beta,
+        identity_present=False,
+        beta=1.0,
         needs_propagation=needs_propagation,
     )
+    reweight(comment, c)
+    return comment
 
 
 def reweight(comment: Comment, c: float) -> None:

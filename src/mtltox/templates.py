@@ -68,13 +68,21 @@ class ProbeResult:
 
 
 def load_templates(path: str | Path, source: str = "file") -> list[Template]:
-    """Read a templates file: one ``polarity<TAB>text`` per line, # comments."""
+    """Read a templates file: one ``polarity<TAB>text`` per line, # comments.
+
+    A malformed line raises ValueError naming ``path:line``.
+    """
     templates = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
-        polarity, text = line.split("\t", 1)
-        templates.append(Template(text=text, polarity=polarity, source=source))
+        polarity, tab, text = line.partition("\t")
+        try:
+            if not tab:
+                raise ValueError("expected polarity<TAB>text")
+            templates.append(Template(text=text, polarity=polarity, source=source))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return templates
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -170,6 +171,12 @@ def dataset_loss(
     return multitask_loss(y_hat, aux_hat, *_targets(comments, hyper, cfg), loss_cfg).total
 
 
+def _split(comments: list[Comment], fold: tuple) -> tuple[list[Comment], list[Comment]]:
+    """The (train, validation) comments of one ``FoldPlan`` fold."""
+    train_idx, val_idx = fold
+    return [comments[i] for i in train_idx], [comments[i] for i in val_idx]
+
+
 def train_fold(
     train_set: list[Comment],
     val_set: list[Comment],
@@ -181,9 +188,15 @@ def train_fold(
 
     Returns the checkpoint with the best validation loss and a per-epoch log.
     Early stopping after ``cfg.patience`` epochs without improvement.
+    Comments whose identity labels are missing are refused: fill them first.
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
+    if any(c.needs_propagation for c in (*train_set, *val_set)):
+        raise ValueError(
+            "corpus has unannotated identity rows; fill them with propagate_identities "
+            "(mtltox propagate) first"
+        )
     started = time.perf_counter()
     params = init_params(hyper, cfg.seed)
     state = AdamState.init(params)
@@ -257,10 +270,7 @@ def grid_search_alpha(
     grid = list(grid if grid is not None else cfg.alpha_grid)
     if not grid:
         raise ValueError("alpha grid must be nonempty")
-    plan = make_folds(len(comments), cfg.k_folds, cfg.seed)
-    train_idx, val_idx = plan.folds[0]
-    train_set = [comments[i] for i in train_idx]
-    val_set = [comments[i] for i in val_idx]
+    train_set, val_set = _split(comments, make_folds(len(comments), cfg.k_folds, cfg.seed).folds[0])
 
     results = []
     for alpha in grid:
@@ -312,11 +322,8 @@ def propagate_identities(
     prop_cfg = replace(cfg, alpha=0.0)
     flat = [dataclasses.replace(c, beta=1.0) for c in annotated]
     k = min(10, max(2, len(flat) // 2))
-    plan = make_folds(len(flat), k, cfg.seed)
-    train_idx, val_idx = plan.folds[0]
-    params, _ = train_fold(
-        [flat[i] for i in train_idx], [flat[i] for i in val_idx], table, prop_hyper, prop_cfg
-    )
+    train_set, val_set = _split(flat, make_folds(len(flat), k, cfg.seed).folds[0])
+    params, _ = train_fold(train_set, val_set, table, prop_hyper, prop_cfg)
 
     _, aux_hat = predict(params, table, unannotated)
     out: list[Comment] = []
@@ -349,33 +356,21 @@ def run_experiment(
     hyper: Hyper,
     cfg: TrainConfig,
     subgroup_names,
-    propagate: bool = False,
+    on_fold: Callable[[ModelParams, RunRecord, BiasReport], None] | None = None,
 ) -> ExperimentResult:
-    """Full pipeline: propagate -> K folds -> train -> evaluate -> aggregate.
+    """K folds -> train -> evaluate -> aggregate.
 
     Per-fold metric values are retained (not just means) so two experiments
-    can be compared with the KS test.
+    can be compared with the KS test. ``on_fold(params, record, report)`` is
+    called once per fold, after the record's fold and metrics are set. The
+    corpus must be fully annotated (see ``propagate_identities``).
     """
-    if any(c.needs_propagation for c in comments):
-        if not propagate:
-            raise ValueError(
-                "corpus has unannotated identity rows; enable propagation or drop them"
-            )
-        comments = propagate_identities(comments, table, hyper, cfg)
-
-    plan = make_folds(len(comments), cfg.k_folds, cfg.seed)
     records: list[RunRecord] = []
     reports: list[BiasReport] = []
-    for fold, (train_idx, val_idx) in enumerate(plan.folds):
-        fold_cfg = replace(cfg, seed=cfg.seed + fold)
-        params, record = train_fold(
-            [comments[i] for i in train_idx],
-            [comments[i] for i in val_idx],
-            table,
-            hyper,
-            fold_cfg,
-        )
-        report = evaluate_model(params, table, [comments[i] for i in val_idx], subgroup_names, cfg.power)
+    for fold, indices in enumerate(make_folds(len(comments), cfg.k_folds, cfg.seed).folds):
+        train_set, val_set = _split(comments, indices)
+        params, record = train_fold(train_set, val_set, table, hyper, replace(cfg, seed=cfg.seed + fold))
+        report = evaluate_model(params, table, val_set, subgroup_names, cfg.power)
         record.fold = fold
         record.metrics = {
             "overall_auc": report.overall_auc,
@@ -386,6 +381,8 @@ def run_experiment(
             "bpsn_auc": {name: s.bpsn_auc for name, s in report.subgroups.items()},
             "subgroup_auc": {name: s.subgroup_auc for name, s in report.subgroups.items()},
         }
+        if on_fold is not None:
+            on_fold(params, record, report)
         records.append(record)
         reports.append(report)
 

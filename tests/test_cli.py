@@ -47,6 +47,21 @@ def run_prep(workdir):
     )
 
 
+def run_train(workdir, data="data.jsonl", out_dir="run", seed="5", extra=()):
+    return main(
+        [
+            "train",
+            "--data", str(workdir / data),
+            "--vocab", str(workdir / "vocab.tsv"),
+            "--config", str(workdir / "config.json"),
+            "--folds", "2",
+            "--seed", seed,
+            "--out-dir", str(workdir / out_dir),
+            *extra,
+        ]
+    )
+
+
 class TestPrep:
     def test_fixture_stats(self, workdir, capsys):
         assert run_prep(workdir) == 0
@@ -151,6 +166,33 @@ class TestTrainEvaluate:
         assert code == 4
 
 
+@pytest.mark.parametrize("extra", [(), ("--alpha", "grid:0.4,0.8")], ids=["plain", "alpha-grid"])
+def test_train_refuses_unannotated_rows_until_propagated(workdir, capsys, extra):
+    lines = (workdir / "corpus.csv").read_text().splitlines()
+    for i in (2, 5, 8):
+        id_, text, target = lines[i].split(",")[:3]
+        lines[i] = ",".join([id_, text, target] + [""] * len(IDENTITY_COLUMNS))
+    (workdir / "corpus.csv").write_text("\n".join(lines) + "\n")
+    assert run_prep(workdir) == 0
+    assert "needing identity propagation: 3" in capsys.readouterr().out
+
+    assert run_train(workdir, extra=extra) == 2
+    assert "mtltox propagate" in capsys.readouterr().err
+    assert not (workdir / "run" / "checkpoint_fold0.json").exists()
+
+    code = main(
+        [
+            "propagate",
+            "--data", str(workdir / "data.jsonl"),
+            "--vocab", str(workdir / "vocab.tsv"),
+            "--config", str(workdir / "config.json"),
+            "--out", str(workdir / "filled.jsonl"),
+        ]
+    )
+    assert code == 0
+    assert run_train(workdir, data="filled.jsonl", extra=extra) == 0
+
+
 class TestBiasReportCommand:
     def test_offline_predictions(self, tmp_path, capsys):
         pred = tmp_path / "preds.csv"
@@ -174,6 +216,28 @@ class TestBiasReportCommand:
         assert report["overall_auc"] == 1.0
         assert report["subgroups"]["male"]["subgroup_auc"] == 1.0
 
+    @pytest.mark.parametrize(
+        "name, text, row",
+        [
+            ("preds.jsonl", '{"score": 0.9, "label": 1}\n\n{"score": 0.2, label: 0}\n', 3),
+            ("preds.csv", "id,score,label,male\n1,0.9,1,0.0\n2,0.2,0,yes\n", 2),
+        ],
+        ids=["bad-json", "non-numeric-subgroup"],
+    )
+    def test_bad_row_named_exit_2(self, tmp_path, capsys, name, text, row):
+        pred = tmp_path / name
+        pred.write_text(text)
+        code = main(
+            [
+                "bias-report",
+                "--predictions", str(pred),
+                "--subgroups", "male",
+                "--out", str(tmp_path / "rep.json"),
+            ]
+        )
+        assert code == 2
+        assert f"predictions row {row}:" in capsys.readouterr().err
+
 
 class TestTemplatesCommand:
     def test_probe_runs(self, workdir, capsys):
@@ -190,6 +254,24 @@ class TestTemplatesCommand:
         payload = json.loads((workdir / "probe.json").read_text())
         assert set(payload) == {"gay", "lesbian", "bisexual", "muslim", "jew", "black"}
         assert all(len(v["nontoxic_scores"]) == 7 for v in payload.values())
+
+    @pytest.mark.parametrize(
+        "bad_line", ["toxic I hate <Identity>", "neutral\tI am <Identity>"], ids=["no-tab", "bad-polarity"]
+    )
+    def test_bad_templates_file_line_named_exit_2(self, workdir, capsys, bad_line):
+        TestTrainEvaluate().train(workdir)
+        templates_file = workdir / "extra.tsv"
+        templates_file.write_text(f"# extra probes\ntoxic\tI hate <Identity>\n{bad_line}\n")
+        code = main(
+            [
+                "templates",
+                "--checkpoint", str(workdir / "run" / "checkpoint_fold0.json"),
+                "--vocab", str(workdir / "vocab.tsv"),
+                "--templates-file", str(templates_file),
+            ]
+        )
+        assert code == 2
+        assert f"{templates_file}:3:" in capsys.readouterr().err
 
 
 class TestKsCompare:
@@ -212,6 +294,18 @@ class TestKsCompare:
         self.write_run(tmp_path / "b", [0.8, 0.9])
         main(["ks-compare", "--run-a", str(tmp_path / "a"), "--run-b", str(tmp_path / "b")])
         assert "D=1.0" in capsys.readouterr().out
+
+    def test_compares_what_train_writes(self, workdir, capsys):
+        run_prep(workdir)
+        assert run_train(workdir, out_dir="run_a", seed="5") == 0
+        assert run_train(workdir, out_dir="run_b", seed="6") == 0
+        metrics = json.loads((workdir / "run_a" / "run_fold0.json").read_text())["metrics"]
+        assert set(metrics["bpsn_auc"]) == set(IDENTITY_COLUMNS)
+        assert set(metrics["subgroup_auc"]) == set(IDENTITY_COLUMNS)
+        capsys.readouterr()
+        code = main(["ks-compare", "--run-a", str(workdir / "run_a"), "--run-b", str(workdir / "run_b")])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("D=")
 
     def test_missing_metric_exit_2(self, tmp_path):
         self.write_run(tmp_path / "a", [0.8, 0.9])
