@@ -4,7 +4,8 @@ Subcommands: prep, propagate, train, evaluate, bias-report, templates,
 ks-compare. Exit codes: 0 success, 2 input error, 3 numerical failure,
 4 checkpoint/vocabulary compatibility error.
 
-Config file (JSON) for propagate/train, all keys optional:
+Config file (JSON) for propagate/train. Every key is optional, and every
+accepted key is shown; any other key is refused with exit code 2:
 
     {
       "hyper":      {"hidden": 8, "dense1": 16, "dense2": 16, "n_aux": 9,
@@ -12,14 +13,15 @@ Config file (JSON) for propagate/train, all keys optional:
       "embeddings": {"source1": "glove.txt", "source2": "fasttext.vec",
                      "dim1": 50, "dim2": 50, "oov_seed": 0},
       "train":      {"epochs": 30, "batch_size": 64, "learning_rate": 0.001,
-                     "alpha": 0.6, "c": 3.0, "grad_clip_norm": 5.0,
-                     "patience": 5, "aux_source": "identities"},
-      "subgroups":  ["male", "female", ...]
+                     "seed": 0, "alpha": 0.6, "c": 3.0, "grad_clip_norm": 5.0,
+                     "patience": 5, "k_folds": 5, "aux_source": "identities",
+                     "power": -5.0},
+      "subgroups":  ["male", "female"]
     }
 
 ``subgroups`` (train only) names the subgroups of the per-fold bias metrics;
 the k-th name labels the k-th identity column, and the default is all nine
-identity column names. Missing embedding sources fall back to seeded random
+identity column names. Omitted embedding sources fall back to seeded random
 vectors of the configured dimensions. ``train`` refuses a corpus with
 unannotated identity rows: run ``propagate`` on it first. The MTLTOX_SEED
 environment variable overrides the default seed wherever --seed is not given.
@@ -75,13 +77,31 @@ def _default_seed() -> int:
     return int(os.environ.get("MTLTOX_SEED", "0"))
 
 
+# The keys each config section accepts; "subgroups" is the one other top-level key.
+CONFIG_SECTIONS = {
+    "hyper": {f.name for f in dataclasses.fields(Hyper)} - {"embed_dim"},  # embed_dim = dim1 + dim2
+    "embeddings": {"source1", "source2", "dim1", "dim2", "oov_seed"},
+    "train": {f.name for f in dataclasses.fields(TrainConfig)},
+}
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CorpusError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CorpusError(f"{path}: config must be a JSON object")
+    unknown = [key for key in config if key not in CONFIG_SECTIONS and key != "subgroups"]
+    for section, allowed in CONFIG_SECTIONS.items():
+        if not isinstance(config.get(section, {}), dict):
+            raise CorpusError(f"{path}: '{section}' must be a JSON object")
+        unknown += [f"{section}.{key}" for key in config.get(section, {}) if key not in allowed]
+    if unknown:
+        raise CorpusError(f"{path}: unknown key {', '.join(map(repr, unknown))}")
+    return config
 
 
 def _build_table(config: dict, vocab: Vocabulary) -> EmbeddingTable:

@@ -72,8 +72,9 @@ def build_table(
     src1: dict[str, np.ndarray],
     src2: dict[str, np.ndarray],
     oov_seed: int = 0,
-    dim1: int | None = None,
-    dim2: int | None = None,
+    *,
+    dim1: int,
+    dim2: int,
 ) -> EmbeddingTable:
     """Concatenate two embedding sources over the vocabulary.
 
@@ -81,10 +82,6 @@ def build_table(
     source's slice from a generator seeded with oov_seed; the padding row is
     zeroed last. Two builds with the same inputs are identical.
     """
-    if dim1 is None:
-        dim1 = len(next(iter(src1.values())))
-    if dim2 is None:
-        dim2 = len(next(iter(src2.values())))
     rng = np.random.default_rng(oov_seed)
     tokens = vocab.tokens_by_index()
     matrix = np.zeros((len(tokens), dim1 + dim2))

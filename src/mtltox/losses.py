@@ -20,7 +20,6 @@ import numpy as np
 @dataclass(frozen=True)
 class LossConfig:
     alpha: float = 0.6
-    c: float = 3.0
     n_aux: int = 9
     epsilon: float = 1e-7
     reduction: str = "mean"  # "mean" divides by batch size; "sum" is the raw sum
@@ -28,8 +27,6 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
         if self.reduction not in ("mean", "sum"):
             raise ValueError("reduction must be 'mean' or 'sum'")
 

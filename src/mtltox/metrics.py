@@ -87,11 +87,11 @@ def roc_auc(examples: list[ScoredExample]) -> float | None:
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def prf1(examples: list[ScoredExample], threshold: float = 0.5) -> PRF1:
-    """Precision/recall/F1 with predictions positive at score >= threshold."""
+def prf1(examples: list[ScoredExample]) -> PRF1:
+    """Precision/recall/F1 with predictions positive at score >= 0.5."""
     tp = fp = fn = 0
     for e in examples:
-        pred = e.score >= threshold
+        pred = e.score >= 0.5
         if pred and e.label == 1:
             tp += 1
         elif pred and e.label == 0:
@@ -179,19 +179,14 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     return d, p_value
 
 
-def bias_report(
-    examples: list[ScoredExample],
-    subgroups,
-    p: float = -5.0,
-    threshold: float = 0.5,
-) -> BiasReport:
+def bias_report(examples: list[ScoredExample], subgroups, p: float = -5.0) -> BiasReport:
     """Assemble overall metrics plus per-subgroup bias AUCs into one report.
 
     The generalized mean runs over the defined Subgroup AUCs only, with the
     effective count recorded.
     """
     overall = roc_auc(examples)
-    scores = prf1(examples, threshold)
+    scores = prf1(examples)
     per_subgroup: dict[str, SubgroupStats] = {}
     for name in subgroups:
         members = [e for e in examples if name in e.subgroups]

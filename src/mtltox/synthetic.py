@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mtltox.corpus import Comment, Vocabulary, encode, tokenize
+from mtltox.corpus import Comment, Vocabulary, encode, reweight, tokenize
 from mtltox.templates import DEFAULT_IDENTITY_KEYWORDS, builtin_templates, instantiate
 
 NEUTRAL_SENTENCES = (
@@ -48,8 +48,7 @@ def _make_comment(
     identity_labels = np.zeros(n_identities)
     if identity_index is not None:
         identity_labels[identity_index] = 1.0
-    present = identity_index is not None
-    return Comment(
+    comment = Comment(
         id=comment_id,
         token_ids=token_ids,
         true_length=length,
@@ -57,9 +56,9 @@ def _make_comment(
         y_bin=int(toxic),
         identity_labels=identity_labels,
         subtype_labels=np.zeros(5),
-        identity_present=present,
-        beta=c if (not toxic and present) else 1.0,
     )
+    reweight(comment, c)
+    return comment
 
 
 def build_vocab(identities=DEFAULT_IDENTITY_KEYWORDS) -> Vocabulary:

@@ -50,10 +50,10 @@ class ProbeResult:
     def mean_toxic(self) -> float:
         return float(np.mean(self.toxic_scores))
 
-    def misclassified(self, threshold: float = 0.5) -> int:
-        """Non-toxic probes scored at/above threshold plus toxic ones below."""
-        return sum(1 for s in self.nontoxic_scores if s >= threshold) + sum(
-            1 for s in self.toxic_scores if s < threshold
+    def misclassified(self) -> int:
+        """Non-toxic probes scored at/above 0.5 plus toxic ones below."""
+        return sum(1 for s in self.nontoxic_scores if s >= 0.5) + sum(
+            1 for s in self.toxic_scores if s < 0.5
         )
 
     def to_dict(self) -> dict:
@@ -134,7 +134,6 @@ def run_probe(
                     identity_labels=np.zeros(0),
                     subtype_labels=np.zeros(0),
                     identity_present=True,
-                    beta=1.0,
                 )
             )
         scores, _ = predict(params, table, comments)

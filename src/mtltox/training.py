@@ -39,22 +39,17 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     alpha: float = 0.6
     c: float = 3.0
-    alpha_grid: tuple[float, ...] = (0.2, 0.4, 0.5, 0.6, 0.8)
     grad_clip_norm: float | None = 5.0
     patience: int = 5
     k_folds: int = 5
     aux_source: str = "identities"  # or "subtypes" for the subtype-head variant
-    loss_reduction: str = "mean"
     power: float = -5.0
 
     def loss_config(self, n_aux: int) -> LossConfig:
-        return LossConfig(alpha=self.alpha, c=self.c, n_aux=n_aux, reduction=self.loss_reduction)
+        return LossConfig(alpha=self.alpha, n_aux=n_aux)
 
 
 @dataclass
@@ -96,6 +91,9 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
     return {k: g * factor for k, g in grads.items()}
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's published defaults
+
+
 def adam_step(
     params: ModelParams,
     grads: dict[str, np.ndarray],
@@ -109,14 +107,14 @@ def adam_step(
     if cfg.grad_clip_norm is not None:
         grads = clip_global_norm(grads, cfg.grad_clip_norm)
     state.t += 1
-    bc1 = 1.0 - cfg.beta1**state.t
-    bc2 = 1.0 - cfg.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for name, g in grads.items():
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        params.tensors[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        params.tensors[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -166,7 +164,7 @@ def dataset_loss(
 ) -> float:
     """Mean-reduced loss over a dataset, inference mode (no dropout)."""
     hyper = params.hyper
-    loss_cfg = replace(cfg.loss_config(hyper.n_aux), reduction="mean")
+    loss_cfg = cfg.loss_config(hyper.n_aux)
     y_hat, aux_hat = predict(params, table, comments)
     return multitask_loss(y_hat, aux_hat, *_targets(comments, hyper, cfg), loss_cfg).total
 
@@ -260,14 +258,14 @@ def grid_search_alpha(
     hyper: Hyper,
     cfg: TrainConfig,
     subgroup_names,
-    grid=None,
+    grid,
 ) -> tuple[float, list[dict]]:
     """Train one model per alpha on a fixed fold and pick the best.
 
     Selection maximizes the validation Generalized Mean Bias AUC (undefined
     counts as worst); exact ties go to the larger alpha.
     """
-    grid = list(grid if grid is not None else cfg.alpha_grid)
+    grid = list(grid)
     if not grid:
         raise ValueError("alpha grid must be nonempty")
     train_set, val_set = _split(comments, make_folds(len(comments), cfg.k_folds, cfg.seed).folds[0])

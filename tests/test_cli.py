@@ -193,6 +193,87 @@ def test_train_refuses_unannotated_rows_until_propagated(workdir, capsys, extra)
     assert run_train(workdir, data="filled.jsonl", extra=extra) == 0
 
 
+def test_train_names_file_and_row_of_a_truncated_line(workdir, capsys):
+    assert run_prep(workdir) == 0
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    lines[3] = lines[3][: len(lines[3]) // 2]
+    (workdir / "data.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_train(workdir) == 2
+    err = capsys.readouterr().err
+    assert "data.jsonl" in err and "row 4" in err
+    assert not (workdir / "run").exists()
+
+
+def test_train_names_file_and_row_of_a_non_comment_line(workdir, capsys):
+    assert run_prep(workdir) == 0
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    lines[1] = json.dumps({"comment_text": "a raw corpus row", "target": 0.1})
+    (workdir / "data.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_train(workdir) == 2
+    err = capsys.readouterr().err
+    assert "data.jsonl" in err and "row 2" in err
+
+
+def run_propagate(workdir):
+    return main(
+        [
+            "propagate",
+            "--data", str(workdir / "data.jsonl"),
+            "--vocab", str(workdir / "vocab.tsv"),
+            "--config", str(workdir / "config.json"),
+            "--out", str(workdir / "filled.jsonl"),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "command, output", [(run_train, "run"), (run_propagate, "filled.jsonl")], ids=["train", "propagate"]
+)
+@pytest.mark.parametrize(
+    "section, key",
+    [("hyper", "bogus"), ("train", "bogus"), ("embeddings", "bogus"), (None, "bogus"), ("train", "beta1")],
+    ids=["hyper", "train", "embeddings", "top-level", "removed-field"],
+)
+def test_unknown_config_key_exit_2(workdir, capsys, command, output, section, key):
+    assert run_prep(workdir) == 0
+    config = json.loads(json.dumps(CONFIG))
+    (config.setdefault(section, {}) if section else config)[key] = 0.9
+    (workdir / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    dotted = f"{section}.{key}" if section else key
+    assert f"{workdir / 'config.json'}: unknown key '{dotted}'" in err
+    assert "Traceback" not in err
+    assert not (workdir / output).exists()
+
+
+@pytest.mark.parametrize(
+    "config, named", [([CONFIG], "config"), ({**CONFIG, "hyper": None}, "'hyper'")], ids=["list", "null-section"]
+)
+def test_config_that_is_not_an_object_exit_2(workdir, capsys, config, named):
+    assert run_prep(workdir) == 0
+    (workdir / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_train(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'config.json'}: {named} must be a JSON object" in err
+
+
+def test_cli_docstring_config_example_is_accepted(tmp_path):
+    import mtltox.cli as cli
+
+    example = cli.__doc__.split("any other key is refused with exit code 2:", 1)[1].split("\n\n")[1]
+    config = json.loads(example)
+    path = tmp_path / "cfg.json"
+    path.write_text(example)
+    assert cli._load_config(str(path)) == config
+    # The example shows every accepted key, so it cannot fall behind the code either.
+    assert {section: set(config[section]) for section in cli.CONFIG_SECTIONS} == cli.CONFIG_SECTIONS
+
+
 class TestBiasReportCommand:
     def test_offline_predictions(self, tmp_path, capsys):
         pred = tmp_path / "preds.csv"

@@ -10,6 +10,7 @@ from mtltox.synthetic import biased_corpus, separable_corpus
 from mtltox.training import (
     AdamState,
     TrainConfig,
+    _targets,
     adam_step,
     clip_global_norm,
     grid_search_alpha,
@@ -124,6 +125,22 @@ class TestTrainFold:
         scores, _ = predict(params, table, val)
         out = prf1([ScoredExample(float(s), c.y_bin) for s, c in zip(scores, val)])
         assert out.f1 >= 0.95
+
+    def test_subtype_heads_train(self):
+        comments, vocab = separable_corpus(n=30, seed=4)
+        rng = np.random.default_rng(0)
+        for comment in comments:
+            comment.subtype_labels = rng.random(5)
+        table = random_table(vocab, 4, 4, seed=0)
+        cfg = quick_cfg(epochs=2, aux_source="subtypes")
+        _, record = train_fold(comments[:20], comments[20:], table, toy_hyper(n_aux=5), cfg)
+        assert len(record.epochs) == 2
+        assert all(np.isfinite(e["train_loss"]) and np.isfinite(e["val_loss"]) for e in record.epochs)
+
+    def test_subtype_head_count_mismatch_names_subtypes(self):
+        comments, _ = separable_corpus(n=4, seed=0)
+        with pytest.raises(ValueError, match="subtypes"):
+            _targets(comments, toy_hyper(n_aux=9), quick_cfg(aux_source="subtypes"))
 
 
 class TestGridSearch:
