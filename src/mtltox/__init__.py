@@ -14,6 +14,7 @@ from mtltox.corpus import (
     Vocabulary,
     binarize_and_weight,
     load_corpus,
+    make_comment,
     make_folds,
     tokenize,
 )

@@ -20,14 +20,32 @@ from mtltox.embeddings import EmbeddingTable
 from mtltox.network import Hyper, ModelParams
 
 FORMAT_VERSION = 1
+WRITE_CHUNK = 65536  # array values per encoder call in save_checkpoint
 
 
 class CheckpointError(RuntimeError):
     """Unreadable or incompatible checkpoint."""
 
 
-def _tensor_to_json(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+def _holds_array(obj) -> bool:
+    return isinstance(obj, np.ndarray) or isinstance(obj, dict) and any(map(_holds_array, obj.values()))
+
+
+def _write_json(fh, obj) -> None:
+    """Write json.dump's text for obj, arrays as {"shape", "data"} encoded WRITE_CHUNK values
+    per call, so few Python floats exist at once. Dicts holding arrays need str keys."""
+    if isinstance(obj, np.ndarray):
+        fh.write(f'{{"shape": {json.dumps(list(obj.shape))}, "data": [')
+        for i in range(0, obj.size, WRITE_CHUNK):
+            fh.write((", " if i else "") + json.dumps(obj.flat[i : i + WRITE_CHUNK].tolist())[1:-1])
+        fh.write("]}")
+    elif not _holds_array(obj):
+        fh.write(json.dumps(obj))
+    else:
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            _write_json(fh, value)
+        fh.write("}")
 
 
 def _tensor_from_json(obj: dict) -> np.ndarray:
@@ -46,19 +64,15 @@ def save_checkpoint(
         "version": FORMAT_VERSION,
         "hyper": asdict(params.hyper),
         "vocab_checksum": vocab_checksum,
-        "embedding": {
-            "dim1": table.dim1,
-            "dim2": table.dim2,
-            "matrix": _tensor_to_json(table.matrix),
-        },
-        "tensors": {name: _tensor_to_json(arr) for name, arr in params.tensors.items()},
+        "embedding": {"dim1": table.dim1, "dim2": table.dim2, "matrix": table.matrix},
+        "tensors": params.tensors,
         "meta": meta or {},
     }
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            _write_json(fh, payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -19,12 +19,18 @@ accepted key is shown; any other key is refused with exit code 2:
       "subgroups":  ["male", "female"]
     }
 
-``subgroups`` (train only) names the subgroups of the per-fold bias metrics;
-the k-th name labels the k-th identity column, and the default is all nine
-identity column names. Omitted embedding sources fall back to seeded random
-vectors of the configured dimensions. ``train`` refuses a corpus with
-unannotated identity rows: run ``propagate`` on it first. The MTLTOX_SEED
-environment variable overrides the default seed wherever --seed is not given.
+Each value must have the type of the field's default (an integer serves as a
+number; ``grad_clip_norm`` may be null); any other value is refused with exit
+code 2. ``subgroups`` (train only), a list of strings, names the subgroups of
+the per-fold bias metrics; the k-th name labels the k-th identity column, and
+the default is all nine identity column names. Omitted embedding sources fall
+back to seeded random vectors of the configured dimensions.
+
+``prep`` refuses a row whose text has no tokens, and propagate, train and
+evaluate refuse a prepared comment with none, with exit code 2. ``train``
+refuses a corpus with unannotated identity rows: run ``propagate`` on it
+first. The MTLTOX_SEED environment variable overrides the default seed
+wherever --seed is not given.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from mtltox.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -46,6 +53,7 @@ from mtltox.corpus import (
     load_comments,
     load_corpus,
     save_comments,
+    tokenize,
 )
 from mtltox.embeddings import EmbeddingError, EmbeddingTable, build_table, load_vectors
 from mtltox.metrics import BiasReport, ScoredExample, bias_report, ks_two_sample
@@ -77,12 +85,38 @@ def _default_seed() -> int:
     return int(os.environ.get("MTLTOX_SEED", "0"))
 
 
-# The keys each config section accepts; "subgroups" is the one other top-level key.
-CONFIG_SECTIONS = {
-    "hyper": {f.name for f in dataclasses.fields(Hyper)} - {"embed_dim"},  # embed_dim = dim1 + dim2
-    "embeddings": {"source1", "source2", "dim1", "dim2", "oov_seed"},
-    "train": {f.name for f in dataclasses.fields(TrainConfig)},
+# The JSON value types a field of each type accepts, and their name; a bool is not a number.
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
 }
+
+
+def _field_types(cls) -> dict[str, tuple[tuple[type, ...], str]]:
+    """The ``_JSON_TYPES`` entry of each field's default, with null where the annotation allows None."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING:
+            continue
+        accepted, name = _JSON_TYPES[type(f.default)]
+        if type(None) in typing.get_args(hints[f.name]):
+            accepted, name = (*accepted, type(None)), f"{name} or null"
+        types[f.name] = (accepted, name)
+    return types
+
+
+# The keys each config section accepts, with their value types; "subgroups" is
+# the one other top-level key. Hyper's embed_dim has no default: it is dim1 + dim2.
+CONFIG_TYPES = {
+    "hyper": _field_types(Hyper),
+    "embeddings": dict.fromkeys(("source1", "source2"), _JSON_TYPES[str])
+    | dict.fromkeys(("dim1", "dim2", "oov_seed"), _JSON_TYPES[int]),
+    "train": _field_types(TrainConfig),
+}
+CONFIG_SECTIONS = {section: set(types) for section, types in CONFIG_TYPES.items()}
 
 
 def _load_config(path: str | None) -> dict:
@@ -94,13 +128,21 @@ def _load_config(path: str | None) -> dict:
         raise CorpusError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise CorpusError(f"{path}: config must be a JSON object")
-    unknown = [key for key in config if key not in CONFIG_SECTIONS and key != "subgroups"]
-    for section, allowed in CONFIG_SECTIONS.items():
+    unknown = [key for key in config if key not in CONFIG_TYPES and key != "subgroups"]
+    for section, types in CONFIG_TYPES.items():
         if not isinstance(config.get(section, {}), dict):
             raise CorpusError(f"{path}: '{section}' must be a JSON object")
-        unknown += [f"{section}.{key}" for key in config.get(section, {}) if key not in allowed]
+        unknown += [f"{section}.{key}" for key in config.get(section, {}) if key not in types]
     if unknown:
         raise CorpusError(f"{path}: unknown key {', '.join(map(repr, unknown))}")
+    for section, types in CONFIG_TYPES.items():
+        for key, value in config.get(section, {}).items():
+            accepted, name = types[key]
+            if type(value) not in accepted:
+                raise CorpusError(f"{path}: '{section}.{key}' must be {name}")
+    subgroups = config.get("subgroups", [])
+    if type(subgroups) is not list or not all(type(name) is str for name in subgroups):
+        raise CorpusError(f"{path}: 'subgroups' must be a list of strings")
     return config
 
 
@@ -147,11 +189,12 @@ def _load_paired_checkpoint(path: str, vocab_path: str | None):
 
 def cmd_prep(args) -> int:
     records = load_corpus(args.input, schema=args.format)
-    from mtltox.corpus import tokenize
-
     vocab = Vocabulary.build(tokenize(r.comment_text) for r in records)
-    vocab.save(args.vocab_out)
     comments = [binarize_and_weight(r, args.c, vocab, args.max_len) for r in records]
+    for comment in comments:
+        if comment.true_length == 0:
+            raise CorpusError(f"{args.input}: record {comment.id!r}: comment_text has no tokens")
+    vocab.save(args.vocab_out)
     save_comments(args.out, comments)
 
     n = len(comments)

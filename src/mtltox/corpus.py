@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -275,41 +275,42 @@ def load_corpus(
     return records
 
 
-def binarize_and_weight(record: RawRecord, c: float, vocab: Vocabulary, max_len: int = 220) -> Comment:
-    """Encode one record and derive binary label, identity flag, and weight.
+def make_comment(
+    comment_id: str, text: str, y: float, identity_labels: np.ndarray | None, vocab: Vocabulary,
+    max_len: int, c: float, subtype_labels: np.ndarray | None = None,
+) -> Comment:
+    """Encode one comment and derive its binary label, identity flag and weight.
 
-    Non-toxic examples that mention an identity get weight c (the false
-    positive penalty multiplier); everything else gets weight 1. Records
-    without identity annotation are weighted as identity-absent but flagged
-    ``needs_propagation``.
+    The label is ``y >= 0.5``. Non-toxic comments that mention an identity
+    (an identity label >= 0.5) get weight c, the false positive penalty
+    multiplier; everything else gets weight 1. ``identity_labels=None`` means
+    unannotated: the labels are zero, so the comment is weighted as
+    identity-absent, and it is flagged ``needs_propagation``. Omitted subtype
+    labels are zero.
     """
     if c <= 0:
         raise ValueError("c must be > 0")
-    token_ids, true_length = encode(tokenize(record.comment_text), vocab, max_len)
-    y = record.target
-    y_bin = int(y >= 0.5)
-
-    identity_labels = np.zeros(len(IDENTITY_COLUMNS))
-    needs_propagation = record.identity_scores is None
-    if record.identity_scores is not None:
-        for i, name in enumerate(IDENTITY_COLUMNS):
-            identity_labels[i] = record.identity_scores.get(name, 0.0)
-    subtype_labels = np.zeros(len(SUBTYPE_COLUMNS))
-    for i, name in enumerate(SUBTYPE_COLUMNS):
-        subtype_labels[i] = record.subtype_scores.get(name, 0.0)
-
+    token_ids, true_length = encode(tokenize(text), vocab, max_len)
     comment = Comment(
-        id=record.id,
+        id=comment_id,
         token_ids=token_ids,
         true_length=true_length,
         y=y,
-        y_bin=y_bin,
-        identity_labels=identity_labels,
-        subtype_labels=subtype_labels,
-        needs_propagation=needs_propagation,
+        y_bin=int(y >= 0.5),
+        identity_labels=np.zeros(len(IDENTITY_COLUMNS)) if identity_labels is None else identity_labels,
+        subtype_labels=np.zeros(len(SUBTYPE_COLUMNS)) if subtype_labels is None else subtype_labels,
+        needs_propagation=identity_labels is None,
     )
     reweight(comment, c)
     return comment
+
+
+def binarize_and_weight(record: RawRecord, c: float, vocab: Vocabulary, max_len: int = 220) -> Comment:
+    """``make_comment`` on one record's text, target and scores, in column order."""
+    scores = record.identity_scores
+    identity = None if scores is None else np.array([scores.get(n, 0.0) for n in IDENTITY_COLUMNS], dtype=float)
+    subtypes = np.array([record.subtype_scores.get(n, 0.0) for n in SUBTYPE_COLUMNS], dtype=float)
+    return make_comment(record.id, record.comment_text, record.target, identity, vocab, max_len, c, subtypes)
 
 
 def reweight(comment: Comment, c: float) -> None:
@@ -319,36 +320,21 @@ def reweight(comment: Comment, c: float) -> None:
     comment.beta = c if (comment.y_bin == 0 and comment.identity_present) else 1.0
 
 
+# The array fields of Comment and their dtypes; JSON holds them as lists.
+_ARRAY_FIELDS = {"token_ids": np.int64, "identity_labels": float, "subtype_labels": float}
+
+
 def comment_to_dict(comment: Comment) -> dict:
-    return {
-        "id": comment.id,
-        "token_ids": comment.token_ids.tolist(),
-        "true_length": comment.true_length,
-        "y": comment.y,
-        "y_bin": comment.y_bin,
-        "identity_labels": comment.identity_labels.tolist(),
-        "subtype_labels": comment.subtype_labels.tolist(),
-        "identity_present": comment.identity_present,
-        "beta": comment.beta,
-        "needs_propagation": comment.needs_propagation,
-        "propagated": comment.propagated,
-    }
+    values = {f.name: getattr(comment, f.name) for f in fields(Comment)}
+    values.update((name, values[name].tolist()) for name in _ARRAY_FIELDS)
+    return values
 
 
 def comment_from_dict(obj: dict) -> Comment:
-    return Comment(
-        id=obj["id"],
-        token_ids=np.array(obj["token_ids"], dtype=np.int64),
-        true_length=obj["true_length"],
-        y=obj["y"],
-        y_bin=obj["y_bin"],
-        identity_labels=np.array(obj["identity_labels"], dtype=float),
-        subtype_labels=np.array(obj["subtype_labels"], dtype=float),
-        identity_present=obj["identity_present"],
-        beta=obj["beta"],
-        needs_propagation=obj["needs_propagation"],
-        propagated=obj.get("propagated", False),
-    )
+    """Every field is required except ``propagated``, which older files lack."""
+    values = {f.name: obj[f.name] for f in fields(Comment) if f.name != "propagated" or f.name in obj}
+    values.update((name, np.array(values[name], dtype=dtype)) for name, dtype in _ARRAY_FIELDS.items())
+    return Comment(**values)
 
 
 def save_comments(path: str | Path, comments: list[Comment]) -> None:
@@ -363,9 +349,12 @@ def load_comments(path: str | Path) -> list[Comment]:
     comments = []
     for row_num, obj in _jsonl_rows(path):
         try:
-            comments.append(comment_from_dict(obj))
+            comment = comment_from_dict(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}: row {row_num}: bad comment: {exc!r}") from exc
+        if comment.true_length == 0:
+            raise CorpusError(f"{path}: row {row_num}: comment {comment.id!r} has no tokens")
+        comments.append(comment)
     return comments
 
 

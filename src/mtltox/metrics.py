@@ -8,7 +8,7 @@ a single-class set are mathematically undefined and are reported as None
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import kstwobign, rankdata
@@ -53,25 +53,7 @@ class BiasReport:
     n_effective: int  # subgroups with a defined Subgroup AUC
 
     def to_dict(self) -> dict:
-        return {
-            "overall_auc": self.overall_auc,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "degenerate": sorted(self.degenerate),
-            "subgroups": {
-                name: {
-                    "subgroup_auc": s.subgroup_auc,
-                    "bpsn_auc": s.bpsn_auc,
-                    "n_pos": s.n_pos,
-                    "n_neg": s.n_neg,
-                }
-                for name, s in self.subgroups.items()
-            },
-            "generalized_mean_bias_auc": self.generalized_mean_bias_auc,
-            "power": self.power,
-            "n_effective": self.n_effective,
-        }
+        return {**asdict(self), "degenerate": sorted(self.degenerate)}
 
 
 def roc_auc(examples: list[ScoredExample]) -> float | None:

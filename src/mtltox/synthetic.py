@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mtltox.corpus import Comment, Vocabulary, encode, reweight, tokenize
+from mtltox.corpus import Comment, Vocabulary, make_comment, tokenize
 from mtltox.templates import DEFAULT_IDENTITY_KEYWORDS, builtin_templates, instantiate
 
 NEUTRAL_SENTENCES = (
@@ -32,33 +32,6 @@ TOXIC_SENTENCES = (
     "Go away and never come back you loser",
     "Only a moron would believe something this stupid",
 )
-
-
-def _make_comment(
-    text: str,
-    toxic: bool,
-    identity_index: int | None,
-    n_identities: int,
-    vocab: Vocabulary,
-    max_len: int,
-    c: float,
-    comment_id: str,
-) -> Comment:
-    token_ids, length = encode(tokenize(text), vocab, max_len)
-    identity_labels = np.zeros(n_identities)
-    if identity_index is not None:
-        identity_labels[identity_index] = 1.0
-    comment = Comment(
-        id=comment_id,
-        token_ids=token_ids,
-        true_length=length,
-        y=1.0 if toxic else 0.0,
-        y_bin=int(toxic),
-        identity_labels=identity_labels,
-        subtype_labels=np.zeros(5),
-    )
-    reweight(comment, c)
-    return comment
 
 
 def build_vocab(identities=DEFAULT_IDENTITY_KEYWORDS) -> Vocabulary:
@@ -94,22 +67,27 @@ def biased_corpus(
     toxic_templates = [t for t in templates if t.polarity == "toxic"]
     k = len(identities)
 
-    def identity_comment(i: int, toxic: bool, cid: str) -> Comment:
+    def mention(template, idx: int, toxic: bool, cid: str) -> Comment:
+        """A comment whose one identity label marks ``identities[idx]``."""
+        labels = np.zeros(k)
+        labels[idx] = 1.0
+        text = instantiate(template, identities[idx], allowed=identities)
+        return make_comment(cid, text, float(toxic), labels, vocab, max_len, c)
+
+    def identity_comment(toxic: bool, cid: str) -> Comment:
         pool = toxic_templates if toxic else nontoxic_templates
         template = pool[rng.integers(len(pool))]
-        idx = int(rng.integers(k))
-        text = instantiate(template, identities[idx], allowed=identities)
-        return _make_comment(text, toxic, idx, k, vocab, max_len, c, cid)
+        return mention(template, int(rng.integers(k)), toxic, cid)
 
     def background_comment(toxic: bool, cid: str) -> Comment:
         pool = TOXIC_SENTENCES if toxic else NEUTRAL_SENTENCES
-        return _make_comment(pool[rng.integers(len(pool))], toxic, None, k, vocab, max_len, c, cid)
+        return make_comment(cid, pool[rng.integers(len(pool))], float(toxic), np.zeros(k), vocab, max_len, c)
 
     train: list[Comment] = []
     for n in range(n_train):
         if n % 2 == 0:
             toxic = rng.random() < identity_cooccurrence
-            train.append(identity_comment(n, toxic, f"train-{n}"))
+            train.append(identity_comment(toxic, f"train-{n}"))
         else:
             train.append(background_comment(rng.random() < 0.5, f"train-{n}"))
 
@@ -117,11 +95,8 @@ def biased_corpus(
     for n in range(n_eval):
         if n % 2 == 0:
             # Balanced non-toxic identity mentions, cycling the identities.
-            pool = nontoxic_templates
-            template = pool[rng.integers(len(pool))]
-            idx = (n // 2) % k
-            text = instantiate(template, identities[idx], allowed=identities)
-            evaluation.append(_make_comment(text, False, idx, k, vocab, max_len, c, f"eval-{n}"))
+            template = nontoxic_templates[rng.integers(len(nontoxic_templates))]
+            evaluation.append(mention(template, (n // 2) % k, False, f"eval-{n}"))
         else:
             evaluation.append(background_comment(n % 4 == 1, f"eval-{n}"))
     return train, evaluation, vocab
@@ -146,5 +121,5 @@ def separable_corpus(
         words = [filler[rng.integers(len(filler))] for _ in range(length)]
         if toxic:
             words[rng.integers(len(words))] = marker
-        comments.append(_make_comment(" ".join(words), toxic, None, 0, vocab, max_len, 1.0, f"toy-{i}"))
+        comments.append(make_comment(f"toy-{i}", " ".join(words), float(toxic), np.zeros(0), vocab, max_len, 1.0))
     return comments, vocab

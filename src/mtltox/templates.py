@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mtltox.corpus import Comment, Vocabulary, encode, tokenize
+from mtltox.corpus import Vocabulary, make_comment
 from mtltox.embeddings import EmbeddingTable
 from mtltox.network import ModelParams, predict
 
@@ -112,36 +112,31 @@ def run_probe(
     templates: list[Template] | None = None,
     max_len: int | None = None,
 ) -> dict[str, ProbeResult]:
-    """Score every (template, identity) pair; results grouped by identity."""
+    """Score every (template, identity) pair; results grouped by identity.
+
+    A probe's one identity label marks the identity it mentions. A name given
+    twice is probed once.
+    """
     if templates is None:
         templates = builtin_templates()
     if max_len is None:
         max_len = params.hyper.max_len
+    unique = list(dict.fromkeys(identities))
+    probes = [
+        make_comment(
+            f"{identity}:{t.polarity}", instantiate(t, identity, allowed=identities),
+            float(t.polarity == "toxic"), np.ones(1), vocab, max_len, 1.0,
+        )
+        for identity in unique
+        for t in templates
+    ]
+    scores, _ = predict(params, table, probes)
     results: dict[str, ProbeResult] = {}
-    for identity in identities:
-        comments = []
-        for template in templates:
-            token_ids, length = encode(
-                tokenize(instantiate(template, identity, allowed=identities)), vocab, max_len
-            )
-            comments.append(
-                Comment(
-                    id=f"{identity}:{template.polarity}",
-                    token_ids=token_ids,
-                    true_length=length,
-                    y=0.0,
-                    y_bin=0,
-                    identity_labels=np.zeros(0),
-                    subtype_labels=np.zeros(0),
-                    identity_present=True,
-                )
-            )
-        scores, _ = predict(params, table, comments)
-        result = ProbeResult(identity=identity)
-        for template, score in zip(templates, scores):
+    for identity, row in zip(unique, scores.reshape(len(unique), len(templates))):
+        result = results[identity] = ProbeResult(identity=identity)
+        for template, score in zip(templates, row):
             if template.polarity == "nontoxic":
                 result.nontoxic_scores.append(float(score))
             else:
                 result.toxic_scores.append(float(score))
-        results[identity] = result
     return results

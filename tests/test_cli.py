@@ -262,6 +262,113 @@ def test_config_that_is_not_an_object_exit_2(workdir, capsys, config, named):
     assert f"{workdir / 'config.json'}: {named} must be a JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "command, output", [(run_train, "run"), (run_propagate, "filled.jsonl")], ids=["train", "propagate"]
+)
+@pytest.mark.parametrize(
+    "section, key, value, expected",
+    [
+        ("train", "epochs", "1", "an integer"),
+        ("hyper", "hidden", "3", "an integer"),
+        ("embeddings", "dim1", 2.5, "an integer"),
+        ("train", "learning_rate", "fast", "a number"),
+        ("train", "alpha", True, "a number"),
+        ("train", "patience", None, "an integer"),
+        ("train", "grad_clip_norm", "5", "a number or null"),
+        ("hyper", "attention", 1, "true or false"),
+        ("embeddings", "source1", None, "a string"),
+        (None, "subgroups", "male", "a list of strings"),
+        (None, "subgroups", ["male", 3], "a list of strings"),
+    ],
+    ids=[
+        "str-epochs", "str-hidden", "float-dim1", "str-learning-rate", "bool-alpha", "null-patience",
+        "str-grad-clip", "int-attention", "null-source1", "str-subgroups", "mixed-subgroups",
+    ],
+)
+def test_config_value_of_wrong_type_exit_2(workdir, capsys, command, output, section, key, value, expected):
+    assert run_prep(workdir) == 0
+    config = json.loads(json.dumps(CONFIG))
+    (config.setdefault(section, {}) if section else config)[key] = value
+    (workdir / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    dotted = f"{section}.{key}" if section else key
+    assert f"{workdir / 'config.json'}: '{dotted}' must be {expected}" in err
+    assert "Traceback" not in err
+    assert not (workdir / output).exists()
+
+
+def test_config_accepts_an_int_for_a_float_and_null_where_allowed(tmp_path):
+    import mtltox.cli as cli
+
+    config = {
+        "hyper": {"dropout_rate": 0, "attention": False},
+        "train": {"learning_rate": 1, "grad_clip_norm": None},
+        "subgroups": [],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli._load_config(str(path)) == config
+
+
+@pytest.mark.parametrize("with_id", [True, False], ids=["id-column", "row-number"])
+def test_prep_refuses_a_row_without_tokens(tmp_path, capsys, with_id):
+    corpus = tmp_path / "corpus.csv"
+    rows = [("7", "a fine comment"), ("8", "!!! ..."), ("9", "another one")]
+    if with_id:
+        corpus.write_text("id,comment_text,target\n" + "".join(f"{i},{t},0.1\n" for i, t in rows))
+    else:
+        corpus.write_text("comment_text,target\n" + "".join(f"{t},0.1\n" for _, t in rows))
+    code = main(
+        ["prep", "--input", str(corpus), "--vocab-out", str(tmp_path / "v.tsv"), "--out", str(tmp_path / "d.jsonl")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}: record '{8 if with_id else 2}'" in err and "no tokens" in err
+    assert not (tmp_path / "v.tsv").exists() and not (tmp_path / "d.jsonl").exists()
+
+
+def empty_third_comment(workdir):
+    """Rewrite data.jsonl so that its third comment has no tokens."""
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj["token_ids"] = [0] * len(obj["token_ids"])
+    obj["true_length"] = 0
+    lines[2] = json.dumps(obj)
+    (workdir / "data.jsonl").write_text("\n".join(lines) + "\n")
+
+
+def run_evaluate(workdir):
+    return main(
+        [
+            "evaluate",
+            "--checkpoint", str(workdir / "trained" / "checkpoint_fold0.json"),
+            "--data", str(workdir / "data.jsonl"),
+            "--vocab", str(workdir / "vocab.tsv"),
+            "--out", str(workdir / "report.json"),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [(run_train, "run"), (run_propagate, "filled.jsonl"), (run_evaluate, "report.json")],
+    ids=["train", "propagate", "evaluate"],
+)
+def test_prepared_comment_without_tokens_exit_2(workdir, capsys, command, output):
+    assert run_prep(workdir) == 0
+    if command is run_evaluate:
+        assert run_train(workdir, out_dir="trained") == 0
+    empty_third_comment(workdir)
+    capsys.readouterr()
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'data.jsonl'}: row 3: comment '2' has no tokens" in err
+    assert "Traceback" not in err
+    assert not (workdir / output).exists()
+
+
 def test_cli_docstring_config_example_is_accepted(tmp_path):
     import mtltox.cli as cli
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mtltox.corpus import (
     encode,
     load_comments,
     load_corpus,
+    make_comment,
     make_folds,
     save_comments,
     tokenize,
@@ -178,6 +181,29 @@ class TestBinarizeAndWeight:
         assert c.y_bin == expected
 
 
+class TestMakeComment:
+    vocab = Vocabulary.build([["some", "words"]])
+
+    def test_unannotated_labels_are_zero_and_flagged(self):
+        c = make_comment("u", "some words", 0.2, None, self.vocab, 5, 3.0)
+        assert c.identity_labels.tolist() == [0.0] * len(IDENTITY_COLUMNS)
+        assert c.needs_propagation
+        assert not c.identity_present
+        assert c.beta == 1.0
+
+    def test_given_labels_set_flag_and_weight(self):
+        c = make_comment("a", "some words", 0.2, np.array([0.0, 0.5]), self.vocab, 5, 3.0)
+        assert not c.needs_propagation
+        assert c.identity_present
+        assert c.beta == 3.0
+        assert c.subtype_labels.tolist() == [0.0] * 5
+        assert (c.true_length, c.y_bin) == (2, 0)
+
+    def test_nonpositive_c_rejected(self):
+        with pytest.raises(ValueError, match="c must be"):
+            make_comment("a", "some words", 0.2, None, self.vocab, 5, 0.0)
+
+
 class TestMakeFolds:
     def test_even_partition(self):
         plan = make_folds(10, 5, seed=7)
@@ -215,3 +241,28 @@ def test_comment_jsonl_roundtrip(tmp_path):
     save_comments(path, [original])
     loaded = load_comments(path)[0]
     assert comment_to_dict(loaded) == comment_to_dict(original)
+
+
+def test_load_comments_requires_every_field_but_propagated(tmp_path):
+    vocab = Vocabulary.build([["some", "words"]])
+    comment = binarize_and_weight(RawRecord("r", "some words", 0.3, {"male": 0.7}), 3.0, vocab, 4)
+    full = comment_to_dict(comment)
+    old = {k: v for k, v in full.items() if k != "propagated"}
+    assert comment_to_dict(comment_from_dict(old)) == full
+    path = tmp_path / "d.jsonl"
+    lines = [json.dumps(full), json.dumps({k: v for k, v in full.items() if k != "beta"})]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=r"d\.jsonl: row 2: .*beta"):
+        load_comments(path)
+
+
+def test_load_comments_refuses_a_comment_without_tokens(tmp_path):
+    vocab = Vocabulary.build([["some", "words"]])
+    comments = [
+        binarize_and_weight(RawRecord(str(i), text, 0.3, {}), 3.0, vocab, 4)
+        for i, text in enumerate(["some words", "!!! ...", "words"])
+    ]
+    path = tmp_path / "d.jsonl"
+    save_comments(path, comments)
+    with pytest.raises(CorpusError, match=r"d\.jsonl: row 2: comment '1' has no tokens"):
+        load_comments(path)

@@ -97,6 +97,13 @@ class TestRunProbe:
             manual += sum(1 for s in result.toxic_scores if s < 0.5)
             assert result.misclassified() == manual
 
+    def test_repeated_identity_is_probed_once(self):
+        params = init_params(self.hyper, seed=4)
+        once = run_probe(params, self.table, self.vocab, ("gay", "muslim"))
+        repeated = run_probe(params, self.table, self.vocab, ("gay", "muslim", "gay"))
+        assert list(repeated) == ["gay", "muslim"]
+        assert {k: v.to_dict() for k, v in repeated.items()} == {k: v.to_dict() for k, v in once.items()}
+
 
 def test_load_templates_file(tmp_path):
     path = tmp_path / "t.tsv"
