@@ -1,17 +1,27 @@
 """Model checkpoint serialization.
 
-Checkpoints are versioned JSON containers holding the hyperparameters, every
-parameter tensor, the frozen embedding table, and checksums tying the model
-to the vocabulary it was trained with. Floats serialize via Python's repr
-(shortest round-tripping decimal), so save/load/save is byte-identical.
+A checkpoint (format version 2, laid out like safetensors) is one line of
+JSON, a newline, and then a raw payload. The header line holds ``version``,
+``hyper``, ``vocab_checksum``, ``embedding`` (``dim1``, ``dim2``), ``meta``,
+``tensors`` (each tensor's ``shape`` and byte ``offset`` in the payload, the
+embedding matrix first), ``payload_bytes`` and the payload's ``sha256``. The
+payload is each tensor's little-endian float64 bytes, one after another, so
+values come back bit for bit and save/load/save is byte-identical.
+
+A load checks the whole header against the file's size before it allocates
+anything, and the payload against the header's hash. Version 1 checkpoints
+(the whole file one JSON text) are not read: retrain them with
+``mtltox train``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,37 +29,27 @@ import numpy as np
 from mtltox.embeddings import EmbeddingTable
 from mtltox.network import Hyper, ModelParams
 
-FORMAT_VERSION = 1
-WRITE_CHUNK = 65536  # array values per encoder call in save_checkpoint
+FORMAT_VERSION = 2
+DTYPE = "<f8"
+EMBEDDING = "embedding"  # the embedding matrix's name in the header's "tensors"
+# The header's keys in file order, with the JSON type of each value.
+HEADER_TYPES = dict(
+    version=int, hyper=dict, vocab_checksum=str, embedding=dict, meta=dict, tensors=dict, payload_bytes=int, sha256=str
+)
+HYPER_FIELDS = sorted(f.name for f in fields(Hyper))
 
 
 class CheckpointError(RuntimeError):
     """Unreadable or incompatible checkpoint."""
 
 
-def _holds_array(obj) -> bool:
-    return isinstance(obj, np.ndarray) or isinstance(obj, dict) and any(map(_holds_array, obj.values()))
+def _bytes(a: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, without a copy (zero-size arrays too)."""
+    return memoryview(a.reshape(-1)).cast("B")
 
 
-def _write_json(fh, obj) -> None:
-    """Write json.dump's text for obj, arrays as {"shape", "data"} encoded WRITE_CHUNK values
-    per call, so few Python floats exist at once. Dicts holding arrays need str keys."""
-    if isinstance(obj, np.ndarray):
-        fh.write(f'{{"shape": {json.dumps(list(obj.shape))}, "data": [')
-        for i in range(0, obj.size, WRITE_CHUNK):
-            fh.write((", " if i else "") + json.dumps(obj.flat[i : i + WRITE_CHUNK].tolist())[1:-1])
-        fh.write("]}")
-    elif not _holds_array(obj):
-        fh.write(json.dumps(obj))
-    else:
-        for i, (key, value) in enumerate(obj.items()):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            _write_json(fh, value)
-        fh.write("}")
-
-
-def _tensor_from_json(obj: dict) -> np.ndarray:
-    return np.array(obj["data"], dtype=float).reshape(obj["shape"])
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
 
 
 def save_checkpoint(
@@ -59,20 +59,31 @@ def save_checkpoint(
     vocab_checksum: str,
     meta: dict | None = None,
 ) -> None:
-    """Atomic write: serialize to a temp file, then rename into place."""
-    payload = {
+    """Atomic write: the header line, then tensor by tensor, to a temp file renamed into place."""
+    arrays = {EMBEDDING: table.matrix, **params.tensors}
+    arrays = {name: np.asarray(a, DTYPE, order="C") for name, a in arrays.items()}
+    sha, tensors, offset = hashlib.sha256(), {}, 0
+    for name, a in arrays.items():
+        sha.update(_bytes(a))
+        tensors[name] = {"shape": list(a.shape), "offset": offset}
+        offset += a.nbytes
+    header = {
         "version": FORMAT_VERSION,
         "hyper": asdict(params.hyper),
         "vocab_checksum": vocab_checksum,
-        "embedding": {"dim1": table.dim1, "dim2": table.dim2, "matrix": table.matrix},
-        "tensors": params.tensors,
+        "embedding": {"dim1": table.dim1, "dim2": table.dim2},
         "meta": meta or {},
+        "tensors": tensors,
+        "payload_bytes": offset,
+        "sha256": sha.hexdigest(),
     }
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            _write_json(fh, payload)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(json.dumps(header).encode("utf-8") + b"\n")
+            for a in arrays.values():
+                fh.write(_bytes(a))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,21 +91,65 @@ def save_checkpoint(
         raise
 
 
+def _check_header(path, header, payload_size: int) -> None:
+    """Refuse a header that is malformed or does not describe exactly payload_size bytes."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
+    version = header.get("version")
+    if version == 1:
+        raise CheckpointError(f"{path}: checkpoint version 1; re-run `mtltox train`")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    wrong = [key for key, kind in HEADER_TYPES.items() if not isinstance(header.get(key), kind)]
+    if wrong:
+        raise CheckpointError(f"{path}: checkpoint header lacks or mistypes {', '.join(wrong)}")
+    if sorted(header["hyper"]) != HYPER_FIELDS:
+        raise CheckpointError(f"{path}: 'hyper' has fields {sorted(header['hyper'])}, not {HYPER_FIELDS}")
+    if not all(_is_count(header["embedding"].get(key)) for key in ("dim1", "dim2")):
+        raise CheckpointError(f"{path}: 'embedding' must hold the integers dim1 and dim2")
+    if EMBEDDING not in header["tensors"]:
+        raise CheckpointError(f"{path}: 'tensors' lacks '{EMBEDDING}'")
+    offset = 0
+    for name, entry in header["tensors"].items():
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not isinstance(shape, list) or not all(map(_is_count, shape)):
+            raise CheckpointError(f"{path}: tensor '{name}': shape must be a list of non-negative integers")
+        if entry.get("offset") != offset:
+            raise CheckpointError(f"{path}: tensor '{name}': offset must be {offset}")
+        offset += 8 * math.prod(shape)
+    if header["payload_bytes"] != offset:
+        raise CheckpointError(f"{path}: 'payload_bytes' must be {offset}, the bytes its tensors take")
+    if payload_size != offset:
+        raise CheckpointError(f"{path}: payload holds {payload_size} bytes, the header declares {offset}")
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str, dict]:
-    """Returns (params, embedding table, vocab checksum, meta)."""
+    """Returns (params, embedding table, vocab checksum, meta).
+
+    A missing file raises FileNotFoundError. A file that cannot be read, or
+    whose header or payload is malformed or corrupt, raises CheckpointError.
+    """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            line = fh.readline()
+            try:
+                header = json.loads(line)
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: checkpoint header is not JSON: {exc}") from exc
+            _check_header(path, header, os.fstat(fh.fileno()).st_size - len(line))
+            sha, arrays = hashlib.sha256(), {}
+            for name, entry in header["tensors"].items():
+                a = arrays[name] = np.empty(entry["shape"], DTYPE)
+                if fh.readinto(_bytes(a)) != a.nbytes:
+                    raise CheckpointError(f"{path}: payload ends inside tensor '{name}'")
+                sha.update(_bytes(a))
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if payload.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version: {payload.get('version')!r}")
-    hyper = Hyper(**payload["hyper"])
-    params = ModelParams(
-        hyper=hyper,
-        tensors={name: _tensor_from_json(obj) for name, obj in payload["tensors"].items()},
-    )
-    emb = payload["embedding"]
-    table = EmbeddingTable(
-        matrix=_tensor_from_json(emb["matrix"]), dim1=emb["dim1"], dim2=emb["dim2"]
-    )
-    return params, table, payload["vocab_checksum"], payload.get("meta", {})
+    if sha.hexdigest() != header["sha256"]:
+        raise CheckpointError(f"{path}: payload SHA-256 does not match the header")
+    emb = header["embedding"]
+    table = EmbeddingTable(matrix=arrays.pop(EMBEDDING), dim1=emb["dim1"], dim2=emb["dim2"])
+    params = ModelParams(hyper=Hyper(**header["hyper"]), tensors=arrays)
+    return params, table, header["vocab_checksum"], header["meta"]

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: prep, propagate, train, evaluate, bias-report, templates,
-ks-compare. Exit codes: 0 success, 2 input error, 3 numerical failure,
-4 checkpoint/vocabulary compatibility error.
+ks-compare. Exit codes: 0 success, 2 input error (a missing input file,
+the checkpoint included), 3 numerical failure, 4 checkpoint/vocabulary
+compatibility error (a corrupt, malformed or version 1 checkpoint, or a
+vocabulary that does not match it).
 
 Config file (JSON) for propagate/train. Every key is optional, and every
 accepted key is shown; any other key is refused with exit code 2:
@@ -26,11 +28,11 @@ the per-fold bias metrics; the k-th name labels the k-th identity column, and
 the default is all nine identity column names. Omitted embedding sources fall
 back to seeded random vectors of the configured dimensions.
 
-``prep`` refuses a row whose text has no tokens, and propagate, train and
-evaluate refuse a prepared comment with none, with exit code 2. ``train``
-refuses a corpus with unannotated identity rows: run ``propagate`` on it
-first. The MTLTOX_SEED environment variable overrides the default seed
-wherever --seed is not given.
+``prep`` refuses an input with no records or a row whose text has no
+tokens, and propagate, train and evaluate refuse a prepared comment with
+none, with exit code 2. ``train`` refuses a corpus with unannotated identity
+rows: run ``propagate`` on it first. The MTLTOX_SEED environment variable
+overrides the default seed wherever --seed is not given.
 """
 
 from __future__ import annotations
@@ -189,6 +191,8 @@ def _load_paired_checkpoint(path: str, vocab_path: str | None):
 
 def cmd_prep(args) -> int:
     records = load_corpus(args.input, schema=args.format)
+    if not records:
+        raise CorpusError(f"{args.input}: no records")
     vocab = Vocabulary.build(tokenize(r.comment_text) for r in records)
     comments = [binarize_and_weight(r, args.c, vocab, args.max_len) for r in records]
     for comment in comments:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -41,12 +42,11 @@ def test_save_load_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("chunk", [3, checkpoint.WRITE_CHUNK])
-def test_file_is_the_text_json_dump_writes(tmp_path, monkeypatch, chunk):
-    """Arrays are encoded a chunk at a time, but the file holds the same text
-    as one json.dump of the whole checkpoint: key order, separators, float
-    repr, NaN and infinities, and meta keys that json turns into strings."""
-    monkeypatch.setattr(checkpoint, "WRITE_CHUNK", chunk)
+def test_file_is_a_header_line_then_the_float64_payload(tmp_path):
+    """The first line is the JSON header; then come the <f8 bytes of the
+    embedding matrix and of each tensor in order, which the header's offsets,
+    length and SHA-256 describe. NaN, infinities and -0.0 come back bit for
+    bit, and meta keys that json turns into strings read back as strings."""
     hyper = tiny_hyper(n_aux=2)
     params = init_params(hyper, seed=3)
     params.tensors["dense1_W"].flat[:4] = [np.inf, -np.inf, np.nan, -0.0]
@@ -56,18 +56,29 @@ def test_file_is_the_text_json_dump_writes(tmp_path, monkeypatch, chunk):
     path = tmp_path / "model.json"
     save_checkpoint(path, params, table, "abc", meta)
 
-    def tensor(arr):
-        return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-
-    expected = {
-        "version": 1,
-        "hyper": asdict(hyper),
-        "vocab_checksum": "abc",
-        "embedding": {"dim1": table.dim1, "dim2": table.dim2, "matrix": tensor(table.matrix)},
-        "tensors": {name: tensor(arr) for name, arr in params.tensors.items()},
-        "meta": meta,
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    assert list(header) == list(checkpoint.HEADER_TYPES)
+    assert header["version"] == 2
+    assert header["hyper"] == asdict(hyper)
+    assert header["vocab_checksum"] == "abc"
+    assert header["embedding"] == {"dim1": table.dim1, "dim2": table.dim2}
+    assert header["meta"] == {"fold": 2, "alpha": 0.6, "nested": {"k": [1, 2.5, None]}, "7": True}
+    arrays = [table.matrix, *params.tensors.values()]
+    assert list(header["tensors"]) == ["embedding", *params.tensors]
+    offsets = np.cumsum([0] + [a.nbytes for a in arrays])[:-1].tolist()
+    assert header["tensors"] == {
+        name: {"shape": list(a.shape), "offset": offset}
+        for name, a, offset in zip(header["tensors"], arrays, offsets)
     }
-    assert path.read_text(encoding="utf-8") == json.dumps(expected)
+    assert payload == b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)
+    assert header["payload_bytes"] == len(payload)
+    assert header["sha256"] == hashlib.sha256(payload).hexdigest()
+
+    loaded, _, _, loaded_meta = load_checkpoint(path)
+    saved_bits = params.tensors["dense1_W"].view("<u8")
+    assert np.array_equal(loaded.tensors["dense1_W"].view("<u8"), saved_bits)
+    assert loaded_meta["7"] is True
 
 
 def test_unreadable_checkpoint(tmp_path):
@@ -82,3 +93,72 @@ def test_version_mismatch(tmp_path):
     path.write_text('{"version": 99}')
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+def _header_and_payload(tmp_path):
+    params = init_params(tiny_hyper(), seed=1)
+    vocab = Vocabulary.build([["a"]])
+    path = tmp_path / "good.json"
+    save_checkpoint(path, params, random_table(vocab, 1, 1, seed=0), vocab.checksum())
+    line, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), payload
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _with_tensor(header, name, entry):
+    return header | {"tensors": header["tensors"] | {name: entry}}
+
+
+HUGE = 2**31
+MALFORMED_HEADERS = {
+    "list": (lambda h: [1, 2], "not a JSON object"),
+    "version-1": (lambda h: {"version": 1}, "checkpoint version 1; re-run `mtltox train`"),
+    "version-99": (lambda h: {"version": 99}, "unsupported checkpoint version 99"),
+    "no-version": (lambda h: _without(h, "version"), "version None"),
+    "no-hyper": (lambda h: _without(h, "hyper"), "lacks or mistypes hyper"),
+    "no-sha256": (lambda h: _without(h, "sha256"), "lacks or mistypes sha256"),
+    "hyper-unknown-field": (lambda h: h | {"hyper": h["hyper"] | {"bogus": 1}}, "'hyper' has fields"),
+    "hyper-missing-field": (lambda h: h | {"hyper": _without(h["hyper"], "hidden")}, "'hyper' has fields"),
+    "hyper-not-object": (lambda h: h | {"hyper": [1]}, "lacks or mistypes hyper"),
+    "tensors-not-object": (lambda h: h | {"tensors": []}, "lacks or mistypes tensors"),
+    "no-embedding": (lambda h: h | {"tensors": _without(h["tensors"], "embedding")}, "lacks 'embedding'"),
+    "shape-not-list": (lambda h: _with_tensor(h, "embedding", {"shape": 4, "offset": 0}), "shape must be"),
+    "shape-negative": (lambda h: _with_tensor(h, "embedding", {"shape": [-2, 2], "offset": 0}), "shape must be"),
+    "shape-float": (lambda h: _with_tensor(h, "embedding", {"shape": [2.0, 2], "offset": 0}), "shape must be"),
+    "entry-not-object": (lambda h: _with_tensor(h, "embedding", [2, 2]), "shape must be"),
+    "offset-gap": (lambda h: _with_tensor(h, "dense1_b", h["tensors"]["dense1_b"] | {"offset": 8}), "offset must be"),
+    "payload-bytes-wrong": (lambda h: h | {"payload_bytes": h["payload_bytes"] + 8}, "'payload_bytes' must be"),
+    "sha256-not-string": (lambda h: h | {"sha256": 123}, "lacks or mistypes sha256"),
+    "larger-than-file": (
+        lambda h: h | {"tensors": {"embedding": {"shape": [HUGE, HUGE], "offset": 0}}, "payload_bytes": 8 * HUGE**2},
+        "the header declares",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_malformed_header_refused_before_allocating(tmp_path, monkeypatch, mutate, message):
+    header, payload = _header_and_payload(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_bytes(json.dumps(mutate(header)).encode() + b"\n" + payload)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("np.empty called for a malformed header")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
+def test_missing_checkpoint_is_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(tmp_path / "nope.json")
+
+
+def test_directory_is_a_checkpoint_error(tmp_path):
+    with pytest.raises(CheckpointError, match=str(tmp_path)):
+        load_checkpoint(tmp_path)

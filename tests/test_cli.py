@@ -329,6 +329,28 @@ def test_prep_refuses_a_row_without_tokens(tmp_path, capsys, with_id):
     assert not (tmp_path / "v.tsv").exists() and not (tmp_path / "d.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "name, fmt, text", [("corpus.csv", "csv", "id,comment_text,target\n"), ("corpus.jsonl", "jsonl", "")],
+    ids=["header-only-csv", "empty-jsonl"],
+)
+def test_prep_refuses_an_input_without_records(tmp_path, capsys, name, fmt, text):
+    corpus = tmp_path / name
+    corpus.write_text(text)
+    code = main(
+        [
+            "prep",
+            "--input", str(corpus),
+            "--format", fmt,
+            "--vocab-out", str(tmp_path / "v.tsv"),
+            "--out", str(tmp_path / "d.jsonl"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}: no records" in err and "Traceback" not in err
+    assert not (tmp_path / "v.tsv").exists() and not (tmp_path / "d.jsonl").exists()
+
+
 def empty_third_comment(workdir):
     """Rewrite data.jsonl so that its third comment has no tokens."""
     lines = (workdir / "data.jsonl").read_text().splitlines()
@@ -367,6 +389,59 @@ def test_prepared_comment_without_tokens_exit_2(workdir, capsys, command, output
     assert f"{workdir / 'data.jsonl'}: row 3: comment '2' has no tokens" in err
     assert "Traceback" not in err
     assert not (workdir / output).exists()
+
+
+def run_on_checkpoint(workdir, command, checkpoint):
+    """Run evaluate or templates on a checkpoint, writing to workdir/out.json."""
+    args = ["--checkpoint", str(checkpoint), "--vocab", str(workdir / "vocab.tsv"), "--out", str(workdir / "out.json")]
+    if command == "evaluate":
+        args += ["--data", str(workdir / "data.jsonl")]
+    return main([command, *args])
+
+
+CORRUPTIONS = {
+    "truncated": lambda data: data[:-1],
+    "flipped-payload-byte": lambda data: data[:-5] + bytes([data[-5] ^ 0x01]) + data[-4:],
+    "byte-appended": lambda data: data + b"\0",
+    "version-1": lambda data: b'{"version": 1}',
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "templates"])
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_corrupt_checkpoint_exit_4(workdir, capsys, command, corrupt):
+    assert run_prep(workdir) == 0
+    assert run_train(workdir) == 0
+    bad = workdir / "bad.json"
+    bad.write_bytes(corrupt((workdir / "run" / "checkpoint_fold0.json").read_bytes()))
+    capsys.readouterr()
+    assert run_on_checkpoint(workdir, command, bad) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    if corrupt is CORRUPTIONS["version-1"]:
+        assert "re-run" in err
+    assert not (workdir / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "templates"])
+def test_missing_checkpoint_exit_2_and_directory_exit_4(workdir, capsys, command):
+    assert run_prep(workdir) == 0
+    capsys.readouterr()
+    assert run_on_checkpoint(workdir, command, workdir / "nope.json") == 2
+    assert "nope.json" in capsys.readouterr().err
+    assert run_on_checkpoint(workdir, command, workdir) == 4
+    assert str(workdir) in capsys.readouterr().err
+    assert not (workdir / "out.json").exists()
+
+
+def test_same_seed_checkpoints_byte_identical(workdir):
+    assert run_prep(workdir) == 0
+    assert run_train(workdir, out_dir="run_a") == 0
+    assert run_train(workdir, out_dir="run_b") == 0
+    names = sorted(path.name for path in (workdir / "run_a").glob("checkpoint_fold*.json"))
+    assert names == ["checkpoint_fold0.json", "checkpoint_fold1.json"]
+    for name in names:
+        assert (workdir / "run_a" / name).read_bytes() == (workdir / "run_b" / name).read_bytes()
 
 
 def test_cli_docstring_config_example_is_accepted(tmp_path):
