@@ -8,10 +8,10 @@ embedding matrix first), ``payload_bytes`` and the payload's ``sha256``. The
 payload is each tensor's little-endian float64 bytes, one after another, so
 values come back bit for bit and save/load/save is byte-identical.
 
-A load checks the whole header against the file's size before it allocates
-anything, and the payload against the header's hash. Version 1 checkpoints
-(the whole file one JSON text) are not read: retrain them with
-``mtltox train``.
+A load reads at most HEADER_LIMIT bytes for the header line, checks the
+whole header against the file's size before it allocates anything, and the
+payload against the header's hash. Version 1 checkpoints (the whole file one
+JSON text) are not read: retrain them with ``mtltox train``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -37,6 +36,8 @@ HEADER_TYPES = dict(
     version=int, hyper=dict, vocab_checksum=str, embedding=dict, meta=dict, tensors=dict, payload_bytes=int, sha256=str
 )
 HYPER_FIELDS = sorted(f.name for f in fields(Hyper))
+HEADER_LIMIT = 1 << 20  # bytes; a longer first line is not a version 2 header
+VERSION_1 = "checkpoint version 1; re-run `mtltox train`"
 
 
 class CheckpointError(RuntimeError):
@@ -78,16 +79,15 @@ def save_checkpoint(
         "sha256": sha.hexdigest(),
     }
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "xb") as fh:  # a new file, with the mode that open(path, "wb") would give
             fh.write(json.dumps(header).encode("utf-8") + b"\n")
             for a in arrays.values():
                 fh.write(_bytes(a))
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -97,7 +97,7 @@ def _check_header(path, header, payload_size: int) -> None:
         raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
     version = header.get("version")
     if version == 1:
-        raise CheckpointError(f"{path}: checkpoint version 1; re-run `mtltox train`")
+        raise CheckpointError(f"{path}: {VERSION_1}")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
     wrong = [key for key, kind in HEADER_TYPES.items() if not isinstance(header.get(key), kind)]
@@ -131,7 +131,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
     """
     try:
         with open(path, "rb") as fh:
-            line = fh.readline()
+            line = fh.readline(HEADER_LIMIT + 1)
+            if len(line) > HEADER_LIMIT:  # version 1 was one JSON text, which is not read whole
+                problem = VERSION_1 if line.startswith(b'{"version": 1,') else f"header is over {HEADER_LIMIT} bytes"
+                raise CheckpointError(f"{path}: {problem}")
             try:
                 header = json.loads(line)
             except ValueError as exc:

@@ -3,8 +3,8 @@
 Subcommands: prep, propagate, train, evaluate, bias-report, templates,
 ks-compare. Exit codes: 0 success, 2 input error (a missing input file,
 the checkpoint included), 3 numerical failure, 4 checkpoint/vocabulary
-compatibility error (a corrupt, malformed or version 1 checkpoint, or a
-vocabulary that does not match it).
+compatibility error (a corrupt, malformed or version 1 checkpoint, a
+vocabulary that does not match it, or data prepared with another one).
 
 Config file (JSON) for propagate/train. Every key is optional, and every
 accepted key is shown; any other key is refused with exit code 2:
@@ -29,10 +29,12 @@ the default is all nine identity column names. Omitted embedding sources fall
 back to seeded random vectors of the configured dimensions.
 
 ``prep`` refuses an input with no records or a row whose text has no
-tokens, and propagate, train and evaluate refuse a prepared comment with
-none, with exit code 2. ``train`` refuses a corpus with unannotated identity
-rows: run ``propagate`` on it first. The MTLTOX_SEED environment variable
-overrides the default seed wherever --seed is not given.
+tokens, and propagate, train and evaluate refuse a prepared line with no
+tokens, a token id that is not a non-negative integer, or a ``true_length``
+(older, padded lines) outside [0, len(token_ids)], with exit code 2.
+``train`` refuses a corpus with unannotated identity rows: run ``propagate``
+on it first. The MTLTOX_SEED environment variable overrides the default
+seed wherever --seed is not given.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from pathlib import Path
 from mtltox.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from mtltox.corpus import (
     IDENTITY_COLUMNS,
+    Comment,
     CorpusError,
     Vocabulary,
     binarize_and_weight,
@@ -167,12 +170,24 @@ def _build_train_cfg(config: dict, args) -> TrainConfig:
     return TrainConfig(**fields)
 
 
+def _check_token_ids(data_path: str, comments: list[Comment], table: EmbeddingTable) -> None:
+    """Refuse prepared comments with a token id beyond the embedding table's rows."""
+    rows = table.matrix.shape[0]
+    bad = next((c for c in comments if c.token_ids.max() >= rows), None)
+    if bad is not None:
+        raise CompatibilityError(
+            f"{data_path}: comment {bad.id!r} has token id {bad.token_ids.max()}, beyond the embedding "
+            f"table's {rows} rows: the data was prepared with another vocabulary"
+        )
+
+
 def _training_inputs(args):
     """(config, comments, vocab, table, hyper, cfg) for propagate and train."""
     config = _load_config(args.config)
     comments = load_comments(args.data)
     vocab = Vocabulary.load(args.vocab)
     table = _build_table(config, vocab)
+    _check_token_ids(args.data, comments, table)
     hyper = Hyper(embed_dim=table.dim, **config.get("hyper", {}))
     return config, comments, vocab, table, hyper, _build_train_cfg(config, args)
 
@@ -271,6 +286,7 @@ def _report_to_csv(report: BiasReport, path: Path) -> None:
 def cmd_evaluate(args) -> int:
     params, table, _ = _load_paired_checkpoint(args.checkpoint, args.vocab)
     comments = load_comments(args.data)
+    _check_token_ids(args.data, comments, table)
     subgroups = [s for s in args.subgroups.split(",") if s] if args.subgroups else []
     report = evaluate_model(params, table, comments, subgroups, args.p)
     payload = {"p": args.p, "report": report.to_dict()}

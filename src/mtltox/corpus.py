@@ -41,7 +41,7 @@ SUBTYPE_COLUMNS = (
 
 # Stripped before whitespace splitting; apostrophes are kept so contractions
 # survive, and case is never folded.
-DEFAULT_PUNCTUATION = '.,!?;:"()'
+PUNCTUATION = '.,!?;:"()'
 
 
 class CorpusError(ValueError):
@@ -64,8 +64,7 @@ class Comment:
     """One encoded training/evaluation example."""
 
     id: str
-    token_ids: np.ndarray  # shape (max_len,), int
-    true_length: int
+    token_ids: np.ndarray  # the real tokens' ids, int64, at most max_len of them
     y: float
     y_bin: int
     identity_labels: np.ndarray  # shape (9,), floats in [0, 1]
@@ -74,6 +73,10 @@ class Comment:
     beta: float = 1.0
     needs_propagation: bool = False
     propagated: bool = False
+
+    @property
+    def true_length(self) -> int:
+        return len(self.token_ids)
 
 
 @dataclass(frozen=True)
@@ -86,13 +89,12 @@ class FoldPlan:
     folds: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def tokenize(text: str, punctuation: str = DEFAULT_PUNCTUATION) -> list[str]:
-    """Strip the configured punctuation characters and split on whitespace.
+def tokenize(text: str) -> list[str]:
+    """Strip the PUNCTUATION characters and split on whitespace.
 
     Case is preserved. Total: any string (including empty) tokenizes.
     """
-    cleaned = text.translate(str.maketrans("", "", punctuation))
-    return cleaned.split()
+    return text.translate(str.maketrans("", "", PUNCTUATION)).split()
 
 
 class Vocabulary:
@@ -110,7 +112,7 @@ class Vocabulary:
                 raise CorpusError("vocabulary indices must be contiguous from 2")
 
     @classmethod
-    def build(cls, token_sequences, max_size: int | None = None) -> "Vocabulary":
+    def build(cls, token_sequences) -> "Vocabulary":
         """Build from an iterable of token lists (training split only).
 
         Tokens are ranked by descending frequency, ties broken by first
@@ -123,8 +125,6 @@ class Vocabulary:
                 counts[tok] = counts.get(tok, 0) + 1
                 order.setdefault(tok, len(order))
         ranked = sorted(counts, key=lambda t: (-counts[t], order[t]))
-        if max_size is not None:
-            ranked = ranked[:max_size]
         vocab = cls()
         vocab._token_to_index = {tok: 2 + i for i, tok in enumerate(ranked)}
         return vocab
@@ -132,9 +132,6 @@ class Vocabulary:
     def __len__(self) -> int:
         # Includes the two reserved indices.
         return len(self._token_to_index) + 2
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_index
 
     def index_of(self, token: str) -> int:
         return self._token_to_index.get(token, UNK_INDEX)
@@ -177,19 +174,6 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self._lines()).encode("utf-8")).hexdigest()
 
 
-def encode(
-    tokens: list[str], vocab: Vocabulary, max_len: int
-) -> tuple[np.ndarray, int]:
-    """Map tokens to indices, truncate to max_len, right-pad with PAD_INDEX."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    kept = tokens[:max_len]
-    ids = np.full(max_len, PAD_INDEX, dtype=np.int64)
-    for i, tok in enumerate(kept):
-        ids[i] = vocab.index_of(tok)
-    return ids, len(kept)
-
-
 def _parse_score(value, row_num: int, name: str) -> float:
     try:
         score = float(value)
@@ -200,7 +184,7 @@ def _parse_score(value, row_num: int, name: str) -> float:
     return score
 
 
-def _record_from_mapping(row: dict, row_num: int, identity_columns) -> RawRecord:
+def _record_from_mapping(row: dict, row_num: int) -> RawRecord:
     if "comment_text" not in row or row["comment_text"] is None:
         raise CorpusError(f"row {row_num}: missing field 'comment_text'")
     if "target" not in row or row["target"] in (None, ""):
@@ -209,7 +193,7 @@ def _record_from_mapping(row: dict, row_num: int, identity_columns) -> RawRecord
 
     identity_scores: dict[str, float] = {}
     any_identity_column = False
-    for name in identity_columns:
+    for name in IDENTITY_COLUMNS:
         if name in row:
             any_identity_column = True
             value = row[name]
@@ -242,19 +226,12 @@ def _jsonl_rows(path: Path):
             raise CorpusError(f"{path}: row {row_num}: invalid JSON: {exc}") from exc
 
 
-def load_corpus(
-    path: str | Path,
-    schema: str = "csv",
-    identity_columns=IDENTITY_COLUMNS,
-) -> list[RawRecord]:
+def load_corpus(path: str | Path, schema: str = "csv") -> list[RawRecord]:
     """Parse a CSV or JSONL file into RawRecords.
 
     Identity columns that are absent from the file, or empty in a row, leave
     that record's ``identity_scores`` as None (unannotated), never zero.
     """
-    for name in identity_columns:
-        if name not in IDENTITY_COLUMNS:
-            raise CorpusError(f"unknown identity column: {name!r}")
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"input file not found: {path}")
@@ -266,10 +243,10 @@ def load_corpus(
             if reader.fieldnames is None or "comment_text" not in reader.fieldnames:
                 raise CorpusError(f"{path}: header must include 'comment_text'")
             for row_num, row in enumerate(reader, 1):
-                records.append(_record_from_mapping(row, row_num, identity_columns))
+                records.append(_record_from_mapping(row, row_num))
     elif schema == "jsonl":
         for row_num, row in _jsonl_rows(path):
-            records.append(_record_from_mapping(row, row_num, identity_columns))
+            records.append(_record_from_mapping(row, row_num))
     else:
         raise CorpusError(f"unknown schema: {schema!r} (expected 'csv' or 'jsonl')")
     return records
@@ -281,8 +258,9 @@ def make_comment(
 ) -> Comment:
     """Encode one comment and derive its binary label, identity flag and weight.
 
-    The label is ``y >= 0.5``. Non-toxic comments that mention an identity
-    (an identity label >= 0.5) get weight c, the false positive penalty
+    The comment keeps the ids of its first ``max_len`` tokens, unpadded. The
+    label is ``y >= 0.5``. Non-toxic comments that mention an identity (an
+    identity label >= 0.5) get weight c, the false positive penalty
     multiplier; everything else gets weight 1. ``identity_labels=None`` means
     unannotated: the labels are zero, so the comment is weighted as
     identity-absent, and it is flagged ``needs_propagation``. Omitted subtype
@@ -290,11 +268,11 @@ def make_comment(
     """
     if c <= 0:
         raise ValueError("c must be > 0")
-    token_ids, true_length = encode(tokenize(text), vocab, max_len)
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     comment = Comment(
         id=comment_id,
-        token_ids=token_ids,
-        true_length=true_length,
+        token_ids=np.array([vocab.index_of(tok) for tok in tokenize(text)[:max_len]], dtype=np.int64),
         y=y,
         y_bin=int(y >= 0.5),
         identity_labels=np.zeros(len(IDENTITY_COLUMNS)) if identity_labels is None else identity_labels,
@@ -320,20 +298,24 @@ def reweight(comment: Comment, c: float) -> None:
     comment.beta = c if (comment.y_bin == 0 and comment.identity_present) else 1.0
 
 
-# The array fields of Comment and their dtypes; JSON holds them as lists.
-_ARRAY_FIELDS = {"token_ids": np.int64, "identity_labels": float, "subtype_labels": float}
-
-
 def comment_to_dict(comment: Comment) -> dict:
+    """The fields by name; JSON holds the arrays as lists."""
     values = {f.name: getattr(comment, f.name) for f in fields(Comment)}
-    values.update((name, values[name].tolist()) for name in _ARRAY_FIELDS)
-    return values
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
 
 
 def comment_from_dict(obj: dict) -> Comment:
-    """Every field is required except ``propagated``, which older files lack."""
+    """Every field is required except ``propagated``, which older files lack.
+    Older files also pad ``token_ids``, giving the real count as ``true_length``."""
     values = {f.name: obj[f.name] for f in fields(Comment) if f.name != "propagated" or f.name in obj}
-    values.update((name, np.array(values[name], dtype=dtype)) for name, dtype in _ARRAY_FIELDS.items())
+    values.update((name, np.array(values[name], dtype=float)) for name in ("identity_labels", "subtype_labels"))
+    ids = np.array(values["token_ids"])
+    if ids.ndim != 1 or ids.size and (ids.dtype.kind != "i" or ids.min() < 0):
+        raise ValueError("token_ids must be a list of non-negative integers")
+    n = obj.get("true_length", ids.size)
+    if type(n) is not int or not 0 <= n <= ids.size:
+        raise ValueError(f"true_length {n!r} is not an integer in [0, {ids.size}]")
+    values["token_ids"] = ids[:n].astype(np.int64)
     return Comment(**values)
 
 

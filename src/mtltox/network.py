@@ -172,7 +172,7 @@ def init_params(hyper: Hyper, seed: int = 0) -> ModelParams:
     return ModelParams(hyper=hyper, tensors=tensors)
 
 
-def spatial_dropout_mask(dim: int, rate: float, seed_or_rng) -> np.ndarray:
+def spatial_dropout_mask(dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Per-channel keep mask with inverted scaling: entries are 0 or 1/(1-rate).
 
     The same mask is applied at every timestep, so whole embedding channels
@@ -182,7 +182,6 @@ def spatial_dropout_mask(dim: int, rate: float, seed_or_rng) -> np.ndarray:
         raise ValueError("dropout rate must be in [0, 1)")
     if rate == 0.0:
         return np.ones(dim)
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
     keep = rng.random(dim) >= rate
     return keep / (1.0 - rate)
 
@@ -413,13 +412,11 @@ def backward(params: ModelParams, trace: ForwardTrace, d_y_hat: float, d_aux_hat
 
 
 def embed_batch(table: EmbeddingTable, comments: list[Comment]) -> tuple[np.ndarray, np.ndarray]:
-    """The comments' real tokens as one (T, D) array, and their lengths."""
+    """The comments' tokens as one (T, D) array, and their lengths."""
     for c in comments:
-        if not 1 <= c.true_length <= len(c.token_ids):
-            raise NetworkError(
-                f"comment {c.id!r}: true_length {c.true_length} outside [1, {len(c.token_ids)}]"
-            )
-    ids = np.concatenate([c.token_ids[: c.true_length] for c in comments])
+        if c.true_length == 0:
+            raise NetworkError(f"comment {c.id!r} has no tokens")
+    ids = np.concatenate([c.token_ids for c in comments])
     return lookup(table, ids), np.array([c.true_length for c in comments])
 
 

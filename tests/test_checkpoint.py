@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import stat
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -162,3 +165,45 @@ def test_missing_checkpoint_is_file_not_found(tmp_path):
 def test_directory_is_a_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match=str(tmp_path)):
         load_checkpoint(tmp_path)
+
+
+def test_checkpoint_gets_the_usual_file_mode(tmp_path):
+    params = init_params(tiny_hyper(), seed=1)
+    vocab = Vocabulary.build([["a"]])
+    umask = os.umask(0o022)
+    try:
+        save_checkpoint(tmp_path / "model.json", params, random_table(vocab, 1, 1, seed=0), vocab.checksum())
+        (tmp_path / "plain.json").write_bytes(b"{}")
+    finally:
+        os.umask(umask)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["model.json", "plain.json"]  # no temp file left
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("model.json", "plain.json")]
+    assert modes == [0o644, 0o644]
+
+
+def _long_line(start: bytes) -> bytes:
+    """A single-line file of over 20 MB that starts with ``start``, like a version 1 checkpoint."""
+    return start + b", ".join([b"0.123456789"] * 2_000_000) + b"]}}"
+
+
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        (b'{"version": 1, "hyper": {}, "tensors": {"w": [', "checkpoint version 1; re-run `mtltox train`"),
+        (b'{"hyper": {}, "version": 1, "tensors": {"w": [', "header is over 1048576 bytes"),
+    ],
+    ids=["version-1", "other"],
+)
+def test_long_first_line_refused_without_reading_it_all(tmp_path, start, message):
+    path = tmp_path / "v1.json"
+    path.write_bytes(_long_line(start))
+    assert path.stat().st_size > 20 * 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+    assert peak < 4 * 2**20, peak

@@ -391,6 +391,82 @@ def test_prepared_comment_without_tokens_exit_2(workdir, capsys, command, output
     assert not (workdir / output).exists()
 
 
+def rewrite_third_comment(workdir, change):
+    """Apply change(obj) to the third comment of data.jsonl."""
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    obj = json.loads(lines[2])
+    change(obj)
+    lines[2] = json.dumps(obj)
+    (workdir / "data.jsonl").write_text("\n".join(lines) + "\n")
+
+
+def run_evaluate_without_vocab(workdir):
+    return main(
+        [
+            "evaluate",
+            "--checkpoint", str(workdir / "trained" / "checkpoint_fold0.json"),
+            "--data", str(workdir / "data.jsonl"),
+            "--out", str(workdir / "report.json"),
+        ]
+    )
+
+
+def padded(obj, true_length):
+    """Pad obj's token_ids to the fixture's max_len 12, as older lines were, with the given true_length."""
+    obj["token_ids"] += [0] * (12 - len(obj["token_ids"]))
+    obj["true_length"] = true_length
+
+
+BAD_TOKENS = {
+    "id-beyond-table": (lambda obj: obj["token_ids"].append(10**6), 4, "comment '2' has token id 1000000"),
+    "negative-id": (lambda obj: obj["token_ids"].append(-1), 2, "row 3: bad comment"),
+    "non-integer-id": (lambda obj: obj["token_ids"].insert(0, 2.5), 2, "row 3: bad comment"),
+    "bad-true-length": (lambda obj: padded(obj, 50), 2, "row 3: bad comment"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        (run_train, "run"),
+        (run_propagate, "filled.jsonl"),
+        (run_evaluate, "report.json"),
+        (run_evaluate_without_vocab, "report.json"),
+    ],
+    ids=["train", "propagate", "evaluate", "evaluate-without-vocab"],
+)
+@pytest.mark.parametrize("change, code, message", BAD_TOKENS.values(), ids=BAD_TOKENS.keys())
+def test_bad_token_ids_refused(workdir, capsys, command, output, change, code, message):
+    assert run_prep(workdir) == 0
+    if command in (run_evaluate, run_evaluate_without_vocab):
+        assert run_train(workdir, out_dir="trained") == 0
+    rewrite_third_comment(workdir, change)
+    capsys.readouterr()
+    assert command(workdir) == code
+    err = capsys.readouterr().err
+    assert f"{workdir / 'data.jsonl'}: {message}" in err
+    assert "Traceback" not in err
+    assert not (workdir / output).exists()
+
+
+def test_evaluate_reads_padded_lines_as_the_same_comments(workdir):
+    """data.jsonl in the older padded format, with true_length, scores to the same bytes."""
+    assert run_prep(workdir) == 0
+    assert run_train(workdir, out_dir="trained") == 0
+    assert run_evaluate(workdir) == 0
+    report = (workdir / "report.json").read_bytes()
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    objs = [json.loads(line) for line in lines]
+    assert all("true_length" not in obj and 0 not in obj["token_ids"] for obj in objs)
+    old = []
+    for obj in objs:
+        ids = obj.pop("token_ids")
+        old.append({"id": obj.pop("id"), "token_ids": ids + [0] * (12 - len(ids)), "true_length": len(ids)} | obj)
+    (workdir / "data.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in old))
+    assert run_evaluate(workdir) == 0
+    assert (workdir / "report.json").read_bytes() == report
+
+
 def run_on_checkpoint(workdir, command, checkpoint):
     """Run evaluate or templates on a checkpoint, writing to workdir/out.json."""
     args = ["--checkpoint", str(checkpoint), "--vocab", str(workdir / "vocab.tsv"), "--out", str(workdir / "out.json")]
