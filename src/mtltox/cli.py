@@ -33,8 +33,11 @@ tokens, and propagate, train and evaluate refuse a prepared line with no
 tokens, a token id that is not a non-negative integer, or a ``true_length``
 (older, padded lines) outside [0, len(token_ids)], with exit code 2.
 ``train`` refuses a corpus with unannotated identity rows: run ``propagate``
-on it first. The MTLTOX_SEED environment variable overrides the default
-seed wherever --seed is not given.
+on it first. ``ks-compare`` refuses a ``run_fold*.json`` that is not a JSON
+object with a ``metrics`` object, or whose metric is missing, null or not a
+finite number, with exit code 2 naming the file. The MTLTOX_SEED
+environment variable overrides the default seed wherever --seed is not
+given.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -358,10 +362,18 @@ def _per_fold_metric(run_dir: Path, metric: str) -> list[float]:
     key = {"auc": "overall_auc", "f1": "f1"}[metric]
     values = []
     for path in sorted(run_dir.glob("run_fold*.json")):
-        record = json.loads(path.read_text(encoding="utf-8"))
-        value = record.get("metrics", {}).get(key)
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise CorpusError(f"{path}: cannot read run record: {exc}") from exc
+        metrics = record.get("metrics") if isinstance(record, dict) else None
+        if not isinstance(metrics, dict):
+            raise CorpusError(f"{path}: a run record is a JSON object with a 'metrics' object")
+        value = metrics.get(key)
         if value is None:
             raise CorpusError(f"{path}: metric {key!r} missing or undefined")
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise CorpusError(f"{path}: metric {key!r} must be a finite number, got {value!r}")
         values.append(float(value))
     if len(values) < 2:
         raise CorpusError(f"{run_dir}: need at least two folds with metric {key!r}")

@@ -16,6 +16,10 @@ import numpy as np
 from mtltox.corpus import PAD_INDEX, Vocabulary
 
 
+# Rows per block when build_table draws the vectors of missing words.
+OOV_BLOCK_ROWS = 1024
+
+
 class EmbeddingError(ValueError):
     """Malformed embedding file."""
 
@@ -85,17 +89,22 @@ def build_table(
     rng = np.random.default_rng(oov_seed)
     tokens = vocab.tokens_by_index()
     matrix = np.zeros((len(tokens), dim1 + dim2))
+    found = np.zeros((len(tokens), 2), dtype=bool)  # row has a vector in source 1, 2
     for idx, tok in enumerate(tokens):
-        for (src, lo, hi) in ((src1, 0, dim1), (src2, dim1, dim1 + dim2)):
+        for j, (src, lo, hi) in enumerate(((src1, 0, dim1), (src2, dim1, dim1 + dim2))):
             if tok is not None and tok in src:
                 vec = src[tok]
                 if len(vec) != hi - lo:
                     raise EmbeddingError(f"vector for {tok!r} has length {len(vec)}, want {hi - lo}")
                 matrix[idx, lo:hi] = vec
-            else:
-                # Reserved and OOV rows draw in index order, keeping builds
-                # reproducible; the padding row is overwritten below.
-                matrix[idx, lo:hi] = rng.uniform(-0.05, 0.05, hi - lo)
+                found[idx, j] = True
+    # Reserved and OOV slices draw in index order (boolean assignment fills in
+    # C order), keeping builds reproducible; blocks of rows bound the temporary
+    # draw. The padding row is overwritten below.
+    for start in range(0, len(tokens), OOV_BLOCK_ROWS):
+        rows = matrix[start : start + OOV_BLOCK_ROWS]
+        holes = np.repeat(~found[start : start + OOV_BLOCK_ROWS], (dim1, dim2), axis=1)
+        rows[holes] = rng.uniform(-0.05, 0.05, holes.sum())
     matrix[PAD_INDEX, :] = 0.0
     return EmbeddingTable(matrix=matrix, dim1=dim1, dim2=dim2)
 

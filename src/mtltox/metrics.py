@@ -3,7 +3,9 @@
 AUCs use the Mann-Whitney rank formulation with midranks for ties, so they
 agree exactly with the O(n^2) pair-counting definition. Restricted AUCs over
 a single-class set are mathematically undefined and are reported as None
-(never silently zero), with the class counts recorded alongside.
+(never silently zero), with the class counts recorded alongside. The KS
+p-value uses the Kolmogorov distribution's series, so numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import kstwobign, rankdata
+
+# Series terms for kolmogorov_sf; from k = 5 on each is below 1e-21.
+_K = np.arange(1, 11)
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,18 @@ class BiasReport:
         return {**asdict(self), "degenerate": sorted(self.degenerate)}
 
 
+def midranks(x) -> np.ndarray:
+    """1-based ranks of x, each run of equal values getting the mean of its ranks."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(examples: list[ScoredExample]) -> float | None:
     """Rank-based ROC-AUC; None when only one class is present."""
     scores = np.array([e.score for e in examples], dtype=float)
@@ -64,7 +80,9 @@ def roc_auc(examples: list[ScoredExample]) -> float | None:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores)  # midranks for ties
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = midranks(scores)
     r_pos = ranks[labels == 1].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -142,6 +160,22 @@ def generalized_mean_bias(auc_values, p: float = -5.0) -> float | None:
     return float(np.mean(values**p) ** (1.0 / p))
 
 
+def kolmogorov_sf(z: float) -> float:
+    """P(K > z) for the Kolmogorov distribution, the limit law of sqrt(n) D_n.
+
+    For z >= 1 the alternating series 2 sum (-1)^(k-1) exp(-2 k^2 z^2); below 1
+    one minus the theta form sqrt(2 pi)/z sum exp(-(2k-1)^2 pi^2 / (8 z^2)),
+    which converges fast where the alternating one does not.
+    """
+    if z <= 0:
+        return 1.0
+    if z >= 1:
+        return float(2.0 * np.sum((-1.0) ** (_K - 1) * np.exp(-2.0 * _K**2 * z**2)))
+    with np.errstate(divide="ignore"):  # z**2 underflows to 0 for tiny z
+        terms = np.exp(-((2 * _K - 1) ** 2) * np.pi**2 / (8.0 * z**2))
+    return float(1.0 - np.sqrt(2.0 * np.pi) * np.sum(terms) / z)
+
+
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
 
@@ -157,7 +191,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = a.size * b.size / (a.size + b.size)
-    p_value = float(min(1.0, kstwobign.sf(np.sqrt(n_eff) * d)))
+    p_value = min(1.0, kolmogorov_sf(np.sqrt(n_eff) * d))
     return d, p_value
 
 

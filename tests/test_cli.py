@@ -653,6 +653,36 @@ class TestKsCompare:
         code = main(["ks-compare", "--run-a", str(tmp_path / "a"), "--run-b", str(tmp_path / "b")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[0.8, 0.9]",
+            '{"metrics": [0.8]}',
+            '{"metrics": null}',
+            '{"metrics": {"overall_auc": ',
+            '{"metrics": {"overall_auc": "NaN"}}',
+            '{"metrics": {"overall_auc": NaN}}',
+            '{"metrics": {"overall_auc": Infinity}}',
+            '{"metrics": {"overall_auc": true}}',
+            None,  # a directory where the record should be
+        ],
+        ids=["array", "metrics-list", "metrics-null", "bad-json", "nan-string", "nan-literal",
+             "infinity", "bool", "directory"],
+    )
+    def test_malformed_record_named_exit_2(self, tmp_path, capsys, text):
+        self.write_run(tmp_path / "a", [0.8, 0.9])
+        self.write_run(tmp_path / "b", [0.8])
+        bad = tmp_path / "b" / "run_fold1.json"
+        if text is None:
+            bad.mkdir()
+        else:
+            bad.write_text(text)
+        code = main(["ks-compare", "--run-a", str(tmp_path / "a"), "--run-b", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err
+        assert "Traceback" not in err
+
 
 def test_readme_command_lines_parse():
     import shlex

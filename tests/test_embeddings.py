@@ -3,6 +3,7 @@ import pytest
 
 from mtltox.corpus import PAD_INDEX, Vocabulary
 from mtltox.embeddings import (
+    OOV_BLOCK_ROWS,
     EmbeddingError,
     build_table,
     checksum,
@@ -74,6 +75,30 @@ class TestBuildTable:
         idx = self.vocab.index_of("hello")
         assert table.matrix[idx, 0] == 9.0
         assert abs(table.matrix[idx, 1]) <= 0.05  # random slice for the missing source
+
+    def test_wrong_length_vector_refused(self):
+        with pytest.raises(EmbeddingError, match="'world' has length 1, want 2"):
+            build_table(self.vocab, {}, {"world": np.array([1.0])}, dim1=1, dim2=2)
+
+    def test_matches_per_row_reference_across_blocks(self):
+        words = [f"w{i}" for i in range(OOV_BLOCK_ROWS + 300)]
+        vocab = Vocabulary.build([words])
+        rng = np.random.default_rng(8)
+        src1 = {w: rng.random(3) for w in words[::3]}
+        src2 = {w: rng.random(2) for w in words[::5]}
+        table = build_table(vocab, src1, src2, oov_seed=11, dim1=3, dim2=2)
+
+        # The per-row loop the block draw replaces: one draw per missing slice.
+        draws = np.random.default_rng(11)
+        expected = np.zeros((len(vocab), 5))
+        for idx, tok in enumerate(vocab.tokens_by_index()):
+            for src, lo, hi in ((src1, 0, 3), (src2, 3, 5)):
+                if tok in src:
+                    expected[idx, lo:hi] = src[tok]
+                else:
+                    expected[idx, lo:hi] = draws.uniform(-0.05, 0.05, hi - lo)
+        expected[PAD_INDEX] = 0.0
+        assert table.matrix.tobytes() == expected.tobytes()
 
 
 class TestLookup:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +13,9 @@ from mtltox.metrics import (
     bias_report,
     bpsn_auc,
     generalized_mean_bias,
+    kolmogorov_sf,
     ks_two_sample,
+    midranks,
     prf1,
     roc_auc,
     subgroup_auc,
@@ -59,6 +66,26 @@ class TestRocAuc:
                 continue
             assert roc_auc(examples) == pytest.approx(expected, abs=1e-12)
 
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]), st.integers(0, 1)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200)
+    def test_pair_oracle_on_heavy_ties(self, rows):
+        examples = [ScoredExample(score, label) for score, label in rows]
+        expected = pair_auc(examples)
+        if expected is None:
+            assert roc_auc(examples) is None
+        else:
+            assert roc_auc(examples) == pytest.approx(expected, abs=1e-12)
+
+    def test_nan_score_gives_nan(self):
+        examples = [ScoredExample(float("nan"), 1), ScoredExample(0.2, 0), ScoredExample(0.7, 1)]
+        assert np.isnan(roc_auc(examples))
+
     def test_rank_invariance(self):
         rng = np.random.default_rng(1)
         examples = random_examples(rng, 100)
@@ -73,6 +100,20 @@ class TestRocAuc:
         examples = random_examples(rng, 80)
         flipped = [ScoredExample(e.score, 1 - e.label, e.subgroups) for e in examples]
         assert roc_auc(flipped) == pytest.approx(1.0 - roc_auc(examples), abs=1e-12)
+
+
+class TestMidranks:
+    def test_hand_fixture(self):
+        assert midranks([0.3, 0.1, 0.3, 0.2, 0.3]).tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
+        assert midranks([]).tolist() == []
+
+    def test_equals_scipy_rankdata_bytes(self):
+        from scipy.stats import rankdata
+
+        scores = np.random.default_rng(4).random(20_000)
+        for decimals in (1, 2, 3, 6):
+            rounded = np.round(scores, decimals)
+            assert midranks(rounded).tobytes() == rankdata(rounded).tobytes()
 
 
 class TestPrf1:
@@ -206,6 +247,25 @@ class TestKsTwoSample:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+
+def test_kolmogorov_sf_matches_scipy():
+    from scipy.stats import kstwobign
+
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    grid = np.r_[0.0, 5e-324, 1e-300, 1e-10, 0.01, below, 1.0, above, np.linspace(0.0, 5.0, 5001)]
+    ours = np.array([kolmogorov_sf(float(z)) for z in grid])
+    np.testing.assert_allclose(ours, kstwobign.sf(grid), rtol=0, atol=1e-12)
+    assert kolmogorov_sf(-1.0) == 1.0
+
+
+def test_import_leaves_scipy_out():
+    # In a fresh interpreter: this test session imports scipy itself.
+    code = "import sys, mtltox, mtltox.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestBiasReport:
