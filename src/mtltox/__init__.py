@@ -19,7 +19,7 @@ from mtltox.corpus import (
     tokenize,
 )
 from mtltox.embeddings import EmbeddingTable, build_table, load_vectors, random_table
-from mtltox.losses import LossBreakdown, LossConfig, bce, loss_grad_heads, multitask_loss
+from mtltox.losses import LossBreakdown, bce, loss_grad_heads, multitask_loss
 from mtltox.metrics import (
     BiasReport,
     ScoredExample,
@@ -32,7 +32,6 @@ from mtltox.metrics import (
     subgroup_auc,
 )
 from mtltox.network import (
-    ForwardTrace,
     Hyper,
     ModelParams,
     backward,

@@ -35,7 +35,11 @@ tokens, a token id that is not a non-negative integer, or a ``true_length``
 ``train`` refuses a corpus with unannotated identity rows: run ``propagate``
 on it first. ``ks-compare`` refuses a ``run_fold*.json`` that is not a JSON
 object with a ``metrics`` object, or whose metric is missing, null or not a
-finite number, with exit code 2 naming the file. The MTLTOX_SEED
+finite number, with exit code 2 naming the file. ``bias-report`` refuses a
+predictions file with no rows, or a row whose score is not a finite number
+or whose label is not 0 or 1, with exit code 2 naming the file and row. An
+alpha (``--alpha``, each value of its grid, or ``train.alpha``) outside
+[0, 1] is refused with exit code 2 before any training. The MTLTOX_SEED
 environment variable overrides the default seed wherever --seed is not
 given.
 """
@@ -125,7 +129,6 @@ CONFIG_TYPES = {
     | dict.fromkeys(("dim1", "dim2", "oov_seed"), _JSON_TYPES[int]),
     "train": _field_types(TrainConfig),
 }
-CONFIG_SECTIONS = {section: set(types) for section, types in CONFIG_TYPES.items()}
 
 
 def _load_config(path: str | None) -> dict:
@@ -302,26 +305,35 @@ def cmd_evaluate(args) -> int:
 
 
 def _predictions_to_examples(path: Path, subgroups: list[str]) -> list[ScoredExample]:
+    """Scored examples from a predictions file; a score must be finite and a label 0 or 1."""
     # Rows are numbered as in load_corpus: by line for JSONL, by data row for CSV.
-    if path.suffix == ".jsonl":
-        lines = enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        rows = [(row_num, line) for row_num, line in lines if line.strip()]
-    else:
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(enumerate(csv.DictReader(fh), 1))
+    try:
+        if path.suffix == ".jsonl":
+            lines = enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            rows = [(row_num, line) for row_num, line in lines if line.strip()]
+        else:
+            with path.open(newline="", encoding="utf-8") as fh:
+                rows = list(enumerate(csv.DictReader(fh), 1))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CorpusError(f"{path}: cannot read predictions: {exc}") from exc
+    if not rows:
+        raise CorpusError(f"{path}: no predictions")
     examples = []
     for row_num, row in rows:
         try:
             if isinstance(row, str):
                 row = json.loads(row)
-            score = float(row["score"])
-            label = int(float(row["label"]))
+            score, label = float(row["score"]), float(row["label"])
+            if not math.isfinite(score):
+                raise ValueError(f"score {row['score']!r} is not a finite number")
+            if label not in (0.0, 1.0):
+                raise ValueError(f"label {row['label']!r} is not 0 or 1")
             groups = frozenset(
                 name for name in subgroups if row.get(name) not in (None, "") and float(row[name]) >= 0.5
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"predictions row {row_num}: {exc}") from exc
-        examples.append(ScoredExample(score=score, label=label, subgroups=groups))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorpusError(f"{path}: predictions row {row_num}: {exc}") from exc
+        examples.append(ScoredExample(score=score, label=int(label), subgroups=groups))
     return examples
 
 

@@ -8,7 +8,7 @@ recurrence, which runs time-major with the longest comment first: step t
 touches only the comments longer than t. The reverse direction runs the same
 recurrence over each comment's tokens reversed within its own length.
 Attention and pooling reduce over each comment's own tokens. In BPTT only
-``dh·Whᵀ`` stays per step. ``forward``/``backward`` are a batch of one.
+``dh·Whᵀ`` stays per step.
 
 Gate layout inside the fused 4H-wide LSTM weights: input, forget, candidate,
 output, in that order.
@@ -88,8 +88,8 @@ def _pack(lengths: np.ndarray) -> _Packing:
 
 @dataclass
 class BatchTrace:
-    """One forward_batch pass. Token arrays hold the real tokens, comment
-    after comment; per-comment arrays are in batch order."""
+    """One forward pass. Token arrays hold the real tokens, comment after
+    comment; per-comment arrays are in batch order."""
 
     pack: _Packing
     layer_inputs: list[np.ndarray]  # input tokens of each LSTM layer (training only)
@@ -102,23 +102,10 @@ class BatchTrace:
     z2: np.ndarray
     heads: np.ndarray  # (B, 1+K) sigmoid outputs: toxicity, then the K auxiliary heads
 
-
-@dataclass
-class ForwardTrace:
-    """One example's outputs, padded to its input length, and its batch of one."""
-
-    true_length: int
-    h_seq: np.ndarray  # (M, 2H) second-layer outputs, zero at padding
-    attn_weights: np.ndarray  # (M,), zero at padding
-    pooled: np.ndarray  # (2H,)
-    y_hat: float
-    aux_hat: np.ndarray  # (K,)
-    batch: BatchTrace
-
-
-@dataclass
-class ParamGrads:
-    tensors: dict[str, np.ndarray]
+    @property
+    def true_length(self) -> int:
+        """The batch's real token count."""
+        return int(self.pack.lengths.sum())
 
 
 def _sigmoid(x):
@@ -236,7 +223,7 @@ def _recurrence(zx: np.ndarray, steps: list[int], wh: np.ndarray, keep: bool):
     return h, cache
 
 
-def forward_batch(
+def forward(
     params: ModelParams, tokens: np.ndarray, lengths, dropout_masks=None, keep_caches: bool = True
 ) -> BatchTrace:
     """B comments through the whole network.
@@ -275,7 +262,7 @@ def forward_batch(
             outputs[-1][order] = h
         x = np.concatenate(outputs, axis=1)
 
-    # Softmax and pooling reduce over each comment's own rows: a reduction
+    # Softmax and pooling reduce over each comment's own rows: a sum
     # over a zero-padded axis rounds differently (batch-composition rule).
     attn_tanh = None
     if params.hyper.attention:
@@ -295,25 +282,6 @@ def forward_batch(
     if not keep_caches:
         layer_inputs, lstm = [], {}
     return BatchTrace(pack, layer_inputs, lstm, x, attn_tanh, attn_weights, pooled, z1, z2, heads)
-
-
-def forward(
-    params: ModelParams, embedded: np.ndarray, true_length: int, dropout_mask: np.ndarray | None = None
-) -> ForwardTrace:
-    """One example through the whole network, as a batch of one.
-
-    ``embedded`` is the (max_len, D) embedding matrix for the comment;
-    positions at or beyond true_length are ignored entirely.
-    """
-    m = embedded.shape[0]
-    if not 1 <= true_length <= m:
-        raise NetworkError(f"true_length {true_length} outside [1, {m}]")
-    masks = dropout_mask[None, :] if dropout_mask is not None else None
-    batch = forward_batch(params, embedded[:true_length], [true_length], masks)
-    h_seq = np.pad(batch.h_seq, ((0, m - true_length), (0, 0)))
-    attn_weights = np.pad(batch.attn_weights, (0, m - true_length))
-    heads = batch.heads[0]
-    return ForwardTrace(true_length, h_seq, attn_weights, batch.pooled[0], float(heads[0]), heads[1:], batch)
 
 
 def _bptt(cache: tuple, d_h_out: np.ndarray, pack: _Packing, wh: np.ndarray):
@@ -342,9 +310,9 @@ def _bptt(cache: tuple, d_h_out: np.ndarray, pack: _Packing, wh: np.ndarray):
     return d_z, h[pack.prev].T @ d_z[steps[0] :]
 
 
-def backward_batch(
+def backward(
     params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_hat: np.ndarray
-) -> ParamGrads:
+) -> dict[str, np.ndarray]:
     """Gradient of the loss w.r.t. every parameter tensor, summed over the
     batch. ``d_y_hat`` (B,) and ``d_aux_hat`` (B, K) are the loss gradients at
     the sigmoid head outputs (as produced by losses.loss_grad_heads).
@@ -403,12 +371,7 @@ def backward_batch(
             if d_x is not None:
                 d_x[order] += d_z @ t[f"{prefix}_Wx"].T
         d_h_seq = d_x
-    return ParamGrads(tensors={name: grads[name] for name in t})
-
-
-def backward(params: ModelParams, trace: ForwardTrace, d_y_hat: float, d_aux_hat: np.ndarray) -> ParamGrads:
-    """backward_batch for one example; padded timesteps contribute exactly zero."""
-    return backward_batch(params, trace.batch, [d_y_hat], np.asarray(d_aux_hat, dtype=float)[None, :])
+    return {name: grads[name] for name in t}
 
 
 def embed_batch(table: EmbeddingTable, comments: list[Comment]) -> tuple[np.ndarray, np.ndarray]:
@@ -430,7 +393,5 @@ def predict(
     heads = np.zeros((len(comments), 1 + params.hyper.n_aux))
     for start in range(0, len(comments), PREDICT_BATCH):
         chunk = comments[start : start + PREDICT_BATCH]
-        heads[start : start + len(chunk)] = forward_batch(
-            params, *embed_batch(table, chunk), keep_caches=False
-        ).heads
+        heads[start : start + len(chunk)] = forward(params, *embed_batch(table, chunk), keep_caches=False).heads
     return heads[:, 0].copy(), heads[:, 1:].copy()

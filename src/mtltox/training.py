@@ -17,17 +17,15 @@ import numpy as np
 
 from mtltox.corpus import Comment, make_folds, reweight
 from mtltox.embeddings import EmbeddingTable
-from mtltox.losses import LossConfig, loss_grad_heads, multitask_loss
+from mtltox.losses import loss_grad_heads, multitask_loss
 from mtltox.metrics import BiasReport, ScoredExample, bias_report
-from mtltox.network import (  # backward and forward stay bound here for perfbench's tracer test
+from mtltox.network import (
     Hyper,
     ModelParams,
     NetworkError,
     backward,
-    backward_batch,
     embed_batch,
     forward,
-    forward_batch,
     init_params,
     predict,
     spatial_dropout_mask,
@@ -48,8 +46,9 @@ class TrainConfig:
     aux_source: str = "identities"  # or "subtypes" for the subtype-head variant
     power: float = -5.0
 
-    def loss_config(self, n_aux: int) -> LossConfig:
-        return LossConfig(alpha=self.alpha, n_aux=n_aux)
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
 @dataclass
@@ -142,18 +141,17 @@ def _batch_pass(
 ) -> tuple[dict[str, np.ndarray], float]:
     """Forward + backward over one batch; returns (summed grads, batch loss)."""
     hyper = params.hyper
-    loss_cfg = cfg.loss_config(hyper.n_aux)
     masks = None
     if rng is not None and hyper.dropout_rate > 0.0:
         # One mask per comment, in batch order: the generator stream is the
         # same as with one forward pass per comment.
         masks = np.array([spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng) for _ in comments])
-    trace = forward_batch(params, *embed_batch(table, comments), masks)
+    trace = forward(params, *embed_batch(table, comments), masks)
     y_hat, aux_hat = trace.heads[:, 0], trace.heads[:, 1:]
     targets = _targets(comments, hyper, cfg)
-    breakdown = multitask_loss(y_hat, aux_hat, *targets, loss_cfg)
-    d_y, d_aux = loss_grad_heads(y_hat, aux_hat, *targets, loss_cfg)
-    return backward_batch(params, trace, d_y, d_aux).tensors, breakdown.total
+    breakdown = multitask_loss(y_hat, aux_hat, *targets, cfg.alpha)
+    d_y, d_aux = loss_grad_heads(y_hat, aux_hat, *targets, cfg.alpha)
+    return backward(params, trace, d_y, d_aux), breakdown.total
 
 
 def dataset_loss(
@@ -163,10 +161,8 @@ def dataset_loss(
     cfg: TrainConfig,
 ) -> float:
     """Mean-reduced loss over a dataset, inference mode (no dropout)."""
-    hyper = params.hyper
-    loss_cfg = cfg.loss_config(hyper.n_aux)
     y_hat, aux_hat = predict(params, table, comments)
-    return multitask_loss(y_hat, aux_hat, *_targets(comments, hyper, cfg), loss_cfg).total
+    return multitask_loss(y_hat, aux_hat, *_targets(comments, params.hyper, cfg), cfg.alpha).total
 
 
 def _split(comments: list[Comment], fold: tuple) -> tuple[list[Comment], list[Comment]]:
@@ -265,19 +261,18 @@ def grid_search_alpha(
     Selection maximizes the validation Generalized Mean Bias AUC (undefined
     counts as worst); exact ties go to the larger alpha.
     """
-    grid = list(grid)
-    if not grid:
+    run_cfgs = [replace(cfg, alpha=alpha) for alpha in grid]  # every alpha is checked before the first run
+    if not run_cfgs:
         raise ValueError("alpha grid must be nonempty")
     train_set, val_set = _split(comments, make_folds(len(comments), cfg.k_folds, cfg.seed).folds[0])
 
     results = []
-    for alpha in grid:
-        run_cfg = replace(cfg, alpha=alpha)
+    for run_cfg in run_cfgs:
         params, _ = train_fold(train_set, val_set, table, hyper, run_cfg)
         report = evaluate_model(params, table, val_set, subgroup_names, cfg.power)
         results.append(
             {
-                "alpha": alpha,
+                "alpha": run_cfg.alpha,
                 "generalized_mean_bias_auc": report.generalized_mean_bias_auc,
                 "overall_auc": report.overall_auc,
                 "f1": report.f1,

@@ -19,7 +19,7 @@ def tiny_hyper(n_aux=1, attention=True, embed_dim=2, hidden=2, dense=2, max_len=
 
 
 def random_example(hyper, seed, max_len=None):
-    """Random embedded input, true length, and targets for a tiny model."""
+    """Random (L, D) token array, with L in [1, max_len], and targets for a tiny model."""
     rng = np.random.default_rng(seed)
     m = max_len or hyper.max_len
     embedded = rng.normal(scale=0.8, size=(m, hyper.embed_dim))
@@ -27,35 +27,26 @@ def random_example(hyper, seed, max_len=None):
     y = float(rng.random())
     aux_y = rng.random(hyper.n_aux)
     beta = float(rng.choice([1.0, 3.0]))
-    return embedded, true_length, y, aux_y, beta
+    return embedded[:true_length], y, aux_y, beta
 
 
-def example_loss(params, embedded, true_length, y, aux_y, beta, cfg):
-    tr = forward(params, embedded, true_length)
-    return multitask_loss(
-        np.array([tr.y_hat]),
-        tr.aux_hat.reshape(1, -1),
-        np.array([y]),
-        np.asarray(aux_y).reshape(1, -1),
-        np.array([beta]),
-        cfg,
-    ).total
+def _heads_and_targets(params, tokens, y, aux_y, beta):
+    """One comment's trace as a batch of one, and its loss inputs (y_hat, aux_hat, y, aux_y, beta)."""
+    tr = forward(params, tokens, [len(tokens)])
+    targets = (np.array([y]), np.asarray(aux_y).reshape(1, -1), np.array([beta]))
+    return tr, (tr.heads[:, 0], tr.heads[:, 1:], *targets)
 
 
-def analytic_grads(params, embedded, true_length, y, aux_y, beta, cfg):
-    tr = forward(params, embedded, true_length)
-    d_y, d_aux = loss_grad_heads(
-        np.array([tr.y_hat]),
-        tr.aux_hat.reshape(1, -1),
-        np.array([y]),
-        np.asarray(aux_y).reshape(1, -1),
-        np.array([beta]),
-        cfg,
-    )
-    return backward(params, tr, float(d_y[0]), d_aux[0]).tensors
+def example_loss(params, tokens, y, aux_y, beta, alpha):
+    return multitask_loss(*_heads_and_targets(params, tokens, y, aux_y, beta)[1], alpha).total
 
 
-def finite_difference_grads(params, embedded, true_length, y, aux_y, beta, cfg, eps=1e-4):
+def analytic_grads(params, tokens, y, aux_y, beta, alpha):
+    tr, args = _heads_and_targets(params, tokens, y, aux_y, beta)
+    return backward(params, tr, *loss_grad_heads(*args, alpha))
+
+
+def finite_difference_grads(params, tokens, y, aux_y, beta, alpha, eps=1e-4):
     fd = {}
     for name, arr in params.tensors.items():
         g = np.zeros_like(arr)
@@ -64,9 +55,9 @@ def finite_difference_grads(params, embedded, true_length, y, aux_y, beta, cfg, 
             ix = it.multi_index
             orig = arr[ix]
             arr[ix] = orig + eps
-            up = example_loss(params, embedded, true_length, y, aux_y, beta, cfg)
+            up = example_loss(params, tokens, y, aux_y, beta, alpha)
             arr[ix] = orig - eps
-            down = example_loss(params, embedded, true_length, y, aux_y, beta, cfg)
+            down = example_loss(params, tokens, y, aux_y, beta, alpha)
             arr[ix] = orig
             g[ix] = (up - down) / (2.0 * eps)
         fd[name] = g

@@ -5,6 +5,7 @@ is the expensive one (ten small training runs); everything else is fast.
 """
 
 import contextlib
+import json
 import time
 
 import numpy as np
@@ -18,8 +19,9 @@ from conftest import (
     random_example,
     tiny_hyper,
 )
-from mtltox.embeddings import lookup, random_table
-from mtltox.losses import LossConfig, loss_grad_heads, multitask_loss
+from mtltox.corpus import Comment, Vocabulary, load_comments, save_comments
+from mtltox.embeddings import random_table
+from mtltox.losses import EPS, loss_grad_heads, multitask_loss
 from mtltox.metrics import (
     ScoredExample,
     bpsn_auc,
@@ -29,7 +31,7 @@ from mtltox.metrics import (
     roc_auc,
     subgroup_auc,
 )
-from mtltox.network import Hyper,forward, init_params, predict
+from mtltox.network import Hyper, init_params, predict
 from mtltox.synthetic import (
     DEFAULT_IDENTITY_KEYWORDS,
     biased_corpus,
@@ -85,10 +87,10 @@ def test_criterion_1_gradient_correctness():
             # subgradient convention by construction.
             for arr in params.tensors.values():
                 arr += rng.normal(scale=0.05, size=arr.shape)
-            embedded, length, y, aux_y, beta = random_example(h, 100 + trial)
-            cfg = LossConfig(alpha=float(rng.choice([0.2, 0.6, 1.0])), n_aux=k)
-            got = analytic_grads(params, embedded, length, y, aux_y, beta, cfg)
-            want = finite_difference_grads(params, embedded, length, y, aux_y, beta, cfg)
+            example = random_example(h, 100 + trial)
+            alpha = float(rng.choice([0.2, 0.6, 1.0]))
+            got = analytic_grads(params, *example, alpha)
+            want = finite_difference_grads(params, *example, alpha)
             worst = max(worst, max_relative_error(got, want))
         assert worst < 1e-4
         assert time.monotonic() - start < 60.0
@@ -161,9 +163,8 @@ def test_criterion_4_loss_semantics():
         aux_y = rng.uniform(size=(6, 3))
         ones = np.ones(6)
 
-        def grads(alpha, beta, k=3, ah=aux_hat, ay=aux_y):
-            cfg = LossConfig(alpha=alpha, n_aux=k)
-            return loss_grad_heads(y_hat, ah, y, ay, beta, cfg)
+        def grads(alpha, beta):
+            return loss_grad_heads(y_hat, aux_hat, y, aux_y, beta, alpha)
 
         # beta linearity: tripling every weight triples every gradient.
         g1, a1 = grads(0.6, ones)
@@ -173,8 +174,7 @@ def test_criterion_4_loss_semantics():
 
         # alpha affineness: the loss is affine in alpha at fixed predictions.
         def total(alpha):
-            cfg = LossConfig(alpha=alpha, n_aux=3)
-            return multitask_loss(y_hat, aux_hat, y, aux_y, ones, cfg).total
+            return multitask_loss(y_hat, aux_hat, y, aux_y, ones, alpha).total
 
         mid = total(0.5)
         assert mid == pytest.approx(0.5 * (total(0.0) + total(1.0)), abs=1e-12)
@@ -183,34 +183,48 @@ def test_criterion_4_loss_semantics():
         )
 
         # alpha=1, K=0 reduces to plain per-example BCE on the main head.
-        cfg0 = LossConfig(alpha=1.0, n_aux=0)
         empty = np.zeros((6, 0))
-        out = multitask_loss(y_hat, empty, y, empty, ones, cfg0)
-        eps = cfg0.epsilon
-        p = np.clip(y_hat, eps, 1.0 - eps)
+        out = multitask_loss(y_hat, empty, y, empty, ones, 1.0)
+        p = np.clip(y_hat, EPS, 1.0 - EPS)
         bce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
         assert out.total == pytest.approx(float(bce.mean()), abs=1e-12)
 
 
-def test_criterion_5_masking():
+def test_criterion_5_masking(tmp_path):
     with criterion(5, "padded positions never change outputs (1e-12)"):
-        h = tiny_hyper(n_aux=2, embed_dim=4, max_len=8)
+        # Padding reaches the program only in older prepared lines, which pad
+        # token_ids to max_len and give the real count as true_length.
+        # hidden 4 and dense 8 keep the ReLUs alive: at hidden 2 and dense 2
+        # every score is exactly 0.5, whatever the tokens.
+        h = tiny_hyper(n_aux=2, embed_dim=4, hidden=4, dense=8, max_len=8)
         params = init_params(h, seed=5)
-        from mtltox.corpus import Vocabulary
-
         vocab = Vocabulary.build([[f"w{i}" for i in range(30)]])
         table = random_table(vocab, 2, 2, seed=0)
         rng = np.random.default_rng(55)
-        for _ in range(50):
-            length = int(rng.integers(1, 8))
-            ids = rng.integers(2, len(vocab), size=8)
-            ids[length:] = 0
-            mutated = ids.copy()
-            mutated[length:] = rng.integers(0, len(vocab), size=8 - length)
-            t1 = forward(params, lookup(table, ids), length)
-            t2 = forward(params, lookup(table, mutated), length)
-            assert abs(t1.y_hat - t2.y_hat) <= 1e-12
-            assert np.all(np.abs(t1.aux_hat - t2.aux_hat) <= 1e-12)
+        comments = [
+            Comment(
+                id=str(n),
+                token_ids=rng.integers(2, len(vocab), size=int(rng.integers(1, 8))),
+                y=0.0,
+                y_bin=0,
+                identity_labels=np.zeros(2),
+                subtype_labels=np.zeros(5),
+            )
+            for n in range(50)
+        ]
+        save_comments(tmp_path / "clean.jsonl", comments)
+        padded = []
+        for line in (tmp_path / "clean.jsonl").read_text().splitlines():
+            obj = json.loads(line)
+            length = len(obj["token_ids"])
+            obj["token_ids"] += rng.integers(0, len(vocab), size=8 - length).tolist()
+            padded.append(json.dumps(obj | {"true_length": length}) + "\n")
+        (tmp_path / "padded.jsonl").write_text("".join(padded))
+        y1, aux1 = predict(params, table, load_comments(tmp_path / "clean.jsonl"))
+        y2, aux2 = predict(params, table, load_comments(tmp_path / "padded.jsonl"))
+        assert np.ptp(y1) > 1e-6 and np.all(np.ptp(aux1, axis=0) > 1e-6)  # the scores depend on the tokens
+        assert np.all(np.abs(y1 - y2) <= 1e-12)
+        assert np.all(np.abs(aux1 - aux2) <= 1e-12)
 
 
 def test_criterion_6_convergence():

@@ -1,7 +1,14 @@
+import contextlib
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtltox.cli import main
 from mtltox.corpus import IDENTITY_COLUMNS
@@ -299,6 +306,22 @@ def test_config_value_of_wrong_type_exit_2(workdir, capsys, command, output, sec
     assert not (workdir / output).exists()
 
 
+@pytest.mark.parametrize(
+    "extra, alpha",
+    [(("--alpha", "1.5"), None), (("--alpha", "grid:0.5,1.5"), None), ((), -0.1)],
+    ids=["flag", "grid", "config"],
+)
+def test_train_refuses_alpha_outside_unit_interval(workdir, capsys, extra, alpha):
+    assert run_prep(workdir) == 0
+    if alpha is not None:
+        (workdir / "config.json").write_text(json.dumps({**CONFIG, "train": {**CONFIG["train"], "alpha": alpha}}))
+    capsys.readouterr()
+    assert run_train(workdir, extra=extra) == 2
+    err = capsys.readouterr().err
+    assert "alpha must be in [0, 1]" in err and "Traceback" not in err
+    assert not list(workdir.glob("run/checkpoint_fold*.json"))
+
+
 def test_config_accepts_an_int_for_a_float_and_null_where_allowed(tmp_path):
     import mtltox.cli as cli
 
@@ -529,7 +552,8 @@ def test_cli_docstring_config_example_is_accepted(tmp_path):
     path.write_text(example)
     assert cli._load_config(str(path)) == config
     # The example shows every accepted key, so it cannot fall behind the code either.
-    assert {section: set(config[section]) for section in cli.CONFIG_SECTIONS} == cli.CONFIG_SECTIONS
+    sections = {section: set(types) for section, types in cli.CONFIG_TYPES.items()}
+    assert {section: set(config[section]) for section in sections} == sections
 
 
 class TestBiasReportCommand:
@@ -576,6 +600,89 @@ class TestBiasReportCommand:
         )
         assert code == 2
         assert f"predictions row {row}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("preds.csv", "score,label\n0.9,1\nnan,0\n", "predictions row 2: score 'nan' is not a finite number"),
+            ("preds.csv", "score,label\n0.9,1\n-inf,0\n", "predictions row 2: score '-inf' is not a finite"),
+            ("preds.jsonl", '{"score": NaN, "label": 1}\n', "predictions row 1: score nan is not a finite"),
+            ("preds.csv", "score,label\n0.9,1\n0.2,2\n", "predictions row 2: label '2' is not 0 or 1"),
+            ("preds.csv", "score,label\n0.9,0.7\n", "predictions row 1: label '0.7' is not 0 or 1"),
+            ("preds.csv", "score,label\n0.9,nan\n", "predictions row 1: label 'nan' is not 0 or 1"),
+            ("preds.csv", "label,male\n1,0.0\n", "predictions row 1: 'score'"),
+            ("preds.csv", "score,label\n", "no predictions"),
+            ("preds.csv", "", "no predictions"),
+            ("preds.jsonl", "\n\n", "no predictions"),
+        ],
+        ids=[
+            "nan-score", "infinite-score", "json-nan-score", "label-2", "fractional-label", "nan-label",
+            "no-score-column", "header-only-csv", "empty-csv", "blank-jsonl",
+        ],
+    )
+    def test_bad_scores_labels_and_empty_files_exit_2(self, tmp_path, capsys, name, text, message):
+        pred = tmp_path / name
+        pred.write_text(text)
+        out = tmp_path / "rep.json"
+        assert main(["bias-report", "--predictions", str(pred), "--subgroups", "male", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pred}: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+_TEXT = st.text(st.characters(exclude_categories=["Cs"]), max_size=6)
+_EDGE = ["nan", "inf", "1e400", "2", "0.7", ""]
+# The cells of a valid predictions file, column by column.
+_VALID = {
+    "id": _TEXT,
+    "score": st.floats(0, 1).map(repr),
+    "label": st.sampled_from(["0", "1"]),
+    "male": st.sampled_from(["0.0", "0.9", ""]),
+}
+
+
+@st.composite
+def _predictions_file(draw):
+    """(suffix, text) of a predictions file: arbitrary text, or valid rows
+    with columns missing and one arbitrary value in some cells of a column."""
+    suffix = draw(st.sampled_from([".csv", ".jsonl"]))
+    if draw(st.integers(0, 4)) == 0:
+        return suffix, draw(st.text(st.characters(exclude_categories=["Cs"]), max_size=40))
+    missing = draw(st.lists(st.sampled_from(list(_VALID)), unique=True, max_size=2))
+    columns = [c for c in _VALID if c not in missing]
+    rows = [[draw(_VALID[c]) for c in columns] for _ in range(draw(st.integers(0, 6)))]
+    bad = draw(st.sampled_from([c for c in columns if c != "id"] or [None]))
+    if bad is not None:
+        edge = _EDGE + ([float("nan"), 10**400, True, None, []] if suffix == ".jsonl" else [])
+        value = draw(st.one_of(st.sampled_from(edge), _TEXT))
+        for row in rows:
+            if draw(st.booleans()):
+                row[columns.index(bad)] = value
+    if suffix == ".jsonl":
+        return suffix, "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([columns, *rows])
+    return suffix, buffer.getvalue()
+
+
+@given(predictions=_predictions_file())
+@settings(max_examples=50, deadline=None)
+def test_bias_report_ends_in_a_json_report_or_exit_2_naming_the_file(predictions):
+    suffix, text = predictions
+    with tempfile.TemporaryDirectory() as tmp:
+        pred, out = Path(tmp) / f"preds{suffix}", Path(tmp) / "rep.json"
+        pred.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["bias-report", "--predictions", str(pred), "--subgroups", "male", "--out", str(out)])
+        if code == 0:
+            json.loads(out.read_text(), parse_constant=_refuse_constant)
+        else:
+            assert code == 2 and str(pred) in err.getvalue(), err.getvalue()
 
 
 class TestTemplatesCommand:

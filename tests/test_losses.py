@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtltox.losses import LossConfig, bce, loss_grad_heads, multitask_loss
+from mtltox.losses import bce, loss_grad_heads, multitask_loss
 
 
 class TestBce:
@@ -33,33 +33,33 @@ def batch(yh, ah, y, ay, b):
 
 class TestMultitaskLoss:
     def test_alpha_one_drops_auxiliary(self):
-        cfg = LossConfig(alpha=1.0, n_aux=2, reduction="sum")
-        out = multitask_loss(*batch([0.7], [[0.2, 0.9]], [1.0], [[0.5, 0.5]], [2.0]), cfg)
+        alpha = 1.0
+        out = multitask_loss(*batch([0.7], [[0.2, 0.9]], [1.0], [[0.5, 0.5]], [2.0]), alpha)
         assert out.auxiliary_term == 0.0
         assert out.total == pytest.approx(2.0 * bce(0.7, 1.0), abs=1e-12)
 
     def test_single_example_hand_value(self):
         # beta=3, alpha=0.6, yhat=0.7 y=1, one aux head yhat=0.4 y=0.25;
         # frozen from an mpmath evaluation at 40 digits.
-        cfg = LossConfig(alpha=0.6, n_aux=1, reduction="sum")
-        out = multitask_loss(*batch([0.7], [[0.4]], [1.0], [[0.25]], [3.0]), cfg)
+        alpha = 0.6
+        out = multitask_loss(*batch([0.7], [[0.4]], [1.0], [[0.25]], [3.0]), alpha)
         assert out.total == pytest.approx(1.3766451800413564, abs=1e-12)
 
     def test_beta_linearity(self):
-        cfg = LossConfig(alpha=0.3, n_aux=1, reduction="sum")
+        alpha = 0.3
         args = ([0.7, 0.2], [[0.4], [0.6]], [1.0, 0.0], [[0.25], [0.9]], [1.0, 2.0])
         doubled = ([0.7, 0.2], [[0.4], [0.6]], [1.0, 0.0], [[0.25], [0.9]], [2.0, 4.0])
-        assert multitask_loss(*batch(*doubled), cfg).total == pytest.approx(
-            2.0 * multitask_loss(*batch(*args), cfg).total, abs=1e-12
+        assert multitask_loss(*batch(*doubled), alpha).total == pytest.approx(
+            2.0 * multitask_loss(*batch(*args), alpha).total, abs=1e-12
         )
 
     def test_breakdown_consistency(self):
-        cfg = LossConfig(alpha=0.6, n_aux=2, reduction="sum")
+        alpha = 0.6
         out = multitask_loss(
             *batch([0.7, 0.3], [[0.2, 0.9], [0.5, 0.5]], [1.0, 0.0], [[0.5, 0.1], [0.0, 1.0]], [3.0, 1.0]),
-            cfg,
+            alpha,
         )
-        assert out.total == pytest.approx(out.per_example.sum(), abs=1e-9)
+        assert out.total == pytest.approx(out.per_example.sum() / 2.0, abs=1e-9)
         assert out.total == pytest.approx(out.toxicity_term + out.auxiliary_term, abs=1e-9)
 
     def test_alpha_affine_interpolation(self):
@@ -67,72 +67,70 @@ class TestMultitaskLoss:
         args = batch(
             rng.random(5), rng.random((5, 3)), rng.random(5), rng.random((5, 3)), 1 + rng.random(5)
         )
-        a_sum = multitask_loss(*args, LossConfig(alpha=1.0, n_aux=3, reduction="sum")).total
-        b_sum = multitask_loss(*args, LossConfig(alpha=0.0, n_aux=3, reduction="sum")).total
+        a_sum = multitask_loss(*args, 1.0).total
+        b_sum = multitask_loss(*args, 0.0).total
         for alpha in (0.1, 0.35, 0.6, 0.9):
-            got = multitask_loss(*args, LossConfig(alpha=alpha, n_aux=3, reduction="sum")).total
+            got = multitask_loss(*args, alpha).total
             assert got == pytest.approx(alpha * a_sum + (1 - alpha) * b_sum, rel=1e-12)
 
     def test_mean_reduction_divides(self):
-        cfg_sum = LossConfig(alpha=0.5, n_aux=0, reduction="sum")
-        cfg_mean = LossConfig(alpha=0.5, n_aux=0, reduction="mean")
+        # The batch loss is the mean of the four single-example losses.
         args = batch([0.7, 0.2, 0.4, 0.9], np.zeros((4, 0)), [1, 0, 1, 1], np.zeros((4, 0)), [1, 1, 1, 1])
-        assert multitask_loss(*args, cfg_mean).total == pytest.approx(
-            multitask_loss(*args, cfg_sum).total / 4.0, abs=1e-12
-        )
+        singles = [multitask_loss(*(a[n : n + 1] for a in args), 0.5).total for n in range(4)]
+        assert multitask_loss(*args, 0.5).total == pytest.approx(sum(singles) / 4.0, abs=1e-12)
 
     def test_head_count_mismatch(self):
-        cfg = LossConfig(alpha=0.5, n_aux=3)
+        alpha = 0.5
         with pytest.raises(ValueError, match="mismatch"):
-            multitask_loss(*batch([0.5], [[0.5, 0.5]], [1.0], [[0.5, 0.5]], [1.0]), cfg)
+            multitask_loss(*batch([0.5], [[0.5, 0.5]], [1.0], [[0.5, 0.5, 0.5]], [1.0]), alpha)
 
     def test_zero_at_exact_targets(self):
-        cfg = LossConfig(alpha=0.6, n_aux=1, reduction="sum")
-        out = multitask_loss(*batch([1.0], [[0.0]], [1.0], [[0.0]], [1.0]), cfg)
+        alpha = 0.6
+        out = multitask_loss(*batch([1.0], [[0.0]], [1.0], [[0.0]], [1.0]), alpha)
         assert out.total == pytest.approx(0.0, abs=1e-6)
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(9)
-        cfg = LossConfig(alpha=0.4, n_aux=2, reduction="sum")
+        alpha = 0.4
         for _ in range(50):
             out = multitask_loss(
                 *batch(rng.random(3), rng.random((3, 2)), rng.random(3), rng.random((3, 2)), 1 + rng.random(3)),
-                cfg,
+                alpha,
             )
             assert out.total >= 0.0
 
 
 class TestLossGradHeads:
     def test_zero_at_match(self):
-        cfg = LossConfig(alpha=0.6, n_aux=1, reduction="sum")
-        d_y, d_aux = loss_grad_heads(*batch([0.3], [[0.7]], [0.3], [[0.7]], [1.0]), cfg)
+        alpha = 0.6
+        d_y, d_aux = loss_grad_heads(*batch([0.3], [[0.7]], [0.3], [[0.7]], [1.0]), alpha)
         assert d_y == pytest.approx([0.0], abs=1e-12)
         assert d_aux[0] == pytest.approx([0.0], abs=1e-12)
 
     def test_beta_scales_grads_exactly(self):
-        cfg = LossConfig(alpha=0.6, n_aux=1, reduction="sum")
-        d1, a1 = loss_grad_heads(*batch([0.7], [[0.4]], [0.0], [[0.9]], [1.0]), cfg)
-        d3, a3 = loss_grad_heads(*batch([0.7], [[0.4]], [0.0], [[0.9]], [3.0]), cfg)
+        alpha = 0.6
+        d1, a1 = loss_grad_heads(*batch([0.7], [[0.4]], [0.0], [[0.9]], [1.0]), alpha)
+        d3, a3 = loss_grad_heads(*batch([0.7], [[0.4]], [0.0], [[0.9]], [3.0]), alpha)
         assert d3[0] == pytest.approx(3.0 * d1[0], rel=1e-15)
         assert a3[0, 0] == pytest.approx(3.0 * a1[0, 0], rel=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        cfg = LossConfig(alpha=0.35, n_aux=2, reduction="mean")
+        alpha = 0.35
         yh = 0.1 + 0.8 * rng.random(4)
         ah = 0.1 + 0.8 * rng.random((4, 2))
         y = rng.random(4)
         ay = rng.random((4, 2))
         b = 1.0 + 2.0 * rng.random(4)
-        d_y, d_aux = loss_grad_heads(yh, ah, y, ay, b, cfg)
+        d_y, d_aux = loss_grad_heads(yh, ah, y, ay, b, alpha)
         eps = 1e-6
         for n in range(4):
             up, down = yh.copy(), yh.copy()
             up[n] += eps
             down[n] -= eps
             fd = (
-                multitask_loss(up, ah, y, ay, b, cfg).total
-                - multitask_loss(down, ah, y, ay, b, cfg).total
+                multitask_loss(up, ah, y, ay, b, alpha).total
+                - multitask_loss(down, ah, y, ay, b, alpha).total
             ) / (2 * eps)
             assert d_y[n] == pytest.approx(fd, rel=1e-6)
             for k in range(2):
@@ -140,15 +138,15 @@ class TestLossGradHeads:
                 up[n, k] += eps
                 down[n, k] -= eps
                 fd = (
-                    multitask_loss(yh, up, y, ay, b, cfg).total
-                    - multitask_loss(yh, down, y, ay, b, cfg).total
+                    multitask_loss(yh, up, y, ay, b, alpha).total
+                    - multitask_loss(yh, down, y, ay, b, alpha).total
                 ) / (2 * eps)
                 assert d_aux[n, k] == pytest.approx(fd, rel=1e-6)
 
     def test_sigmoid_composition_collapses(self):
         # d(loss)/d(logit) through a sigmoid must equal beta*alpha*(p - y).
-        cfg = LossConfig(alpha=0.6, n_aux=0, reduction="sum")
+        alpha = 0.6
         p, y, beta = 0.73, 0.2, 3.0
-        d_y, _ = loss_grad_heads(*batch([p], np.zeros((1, 0)), [y], np.zeros((1, 0)), [beta]), cfg)
+        d_y, _ = loss_grad_heads(*batch([p], np.zeros((1, 0)), [y], np.zeros((1, 0)), [beta]), alpha)
         pre_activation_grad = d_y[0] * p * (1 - p)  # sigmoid derivative
         assert pre_activation_grad == pytest.approx(beta * 0.6 * (p - y), rel=1e-12)

@@ -270,22 +270,23 @@ def test_batch_pass_sums_single_example_gradients():
         forward(
             params,
             lookup(table, c.token_ids),
-            c.true_length,
-            spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng),
+            [c.true_length],
+            spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng)[None, :],
         )
         for c in comments
     ]
+    heads = np.concatenate([tr.heads for tr in traces])
     d_y, d_aux = loss_grad_heads(
-        np.array([tr.y_hat for tr in traces]),
-        np.array([tr.aux_hat for tr in traces]),
+        heads[:, 0],
+        heads[:, 1:],
         np.array([c.y for c in comments]),
         np.array([c.identity_labels for c in comments]),
         np.array([c.beta for c in comments]),
-        cfg.loss_config(hyper.n_aux),
+        cfg.alpha,
     )
     want = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
     for n, trace in enumerate(traces):
-        for name, g in backward(params, trace, float(d_y[n]), d_aux[n]).tensors.items():
+        for name, g in backward(params, trace, d_y[n : n + 1], d_aux[n : n + 1]).items():
             want[name] += g
     for name in want:
         scale = np.max(np.abs(want[name]))
