@@ -39,9 +39,11 @@ finite number, with exit code 2 naming the file. ``bias-report`` refuses a
 predictions file with no rows, or a row whose score is not a finite number
 or whose label is not 0 or 1, with exit code 2 naming the file and row. An
 alpha (``--alpha``, each value of its grid, or ``train.alpha``) outside
-[0, 1] is refused with exit code 2 before any training. The MTLTOX_SEED
-environment variable overrides the default seed wherever --seed is not
-given.
+[0, 1] is refused with exit code 2 before any training, and before
+``--out-dir`` is made. A ``--p`` (evaluate, bias-report) that is not a
+finite number is refused with exit code 2 when the arguments are parsed.
+The MTLTOX_SEED environment variable overrides the default seed wherever
+--seed is not given.
 """
 
 from __future__ import annotations
@@ -248,20 +250,24 @@ def cmd_propagate(args) -> int:
 
 def cmd_train(args) -> int:
     config, comments, vocab, table, hyper, cfg = _training_inputs(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     subgroups = config.get("subgroups", list(IDENTITY_COLUMNS))
-
+    grid = None
     if args.alpha and args.alpha.startswith("grid:"):
         grid = [float(v) for v in args.alpha[len("grid:") :].split(",")]
+        for alpha in grid:  # TrainConfig refuses an alpha outside [0, 1]
+            dataclasses.replace(cfg, alpha=alpha)
+    elif args.alpha:
+        cfg = dataclasses.replace(cfg, alpha=float(args.alpha))
+    out_dir = Path(args.out_dir)  # made once every input has been checked
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    if grid is not None:
         chosen, results = grid_search_alpha(comments, table, hyper, cfg, subgroups, grid)
         (out_dir / "alpha_grid.json").write_text(
             json.dumps({"chosen_alpha": chosen, "results": results}, indent=2)
         )
         print(f"alpha grid search: chose alpha={chosen}")
         cfg = dataclasses.replace(cfg, alpha=chosen)
-    elif args.alpha:
-        cfg = dataclasses.replace(cfg, alpha=float(args.alpha))
 
     def write_fold(params, record, report) -> None:
         fold = record.fold
@@ -400,6 +406,17 @@ def cmd_ks_compare(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of ``--p``: a report cannot hold NaN or an infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mtltox", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -436,14 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--vocab")
     p.add_argument("--subgroups", default=",".join(IDENTITY_COLUMNS))
-    p.add_argument("--p", type=float, default=-5.0)
+    p.add_argument("--p", type=_finite_float, default=-5.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bias-report", help="bias report from an offline predictions file")
     p.add_argument("--predictions", required=True)
     p.add_argument("--subgroups")
-    p.add_argument("--p", type=float, default=-5.0)
+    p.add_argument("--p", type=_finite_float, default=-5.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bias_report)
 

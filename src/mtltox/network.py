@@ -3,10 +3,10 @@ and K+1 sigmoid heads, with forward and hand-derived backward passes in numpy.
 
 Sequence handling: a batch is one (T, D) array of its comments' real tokens,
 comment after comment. Padding is never gathered, so it cannot influence any
-output. Each LSTM layer-direction projects all T tokens (``X·Wx``) before its
-recurrence, which runs time-major with the longest comment first: step t
-touches only the comments longer than t. The reverse direction runs the same
-recurrence over each comment's tokens reversed within its own length.
+output. Each LSTM layer-direction projects all T tokens (``X·Wx``) before the
+layer's recurrence, which runs both directions as one (2, n, H) state, time-major
+with the longest comment first: step t touches only the comments longer than t.
+The reverse direction takes those steps over each comment's tokens reversed.
 Attention and pooling reduce over each comment's own tokens. In BPTT only
 ``dh·Whᵀ`` stays per step.
 
@@ -69,21 +69,22 @@ class _Packing:
     lengths: np.ndarray  # (B,) true lengths, in batch order
     starts: np.ndarray  # (B,) first token row of each comment
     steps: list[int]  # active comments at each step
-    order: dict[str, np.ndarray]  # direction -> token row of each packed row
+    offsets: list[int]  # first packed row of each step, then the row count
+    order: np.ndarray  # (2, T) token row of each packed row: forward, then reverse direction
     prev: np.ndarray  # packed row one step earlier, for rows after step 0
 
 
 def _pack(lengths: np.ndarray) -> _Packing:
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     by_length = np.argsort(-lengths, kind="stable")  # ties keep batch order
-    sorted_len = lengths[by_length]
-    steps = [int(np.count_nonzero(sorted_len > t)) for t in range(sorted_len[0])]
-    step = np.repeat(np.arange(len(steps)), steps)
-    rank = np.concatenate([np.arange(n) for n in steps])
-    first = starts[by_length][rank]
+    steps = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # comments longer than t
     offsets = np.concatenate([[0], np.cumsum(steps)])
-    order = {"fwd": first + step, "bwd": first + sorted_len[rank] - 1 - step}
-    return _Packing(lengths, starts, steps, order, offsets[step[steps[0] :] - 1] + rank[steps[0] :])
+    step = np.repeat(np.arange(len(steps)), steps)
+    rank = np.arange(offsets[-1]) - offsets[step]
+    comment = by_length[rank]
+    order = np.stack([starts[comment] + step, starts[comment] + lengths[comment] - 1 - step])
+    prev = offsets[step[steps[0] :] - 1] + rank[steps[0] :]  # rows of step 0 have none
+    return _Packing(lengths, starts, steps.tolist(), offsets.tolist(), order, prev)
 
 
 @dataclass
@@ -93,7 +94,7 @@ class BatchTrace:
 
     pack: _Packing
     layer_inputs: list[np.ndarray]  # input tokens of each LSTM layer (training only)
-    lstm: dict[tuple[int, str], tuple]  # (layer, "fwd"/"bwd") -> packed gates, c, h; training only
+    lstm: dict[int, tuple]  # layer -> packed gates, c, h of both directions; training only
     h_seq: np.ndarray  # (T, 2H) second-layer outputs
     attn_tanh: np.ndarray | None  # (T,) tanh scores
     attn_weights: np.ndarray  # (T,)
@@ -195,31 +196,29 @@ def _heads(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([t["head_tox_w"], w_aux.T]), np.concatenate([t["head_tox_b"], t.get("head_aux_b", [])])
 
 
-def _recurrence(zx: np.ndarray, steps: list[int], wh: np.ndarray, keep: bool):
-    """LSTM over packed rows; zx holds X·Wx + b. Returns (h, cache or None),
-    the cache being (gates (T, 4H) after their nonlinearities, c, h)."""
-    hdim = wh.shape[0]
-    h = np.empty((zx.shape[0], hdim))
+def _recurrence(zx: np.ndarray, pack: _Packing, wh: np.ndarray, keep: bool):
+    """Both directions of an LSTM layer over packed rows: zx (2, T, 4H) holds X·Wx + b, wh (2, H, 4H)
+    the two Wh. Returns (h, cache or None), the cache being (gates after their nonlinearities, c, h)."""
+    hdim = wh.shape[1]
+    h = np.empty(zx.shape[:2] + (hdim,))
     cache = (np.empty(zx.shape), np.empty(h.shape), h) if keep else None
-    # At least two state rows: a one-row product takes numpy's GEMV path,
-    # which rounds differently from GEMM (batch-composition rule). Rows past
-    # the active ones hold finished comments' states; their products are
-    # discarded.
-    h_state = np.zeros((max(steps[0], 2), hdim))
+    # At least two state rows per direction: a one-row product takes numpy's
+    # GEMV path, which rounds differently from GEMM (batch-composition rule).
+    # Rows past the active ones hold finished comments' states; their
+    # products are discarded.
+    h_state = np.zeros((2, max(pack.steps[0], 2), hdim))
     c_state = np.zeros_like(h_state)
-    off = 0
-    for n in steps:
-        z = zx[off : off + n] + (h_state[: max(n, 2)] @ wh)[:n]
+    for off, n in zip(pack.offsets, pack.steps):
+        z = zx[:, off : off + n] + (h_state[:, : max(n, 2)] @ wh)[:, :n]
         gates = _sigmoid(z)
-        gates[:, 2 * hdim : 3 * hdim] = np.tanh(z[:, 2 * hdim : 3 * hdim])
-        i_g, f_g, g_g, o_g = (gates[:, k * hdim : (k + 1) * hdim] for k in range(4))
-        c_state[:n] = f_g * c_state[:n] + i_g * g_g
-        h_state[:n] = o_g * np.tanh(c_state[:n])
-        h[off : off + n] = h_state[:n]
+        gates[..., 2 * hdim : 3 * hdim] = np.tanh(z[..., 2 * hdim : 3 * hdim])
+        i_g, f_g, g_g, o_g = (gates[..., k * hdim : (k + 1) * hdim] for k in range(4))
+        c_state[:, :n] = f_g * c_state[:, :n] + i_g * g_g
+        h_state[:, :n] = o_g * np.tanh(c_state[:, :n])
+        h[:, off : off + n] = h_state[:, :n]
         if keep:
-            cache[0][off : off + n] = gates
-            cache[1][off : off + n] = c_state[:n]
-        off += n
+            cache[0][:, off : off + n] = gates
+            cache[1][:, off : off + n] = c_state[:, :n]
     return h, cache
 
 
@@ -240,27 +239,28 @@ def forward(
     row_comment = np.repeat(np.arange(len(lengths)), lengths)
     x = tokens * dropout_masks[row_comment] if dropout_masks is not None else tokens
 
+    hdim = params.hyper.hidden
+    zx = np.empty((2, len(row_comment), 4 * hdim))  # both layers project into it
     layer_inputs, lstm = [], {}
     for layer in (0, 1):
         layer_inputs.append(x)
-        outputs = []
-        for direction, order in pack.order.items():
-            prefix = f"lstm{layer}_{direction}"
-            zx = _rows_matmul(x[order], t[f"{prefix}_Wx"]) + t[f"{prefix}_b"]
-            h, lstm[(layer, direction)] = _recurrence(zx, pack.steps, t[f"{prefix}_Wh"], keep_caches)
-            # One finiteness check per layer-direction; packed rows are
-            # time-major, so the first bad row is the first bad timestep.
-            bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
-            if bad.size:
-                row = order[bad[0]]
-                comment = int(np.searchsorted(pack.starts, row, side="right")) - 1
-                raise NetworkError(
-                    f"non-finite activation in {prefix} at timestep {row - pack.starts[comment]} "
-                    f"of batch row {comment}"
-                )
-            outputs.append(np.empty_like(h))
-            outputs[-1][order] = h
-        x = np.concatenate(outputs, axis=1)
+        prefixes = [f"lstm{layer}_{direction}" for direction in ("fwd", "bwd")]  # in pack.order's order
+        for d, prefix in enumerate(prefixes):
+            np.add(_rows_matmul(x[pack.order[d]], t[f"{prefix}_Wx"]), t[f"{prefix}_b"], out=zx[d])
+        h, lstm[layer] = _recurrence(zx, pack, np.stack([t[f"{p}_Wh"] for p in prefixes]), keep_caches)
+        # One finiteness check per layer, forward direction first. Packed rows
+        # are time-major: a direction's first bad row is its first bad timestep.
+        bad = np.argwhere(~np.isfinite(h).all(axis=2))
+        if bad.size:
+            row = pack.order[tuple(bad[0])]
+            comment = int(np.searchsorted(pack.starts, row, side="right")) - 1
+            raise NetworkError(
+                f"non-finite activation in {prefixes[bad[0, 0]]} at timestep {row - pack.starts[comment]} "
+                f"of batch row {comment}"
+            )
+        x = np.empty((len(row_comment), 2 * hdim))  # the forward direction in the first H columns
+        x.reshape(-1, 2, hdim)[pack.order, [[0], [1]]] = h
+        del h  # the next layer projects without it
 
     # Softmax and pooling reduce over each comment's own rows: a sum
     # over a zero-padded axis rounds differently (batch-composition rule).
@@ -284,30 +284,30 @@ def forward(
     return BatchTrace(pack, layer_inputs, lstm, x, attn_tanh, attn_weights, pooled, z1, z2, heads)
 
 
-def _bptt(cache: tuple, d_h_out: np.ndarray, pack: _Packing, wh: np.ndarray):
-    """Backpropagation through time over packed rows. Only ``dh·Whᵀ`` runs
-    per step. Returns (dZ of every row, dWh)."""
-    hdim, steps = wh.shape[0], pack.steps
-    gates, c, h = cache
+def _bptt(cache: tuple, d_h_seq: np.ndarray, pack: _Packing, wh_t: np.ndarray, d_z: np.ndarray):
+    """Backpropagation through time over both directions, from the layer's
+    (T, 2H) output gradients; wh_t (2, 4H, H) holds the two Whᵀ. Only
+    ``dh·Whᵀ`` runs per step. Fills d_z (2, T, 4H) with dZ of every row."""
+    gates, c, _ = cache
+    hdim, steps, offsets = c.shape[2], pack.steps, pack.offsets
+    d_h_out = d_h_seq.reshape(-1, 2, hdim)[pack.order, [[0], [1]]]  # each direction's packed rows
     tanh_c = np.tanh(c)
-    slope = gates * (1.0 - gates)  # sigmoid' for i, f, o
-    slope[:, 2 * hdim : 3 * hdim] = 1.0 - gates[:, 2 * hdim : 3 * hdim] ** 2  # tanh' for g
-    d_z = np.empty_like(gates)
-    d_h_next = np.zeros((steps[0], hdim))
+    # d_z starts as the slopes, and each step multiplies its products in (bit for bit commutative).
+    np.subtract(1.0, gates, out=d_z)
+    d_z *= gates  # sigmoid' for i, f, o
+    d_z[..., 2 * hdim : 3 * hdim] = 1.0 - gates[..., 2 * hdim : 3 * hdim] ** 2  # tanh' for g
+    d_h_next = np.zeros((2, steps[0], hdim))
     d_c_next = np.zeros_like(d_h_next)
-    offsets = np.concatenate([[0], np.cumsum(steps)])
     for step in range(len(steps) - 1, -1, -1):
         n = steps[step]
-        rows = slice(offsets[step], offsets[step] + n)
-        i_g, f_g, g_g, o_g = (gates[rows, k * hdim : (k + 1) * hdim] for k in range(4))
-        c_prev = c[offsets[step - 1] : offsets[step - 1] + n] if step > 0 else 0.0
-        d_h = d_h_out[rows] + d_h_next[:n]
-        d_c = d_h * o_g * (1.0 - tanh_c[rows] ** 2) + d_c_next[:n]
-        d_z[rows] = np.concatenate([d_c * g_g, d_c * c_prev, d_c * i_g, d_h * tanh_c[rows]], axis=1)
-        d_z[rows] *= slope[rows]
-        d_c_next[:n] = d_c * f_g
-        d_h_next[:n] = d_z[rows] @ wh.T
-    return d_z, h[pack.prev].T @ d_z[steps[0] :]
+        rows = slice(offsets[step], offsets[step + 1])
+        i_g, f_g, g_g, o_g = (gates[:, rows, k * hdim : (k + 1) * hdim] for k in range(4))
+        c_prev = c[:, offsets[step - 1] : offsets[step - 1] + n] if step > 0 else 0.0
+        d_h = d_h_out[:, rows] + d_h_next[:, :n]
+        d_c = d_h * o_g * (1.0 - tanh_c[:, rows] ** 2) + d_c_next[:, :n]
+        d_z[:, rows] *= np.concatenate([d_c * g_g, d_c * c_prev, d_c * i_g, d_h * tanh_c[:, rows]], axis=2)
+        d_c_next[:, :n] = d_c * f_g
+        d_h_next[:, :n] = d_z[:, rows] @ wh_t
 
 
 def backward(
@@ -357,19 +357,19 @@ def backward(
 
     # Stacked BiLSTMs, top down. Layer 1's input grads feed layer 0's
     # outputs; layer 0's input is the frozen embedding, so it gets none.
-    h = hyper.hidden
+    d_z = np.empty((2, pack.order.shape[1], 4 * hyper.hidden))  # both layers backpropagate into it
     for layer in (1, 0):
-        x = trace.layer_inputs[layer]
+        x, h_packed = trace.layer_inputs[layer], trace.lstm[layer][2]
+        prefixes = [f"lstm{layer}_{direction}" for direction in ("fwd", "bwd")]
+        wh_t = np.swapaxes(np.stack([t[f"{p}_Wh"] for p in prefixes]), 1, 2)  # slices keep Wh.T's layout
+        _bptt(trace.lstm[layer], d_h_seq, pack, wh_t, d_z)
         d_x = np.zeros_like(x) if layer == 1 else None
-        for (direction, order), lo in zip(pack.order.items(), (0, h)):
-            prefix = f"lstm{layer}_{direction}"
-            d_z, grads[f"{prefix}_Wh"] = _bptt(
-                trace.lstm[(layer, direction)], d_h_seq[order, lo : lo + h], pack, t[f"{prefix}_Wh"]
-            )
-            grads[f"{prefix}_Wx"] = x[order].T @ d_z
-            grads[f"{prefix}_b"] = d_z.sum(axis=0)
+        for d, prefix in enumerate(prefixes):
+            grads[f"{prefix}_Wh"] = h_packed[d][pack.prev].T @ d_z[d, pack.steps[0] :]
+            grads[f"{prefix}_Wx"] = x[pack.order[d]].T @ d_z[d]
+            grads[f"{prefix}_b"] = d_z[d].sum(axis=0)
             if d_x is not None:
-                d_x[order] += d_z @ t[f"{prefix}_Wx"].T
+                d_x[pack.order[d]] += d_z[d] @ t[f"{prefix}_Wx"].T
         d_h_seq = d_x
     return {name: grads[name] for name in t}
 

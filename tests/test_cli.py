@@ -319,7 +319,25 @@ def test_train_refuses_alpha_outside_unit_interval(workdir, capsys, extra, alpha
     assert run_train(workdir, extra=extra) == 2
     err = capsys.readouterr().err
     assert "alpha must be in [0, 1]" in err and "Traceback" not in err
-    assert not list(workdir.glob("run/checkpoint_fold*.json"))
+    assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["evaluate", "bias-report"])
+def test_non_finite_p_refused_when_parsed(tmp_path, capsys, command, value):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("score,label,male\n0.9,1,1.0\n0.2,0,0.0\n0.8,1,0.0\n0.1,0,1.0\n")
+    inputs = {
+        "evaluate": ["--checkpoint", str(tmp_path / "ckpt.json"), "--data", str(tmp_path / "data.jsonl")],
+        "bias-report": ["--predictions", str(pred), "--subgroups", "male"],
+    }[command]
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, f"--p={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --p: not a finite number: '{value}'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_accepts_an_int_for_a_float_and_null_where_allowed(tmp_path):

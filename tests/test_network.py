@@ -284,6 +284,78 @@ class TestFiniteCheck:
             forward(params, x, [3])
 
 
+def per_timestep_packing(lengths):
+    """The packing by its definition: step t holds the comments longer than t,
+    longest first (ties in batch order), one packed row each."""
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    by_length = sorted(range(len(lengths)), key=lambda c: -lengths[c])
+    steps, fwd, bwd, prev = [], [], [], []
+    for t in range(max(lengths)):
+        active = [c for c in by_length if lengths[c] > t]
+        for k, c in enumerate(active):
+            fwd.append(starts[c] + t)
+            bwd.append(starts[c] + lengths[c] - 1 - t)
+            if t > 0:
+                prev.append(sum(steps[: t - 1]) + k)
+        steps.append(len(active))
+    return steps, np.array([fwd, bwd]), np.array(prev, dtype=np.int64)
+
+
+class TestPacking:
+    @pytest.mark.parametrize(
+        "lengths",
+        [[7], [1], [4, 4, 4], [1, 1], [3, 9, 3, 1, 9, 2]]
+        + [list(np.random.default_rng(seed).integers(1, 12, size=40)) for seed in range(4)],
+        ids=["one-comment", "one-token", "all-equal", "two-single-tokens", "ties"] + [f"random-{s}" for s in range(4)],
+    )
+    def test_pack_matches_per_timestep_definition(self, lengths):
+        pack = network._pack(np.array(lengths, dtype=np.int64))
+        steps, order, prev = per_timestep_packing(lengths)
+        assert pack.steps == steps and all(type(n) is int for n in pack.steps)
+        assert pack.offsets == [sum(steps[:t]) for t in range(len(steps) + 1)]
+        assert np.array_equal(pack.order, order)
+        assert np.array_equal(pack.prev, prev)
+
+
+class TestStackedDirections:
+    """A layer runs its two directions as one stacked state, one stacked
+    product per step. Neither direction's numbers may depend on the other's
+    by a single bit."""
+
+    # One long comment: its last steps run one active row per direction,
+    # where the two-row floor applies to each slice of the stacked product.
+    lengths = [12, 3, 3, 1, 2]
+
+    @pytest.mark.parametrize("hidden", [1, 4, 8, 256])
+    @pytest.mark.parametrize("perturbed, kept", [("bwd", 0), ("fwd", 1)])
+    def test_perturbing_one_direction_leaves_the_other_bitwise(self, hidden, perturbed, kept):
+        h = tiny_hyper(n_aux=1, embed_dim=3, hidden=hidden, dense=4, attention=False)
+        rng = np.random.default_rng(hidden)
+        params = init_params(h, seed=1)
+        # The heads read only the kept direction of layer 1, so the upstream
+        # gradient of layer 1 is confined to that direction.
+        other = slice(hidden, 2 * hidden) if kept == 0 else slice(0, hidden)
+        params.tensors["dense1_W"][other] = 0.0
+        tokens = rng.normal(size=(sum(self.lengths), 3))
+        d_y, d_aux = rng.normal(size=len(self.lengths)), rng.normal(size=(len(self.lengths), 1))
+        base = forward(params, tokens, self.lengths)
+        base_grads = backward(params, base, d_y, d_aux)
+        kept_name = "lstm1_" + ("fwd", "bwd")[kept]
+        for layer in (0, 1):
+            changed = params.copy()
+            for suffix in ("Wx", "Wh", "b"):
+                w = changed.tensors[f"lstm{layer}_{perturbed}_{suffix}"]
+                w += rng.normal(scale=0.5, size=w.shape)
+            trace = forward(changed, tokens, self.lengths)
+            assert not np.array_equal(trace.lstm[layer][2][1 - kept], base.lstm[layer][2][1 - kept])
+            assert trace.lstm[layer][2][kept].tobytes() == base.lstm[layer][2][kept].tobytes()
+            if layer == 1:
+                grads = backward(changed, trace, d_y, d_aux)
+                for suffix in ("Wx", "Wh", "b"):
+                    name = f"{kept_name}_{suffix}"
+                    assert grads[name].tobytes() == base_grads[name].tobytes(), name
+
+
 class TestBatchComposition:
     vocab = Vocabulary.build([[f"w{i}" for i in range(30)]])
     table = random_table(vocab, 2, 2, seed=0)
