@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: prep, propagate, train, evaluate, bias-report, templates,
-ks-compare. Exit codes: 0 success, 2 input error (a missing input file,
-the checkpoint included), 3 numerical failure, 4 checkpoint/vocabulary
-compatibility error (a corrupt, malformed or version 1 checkpoint, a
-vocabulary that does not match it, or data prepared with another one).
+ks-compare. Exit codes: 0 success, 2 input error (a missing or unreadable
+input file, the checkpoint included), 3 numerical failure, 4
+checkpoint/vocabulary compatibility error (a corrupt, malformed or version 1
+checkpoint, a vocabulary that does not match it, or data prepared with
+another one).
 
 Config file (JSON) for propagate/train. Every key is optional, and every
 accepted key is shown; any other key is refused with exit code 2:
@@ -28,20 +29,26 @@ the per-fold bias metrics; the k-th name labels the k-th identity column, and
 the default is all nine identity column names. Omitted embedding sources fall
 back to seeded random vectors of the configured dimensions.
 
-``prep`` refuses an input with no records or a row whose text has no
-tokens, and propagate, train and evaluate refuse a prepared line with no
-tokens, a token id that is not a non-negative integer, or a ``true_length``
-(older, padded lines) outside [0, len(token_ids)], with exit code 2.
-``train`` refuses a corpus with unannotated identity rows: run ``propagate``
-on it first. ``ks-compare`` refuses a ``run_fold*.json`` that is not a JSON
-object with a ``metrics`` object, or whose metric is missing, null or not a
-finite number, with exit code 2 naming the file. ``bias-report`` refuses a
-predictions file with no rows, or a row whose score is not a finite number
-or whose label is not 0 or 1, with exit code 2 naming the file and row. An
-alpha (``--alpha``, each value of its grid, or ``train.alpha``) outside
-[0, 1] is refused with exit code 2 before any training, and before
-``--out-dir`` is made. A ``--p`` (evaluate, bias-report) that is not a
-finite number is refused with exit code 2 when the arguments are parsed.
+Every line-based input (the corpus, prepared JSONL, the vocabulary,
+embedding text, templates and predictions) is read by ``corpus.read_rows``:
+an error exits 2 with ``<file>: row <n>: <what>``, rows of a CSV file
+numbered by data row and of the others by line, and a byte that is not
+UTF-8 with ``<file>: line <n>: not UTF-8: ...``. ``prep`` refuses an input
+with no records or a row whose text has no tokens; propagate, train and
+evaluate refuse a prepared line with no tokens, a token id that is not a
+non-negative integer, or a ``true_length`` (older, padded lines) outside
+[0, len(token_ids)]; ``bias-report`` refuses a predictions file with no
+rows, a score that is not a finite number or a label that is not 0 or 1;
+an embedding value must be finite. ``train`` refuses a corpus with
+unannotated identity rows: run ``propagate`` on it first. ``ks-compare``
+refuses a ``run_fold*.json`` that is not a JSON object with a ``metrics``
+object, or whose metric is missing, null or not a finite number, naming
+the file. Each of these exits 2. ``--alpha`` and ``--p`` must be finite
+numbers (``--alpha`` may be ``grid:`` and a list of them) when the
+arguments are parsed. An alpha outside [0, 1], a ``batch_size`` below 1, a
+``k_folds`` below 2 or an ``aux_source`` other than "identities" or
+"subtypes" exits 2 before any training; ``--out-dir`` is made where the
+first file is written.
 The MTLTOX_SEED environment variable overrides the default seed wherever
 --seed is not given.
 """
@@ -67,10 +74,11 @@ from mtltox.corpus import (
     binarize_and_weight,
     load_comments,
     load_corpus,
+    read_rows,
     save_comments,
     tokenize,
 )
-from mtltox.embeddings import EmbeddingError, EmbeddingTable, build_table, load_vectors
+from mtltox.embeddings import EmbeddingTable, build_table, load_vectors
 from mtltox.metrics import BiasReport, ScoredExample, bias_report, ks_two_sample
 from mtltox.network import Hyper, NetworkError
 from mtltox.templates import (
@@ -138,7 +146,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
         raise CorpusError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise CorpusError(f"{path}: config must be a JSON object")
@@ -251,18 +259,17 @@ def cmd_propagate(args) -> int:
 def cmd_train(args) -> int:
     config, comments, vocab, table, hyper, cfg = _training_inputs(args)
     subgroups = config.get("subgroups", list(IDENTITY_COLUMNS))
-    grid = None
-    if args.alpha and args.alpha.startswith("grid:"):
-        grid = [float(v) for v in args.alpha[len("grid:") :].split(",")]
+    grid = args.alpha if isinstance(args.alpha, list) else None
+    if grid is not None:
         for alpha in grid:  # TrainConfig refuses an alpha outside [0, 1]
             dataclasses.replace(cfg, alpha=alpha)
-    elif args.alpha:
-        cfg = dataclasses.replace(cfg, alpha=float(args.alpha))
-    out_dir = Path(args.out_dir)  # made once every input has been checked
-    out_dir.mkdir(parents=True, exist_ok=True)
+    elif args.alpha is not None:
+        cfg = dataclasses.replace(cfg, alpha=args.alpha)
+    out_dir = Path(args.out_dir)  # made where the first file is written
 
     if grid is not None:
         chosen, results = grid_search_alpha(comments, table, hyper, cfg, subgroups, grid)
+        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "alpha_grid.json").write_text(
             json.dumps({"chosen_alpha": chosen, "results": results}, indent=2)
         )
@@ -271,6 +278,7 @@ def cmd_train(args) -> int:
 
     def write_fold(params, record, report) -> None:
         fold = record.fold
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(
             out_dir / f"checkpoint_fold{fold}.json",
             params,
@@ -311,35 +319,21 @@ def cmd_evaluate(args) -> int:
 
 
 def _predictions_to_examples(path: Path, subgroups: list[str]) -> list[ScoredExample]:
-    """Scored examples from a predictions file; a score must be finite and a label 0 or 1."""
-    # Rows are numbered as in load_corpus: by line for JSONL, by data row for CSV.
-    try:
-        if path.suffix == ".jsonl":
-            lines = enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-            rows = [(row_num, line) for row_num, line in lines if line.strip()]
-        else:
-            with path.open(newline="", encoding="utf-8") as fh:
-                rows = list(enumerate(csv.DictReader(fh), 1))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise CorpusError(f"{path}: cannot read predictions: {exc}") from exc
-    if not rows:
+    """Scored examples from a CSV or JSONL predictions file; a score must be finite and a label 0 or 1."""
+    def example(_, row) -> ScoredExample:
+        score, label = float(row["score"]), float(row["label"])
+        if not math.isfinite(score):
+            raise ValueError(f"score {row['score']!r} is not a finite number")
+        if label not in (0.0, 1.0):
+            raise ValueError(f"label {row['label']!r} is not 0 or 1")
+        groups = frozenset(
+            name for name in subgroups if row.get(name) not in (None, "") and float(row[name]) >= 0.5
+        )
+        return ScoredExample(score=score, label=int(label), subgroups=groups)
+
+    examples = read_rows(path, "jsonl" if path.suffix == ".jsonl" else "csv", example)
+    if not examples:
         raise CorpusError(f"{path}: no predictions")
-    examples = []
-    for row_num, row in rows:
-        try:
-            if isinstance(row, str):
-                row = json.loads(row)
-            score, label = float(row["score"]), float(row["label"])
-            if not math.isfinite(score):
-                raise ValueError(f"score {row['score']!r} is not a finite number")
-            if label not in (0.0, 1.0):
-                raise ValueError(f"label {row['label']!r} is not 0 or 1")
-            groups = frozenset(
-                name for name in subgroups if row.get(name) not in (None, "") and float(row[name]) >= 0.5
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CorpusError(f"{path}: predictions row {row_num}: {exc}") from exc
-        examples.append(ScoredExample(score=score, label=int(label), subgroups=groups))
     return examples
 
 
@@ -417,6 +411,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _alpha(text: str) -> float | list[float]:
+    """argparse type of ``--alpha``: a finite number, or ``grid:`` and a comma-separated list of them."""
+    if text.startswith("grid:"):
+        return [_finite_float(value) for value in text[len("grid:") :].split(",")]
+    return _finite_float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mtltox", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--config")
-    p.add_argument("--alpha", help="a float, or grid:0.2,0.6,1.0 for a search")
+    p.add_argument("--alpha", type=_alpha, help="a float, or grid:0.2,0.6,1.0 for a search")
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", required=True)
@@ -484,7 +485,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, EmbeddingError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NetworkError as exc:

@@ -13,6 +13,7 @@ import csv
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -100,16 +101,8 @@ def tokenize(text: str) -> list[str]:
 class Vocabulary:
     """Token-to-index map with index 0 reserved for padding, 1 for unknown."""
 
-    def __init__(self, tokens_by_index: dict[str, int] | None = None):
-        self._token_to_index: dict[str, int] = {}
-        if tokens_by_index:
-            for token, index in tokens_by_index.items():
-                if index < 2:
-                    raise CorpusError(f"vocabulary index {index} is reserved")
-                self._token_to_index[token] = index
-            indices = sorted(self._token_to_index.values())
-            if indices != list(range(2, 2 + len(indices))):
-                raise CorpusError("vocabulary indices must be contiguous from 2")
+    def __init__(self, token_to_index: dict[str, int]):
+        self._token_to_index = token_to_index  # indices 2, 3, ... in some order
 
     @classmethod
     def build(cls, token_sequences) -> "Vocabulary":
@@ -125,9 +118,7 @@ class Vocabulary:
                 counts[tok] = counts.get(tok, 0) + 1
                 order.setdefault(tok, len(order))
         ranked = sorted(counts, key=lambda t: (-counts[t], order[t]))
-        vocab = cls()
-        vocab._token_to_index = {tok: 2 + i for i, tok in enumerate(ranked)}
-        return vocab
+        return cls({tok: 2 + i for i, tok in enumerate(ranked)})
 
     def __len__(self) -> int:
         # Includes the two reserved indices.
@@ -156,15 +147,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        mapping: dict[str, int] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line:
-                continue
-            try:
-                tok, idx = line.rsplit("\t", 1)
-                mapping[tok] = int(idx)
-            except ValueError as exc:
-                raise CorpusError(f"{path}: bad vocabulary line {lineno}: {line!r}") from exc
+        """One ``token<TAB>index`` per line, as ``save`` writes them."""
+        def entry(_, line: str) -> tuple[str, int]:
+            tok, tab, idx = line.rpartition("\t")
+            if not tab:
+                raise ValueError(f"expected token<TAB>index: {line!r}")
+            return tok, int(idx)
+
+        mapping = dict(read_rows(path, "lines", entry))
+        if sorted(mapping.values()) != list(range(2, 2 + len(mapping))):
+            raise CorpusError(f"{path}: vocabulary indices must be contiguous from 2, one per token")
         return cls(mapping)
 
     def checksum(self) -> str:
@@ -174,22 +166,64 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self._lines()).encode("utf-8")).hexdigest()
 
 
-def _parse_score(value, row_num: int, name: str) -> float:
+def read_rows(path: str | Path, kind: str, parse: Callable) -> list:
+    """``[parse(n, row) ...]`` over a file's rows: for ``kind`` "csv" a ``DictReader``
+    dict per data row, numbered from 1; for "jsonl" the parsed value, and for
+    "lines" the text without its ending, of each non-blank line, numbered by line.
+
+    Decoding goes a line at a time: a byte that is not UTF-8 raises CorpusError
+    ``<file>: line <n>: ...``; invalid JSON or CSV, or a KeyError, TypeError,
+    ValueError or OverflowError from ``parse``, ``<file>: row <n>: ...`` (a
+    CorpusError keeps its class). A missing file raises FileNotFoundError.
+    """
+    path, line, n, out = Path(path), 0, 0, []
+
+    def decoded(fh):
+        nonlocal line
+        for line, raw in enumerate(fh, 1):
+            yield raw.decode("utf-8")
+
+    with path.open("rb") as fh:
+        if kind == "csv":
+            rows = enumerate(csv.DictReader(decoded(fh)), 1)
+        else:
+            rows = ((k, text.rstrip("\r\n")) for k, text in enumerate(decoded(fh), 1) if text.strip())
+        try:
+            for n, row in rows:
+                out.append(parse(n, json.loads(row) if kind == "jsonl" else row))
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: line {line}: not UTF-8: {exc.reason}, byte {exc.start + 1}") from exc
+        except csv.Error as exc:
+            raise CorpusError(f"{path}: row {n + 1}: invalid CSV: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: row {n}: invalid JSON: {exc}") from exc
+        except KeyError as exc:
+            raise CorpusError(f"{path}: row {n}: missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            error = type(exc) if isinstance(exc, CorpusError) else CorpusError
+            raise error(f"{path}: row {n}: {exc}") from exc
+    return out
+
+
+def _parse_score(value, name: str) -> float:
     try:
         score = float(value)
     except (TypeError, ValueError):
-        raise CorpusError(f"row {row_num}: field {name!r} is not a number: {value!r}")
+        raise CorpusError(f"field {name!r} is not a number: {value!r}")
     if not 0.0 <= score <= 1.0:
-        raise CorpusError(f"row {row_num}: field {name!r} out of [0,1]: {score}")
+        raise CorpusError(f"field {name!r} out of [0,1]: {score}")
     return score
 
 
-def _record_from_mapping(row: dict, row_num: int) -> RawRecord:
-    if "comment_text" not in row or row["comment_text"] is None:
-        raise CorpusError(f"row {row_num}: missing field 'comment_text'")
-    if "target" not in row or row["target"] in (None, ""):
-        raise CorpusError(f"row {row_num}: missing field 'target'")
-    target = _parse_score(row["target"], row_num, "target")
+def _record_from_mapping(row_num: int, row) -> RawRecord:
+    """A corpus row as a RawRecord; its row number is the default id."""
+    if not isinstance(row, dict):
+        raise CorpusError(f"a record must be a JSON object, got {row!r}")
+    if row.get("comment_text") is None:
+        raise CorpusError("missing field 'comment_text'")
+    if row.get("target") in (None, ""):
+        raise CorpusError("missing field 'target'")
+    target = _parse_score(row["target"], "target")
 
     identity_scores: dict[str, float] = {}
     any_identity_column = False
@@ -199,12 +233,12 @@ def _record_from_mapping(row: dict, row_num: int) -> RawRecord:
             value = row[name]
             if value in (None, ""):
                 continue
-            identity_scores[name] = _parse_score(value, row_num, name)
+            identity_scores[name] = _parse_score(value, name)
     subtype_scores: dict[str, float] = {}
     for name in SUBTYPE_COLUMNS:
         value = row.get(name)
         if value not in (None, ""):
-            subtype_scores[name] = _parse_score(value, row_num, name)
+            subtype_scores[name] = _parse_score(value, name)
 
     return RawRecord(
         id=str(row.get("id", row_num)),
@@ -215,41 +249,15 @@ def _record_from_mapping(row: dict, row_num: int) -> RawRecord:
     )
 
 
-def _jsonl_rows(path: Path):
-    """Yield (row number, parsed object) per nonblank line; rows are numbered by line."""
-    for row_num, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            yield row_num, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: row {row_num}: invalid JSON: {exc}") from exc
-
-
 def load_corpus(path: str | Path, schema: str = "csv") -> list[RawRecord]:
     """Parse a CSV or JSONL file into RawRecords.
 
     Identity columns that are absent from the file, or empty in a row, leave
     that record's ``identity_scores`` as None (unannotated), never zero.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"input file not found: {path}")
-
-    records: list[RawRecord] = []
-    if schema == "csv":
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "comment_text" not in reader.fieldnames:
-                raise CorpusError(f"{path}: header must include 'comment_text'")
-            for row_num, row in enumerate(reader, 1):
-                records.append(_record_from_mapping(row, row_num))
-    elif schema == "jsonl":
-        for row_num, row in _jsonl_rows(path):
-            records.append(_record_from_mapping(row, row_num))
-    else:
+    if schema not in ("csv", "jsonl"):
         raise CorpusError(f"unknown schema: {schema!r} (expected 'csv' or 'jsonl')")
-    return records
+    return read_rows(path, schema, _record_from_mapping)
 
 
 def make_comment(
@@ -311,10 +319,10 @@ def comment_from_dict(obj: dict) -> Comment:
     values.update((name, np.array(values[name], dtype=float)) for name in ("identity_labels", "subtype_labels"))
     ids = np.array(values["token_ids"])
     if ids.ndim != 1 or ids.size and (ids.dtype.kind != "i" or ids.min() < 0):
-        raise ValueError("token_ids must be a list of non-negative integers")
+        raise ValueError("bad comment: token_ids must be a list of non-negative integers")
     n = obj.get("true_length", ids.size)
     if type(n) is not int or not 0 <= n <= ids.size:
-        raise ValueError(f"true_length {n!r} is not an integer in [0, {ids.size}]")
+        raise ValueError(f"bad comment: true_length {n!r} is not an integer in [0, {ids.size}]")
     values["token_ids"] = ids[:n].astype(np.int64)
     return Comment(**values)
 
@@ -326,18 +334,16 @@ def save_comments(path: str | Path, comments: list[Comment]) -> None:
             fh.write(json.dumps(comment_to_dict(comment)) + "\n")
 
 
+def _prepared_comment(_, obj) -> Comment:
+    comment = comment_from_dict(obj)
+    if comment.true_length == 0:
+        raise CorpusError(f"comment {comment.id!r} has no tokens")
+    return comment
+
+
 def load_comments(path: str | Path) -> list[Comment]:
-    path = Path(path)
-    comments = []
-    for row_num, obj in _jsonl_rows(path):
-        try:
-            comment = comment_from_dict(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{path}: row {row_num}: bad comment: {exc!r}") from exc
-        if comment.true_length == 0:
-            raise CorpusError(f"{path}: row {row_num}: comment {comment.id!r} has no tokens")
-        comments.append(comment)
-    return comments
+    """The comments of a prepared JSONL file, as ``save_comments`` writes them."""
+    return read_rows(path, "jsonl", _prepared_comment)
 
 
 def make_folds(n: int, k_folds: int = 5, seed: int = 0) -> FoldPlan:

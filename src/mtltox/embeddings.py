@@ -13,14 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from mtltox.corpus import PAD_INDEX, Vocabulary
+from mtltox.corpus import PAD_INDEX, CorpusError, Vocabulary, read_rows
 
 
 # Rows per block when build_table draws the vectors of missing words.
 OOV_BLOCK_ROWS = 1024
 
 
-class EmbeddingError(ValueError):
+class EmbeddingError(CorpusError):
     """Malformed embedding file."""
 
 
@@ -41,33 +41,25 @@ def load_vectors(path: str | Path, dim: int) -> dict[str, np.ndarray]:
     """Parse a text embedding file: one ``word v1 ... v_dim`` per line.
 
     A FastText-style header line (``count dim``) is detected and skipped.
-    Duplicate words keep the last occurrence, with a warning.
+    Every value must be a finite number. Duplicate words keep the last
+    occurrence, with a warning.
     """
-    path = Path(path)
+    def entry(lineno: int, line: str):
+        parts = line.split(" ")
+        if lineno == 1 and len(parts) == 2 and parts[0].isdecimal() and parts[1].isdecimal():
+            return None  # the header
+        if len(parts) != dim + 1:
+            raise EmbeddingError(f"expected {dim + 1} fields, got {len(parts)}")
+        vec = np.array([float(v) for v in parts[1:]])
+        if not np.isfinite(vec).all():
+            raise EmbeddingError(f"vector for {parts[0]!r} is not finite")
+        return lineno, parts[0], vec
+
     vectors: dict[str, np.ndarray] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split(" ")
-            if not line.strip():
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header
-                except ValueError:
-                    pass
-            if len(parts) != dim + 1:
-                raise EmbeddingError(
-                    f"{path}: line {lineno}: expected {dim + 1} fields, got {len(parts)}"
-                )
-            word = parts[0]
-            try:
-                vec = np.array([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}: line {lineno}: bad number: {exc}") from exc
-            if word in vectors:
-                warnings.warn(f"duplicate embedding for {word!r} at line {lineno}; keeping last")
-            vectors[word] = vec
+    for lineno, word, vec in filter(None, read_rows(path, "lines", entry)):
+        if word in vectors:
+            warnings.warn(f"duplicate embedding for {word!r} at line {lineno}; keeping last")
+        vectors[word] = vec
     return vectors
 
 

@@ -71,7 +71,7 @@ def biased_corpus(
         """A comment whose one identity label marks ``identities[idx]``."""
         labels = np.zeros(k)
         labels[idx] = 1.0
-        text = instantiate(template, identities[idx], allowed=identities)
+        text = instantiate(template, identities[idx])
         return make_comment(cid, text, float(toxic), labels, vocab, max_len, c)
 
     def identity_comment(toxic: bool, cid: str) -> Comment:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mtltox.corpus import Vocabulary, make_comment
+from mtltox.corpus import Vocabulary, make_comment, read_rows
 from mtltox.embeddings import EmbeddingTable
 from mtltox.network import ModelParams, predict
 
@@ -70,20 +70,17 @@ class ProbeResult:
 def load_templates(path: str | Path, source: str = "file") -> list[Template]:
     """Read a templates file: one ``polarity<TAB>text`` per line, # comments.
 
-    A malformed line raises ValueError naming ``path:line``.
+    A malformed line raises CorpusError naming the file and the line.
     """
-    templates = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    def template(_, line: str) -> Template | None:
+        if line.startswith("#"):
+            return None
         polarity, tab, text = line.partition("\t")
-        try:
-            if not tab:
-                raise ValueError("expected polarity<TAB>text")
-            templates.append(Template(text=text, polarity=polarity, source=source))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return templates
+        if not tab:
+            raise ValueError("expected polarity<TAB>text")
+        return Template(text=text, polarity=polarity, source=source)
+
+    return list(filter(None, read_rows(path, "lines", template)))
 
 
 def builtin_templates() -> list[Template]:
@@ -93,14 +90,8 @@ def builtin_templates() -> list[Template]:
         return load_templates(path, source="builtin")
 
 
-def instantiate(
-    template: Template,
-    keyword: str,
-    allowed=DEFAULT_IDENTITY_KEYWORDS,
-) -> str:
+def instantiate(template: Template, keyword: str) -> str:
     """Substitute the identity keyword into the template's slot."""
-    if allowed is not None and keyword not in allowed:
-        raise ValueError(f"keyword {keyword!r} not in the configured identity list")
     return template.text.replace(SLOT, keyword)
 
 
@@ -124,7 +115,7 @@ def run_probe(
     unique = list(dict.fromkeys(identities))
     probes = [
         make_comment(
-            f"{identity}:{t.polarity}", instantiate(t, identity, allowed=identities),
+            f"{identity}:{t.polarity}", instantiate(t, identity),
             float(t.polarity == "toxic"), np.ones(1), vocab, max_len, 1.0,
         )
         for identity in unique

@@ -49,6 +49,12 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.k_folds < 2:
+            raise ValueError(f"k_folds must be >= 2, got {self.k_folds}")
+        if self.aux_source not in ("identities", "subtypes"):
+            raise ValueError(f"aux_source must be 'identities' or 'subtypes', got {self.aux_source!r}")
 
 
 @dataclass

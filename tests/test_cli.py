@@ -322,6 +322,39 @@ def test_train_refuses_alpha_outside_unit_interval(workdir, capsys, extra, alpha
     assert not (workdir / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, train, message",
+    [
+        (("--folds", "1"), {}, "k_folds must be >= 2, got 1"),
+        (("--folds", "20"), {}, "need at least 20 records, got 12"),
+        ((), {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ((), {"aux_source": "subtype"}, "aux_source must be 'identities' or 'subtypes', got 'subtype'"),
+        (("--alpha", "grid:0.4,0.8", "--folds", "20"), {}, "need at least 20 records, got 12"),
+    ],
+    ids=["one-fold", "more-folds-than-comments", "batch-size-0", "aux-source", "grid-more-folds"],
+)
+def test_train_refuses_a_bad_setting_without_making_out_dir(workdir, capsys, extra, train, message):
+    assert run_prep(workdir) == 0
+    (workdir / "config.json").write_text(json.dumps({**CONFIG, "train": {**CONFIG["train"], **train}}))
+    capsys.readouterr()
+    assert run_train(workdir, extra=extra) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize("value, bad", [("abc", "'abc'"), ("grid:0.5,abc", "'abc'"), ("grid:", "''")])
+def test_alpha_that_is_not_a_number_refused_when_parsed(tmp_path, capsys, value, bad):
+    # The data and vocabulary do not exist: the value is refused before any input is read.
+    argv = ["train", "--data", str(tmp_path / "d.jsonl"), "--vocab", str(tmp_path / "v.tsv")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--alpha={value}", "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --alpha: not a finite number: {bad}" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["evaluate", "bias-report"])
 def test_non_finite_p_refused_when_parsed(tmp_path, capsys, command, value):
@@ -598,14 +631,17 @@ class TestBiasReportCommand:
         assert report["subgroups"]["male"]["subgroup_auc"] == 1.0
 
     @pytest.mark.parametrize(
-        "name, text, row",
+        "name, text, row, cause",
         [
-            ("preds.jsonl", '{"score": 0.9, "label": 1}\n\n{"score": 0.2, label: 0}\n', 3),
-            ("preds.csv", "id,score,label,male\n1,0.9,1,0.0\n2,0.2,0,yes\n", 2),
+            ("preds.jsonl", '{"score": 0.9, "label": 1}\n\n{"score": 0.2, label: 0}\n', 3, "invalid JSON"),
+            (
+                "preds.csv", "id,score,label,male\n1,0.9,1,0.0\n2,0.2,0,yes\n", 2,
+                "could not convert string to float: 'yes'",
+            ),
         ],
         ids=["bad-json", "non-numeric-subgroup"],
     )
-    def test_bad_row_named_exit_2(self, tmp_path, capsys, name, text, row):
+    def test_bad_row_named_exit_2(self, tmp_path, capsys, name, text, row, cause):
         pred = tmp_path / name
         pred.write_text(text)
         code = main(
@@ -617,18 +653,18 @@ class TestBiasReportCommand:
             ]
         )
         assert code == 2
-        assert f"predictions row {row}:" in capsys.readouterr().err
+        assert f"{pred}: row {row}: {cause}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, text, message",
         [
-            ("preds.csv", "score,label\n0.9,1\nnan,0\n", "predictions row 2: score 'nan' is not a finite number"),
-            ("preds.csv", "score,label\n0.9,1\n-inf,0\n", "predictions row 2: score '-inf' is not a finite"),
-            ("preds.jsonl", '{"score": NaN, "label": 1}\n', "predictions row 1: score nan is not a finite"),
-            ("preds.csv", "score,label\n0.9,1\n0.2,2\n", "predictions row 2: label '2' is not 0 or 1"),
-            ("preds.csv", "score,label\n0.9,0.7\n", "predictions row 1: label '0.7' is not 0 or 1"),
-            ("preds.csv", "score,label\n0.9,nan\n", "predictions row 1: label 'nan' is not 0 or 1"),
-            ("preds.csv", "label,male\n1,0.0\n", "predictions row 1: 'score'"),
+            ("preds.csv", "score,label\n0.9,1\nnan,0\n", "row 2: score 'nan' is not a finite number"),
+            ("preds.csv", "score,label\n0.9,1\n-inf,0\n", "row 2: score '-inf' is not a finite"),
+            ("preds.jsonl", '{"score": NaN, "label": 1}\n', "row 1: score nan is not a finite"),
+            ("preds.csv", "score,label\n0.9,1\n0.2,2\n", "row 2: label '2' is not 0 or 1"),
+            ("preds.csv", "score,label\n0.9,0.7\n", "row 1: label '0.7' is not 0 or 1"),
+            ("preds.csv", "score,label\n0.9,nan\n", "row 1: label 'nan' is not 0 or 1"),
+            ("preds.csv", "label,male\n1,0.0\n", "row 1: missing field 'score'"),
             ("preds.csv", "score,label\n", "no predictions"),
             ("preds.csv", "", "no predictions"),
             ("preds.jsonl", "\n\n", "no predictions"),
@@ -720,9 +756,14 @@ class TestTemplatesCommand:
         assert all(len(v["nontoxic_scores"]) == 7 for v in payload.values())
 
     @pytest.mark.parametrize(
-        "bad_line", ["toxic I hate <Identity>", "neutral\tI am <Identity>"], ids=["no-tab", "bad-polarity"]
+        "bad_line, cause",
+        [
+            ("toxic I hate <Identity>", "expected polarity<TAB>text"),
+            ("neutral\tI am <Identity>", "bad polarity: 'neutral'"),
+        ],
+        ids=["no-tab", "bad-polarity"],
     )
-    def test_bad_templates_file_line_named_exit_2(self, workdir, capsys, bad_line):
+    def test_bad_templates_file_line_named_exit_2(self, workdir, capsys, bad_line, cause):
         TestTrainEvaluate().train(workdir)
         templates_file = workdir / "extra.tsv"
         templates_file.write_text(f"# extra probes\ntoxic\tI hate <Identity>\n{bad_line}\n")
@@ -735,7 +776,7 @@ class TestTemplatesCommand:
             ]
         )
         assert code == 2
-        assert f"{templates_file}:3:" in capsys.readouterr().err
+        assert f"{templates_file}: row 3: {cause}" in capsys.readouterr().err
 
 
 class TestKsCompare:

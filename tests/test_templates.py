@@ -38,14 +38,6 @@ class TestInstantiate:
     def test_substitution(self):
         assert instantiate(Template("I am <Identity>", "nontoxic"), "gay") == "I am gay"
 
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(ValueError, match="martian"):
-            instantiate(Template("I am <Identity>", "nontoxic"), "martian")
-
-    def test_keyword_list_override(self):
-        text = instantiate(Template("I am <Identity>", "nontoxic"), "martian", allowed=("martian",))
-        assert text == "I am martian"
-
     def test_keyword_appears_exactly_once(self):
         for template in builtin_templates():
             out = instantiate(template, "muslim")
