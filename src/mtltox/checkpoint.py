@@ -20,13 +20,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from mtltox.embeddings import EmbeddingTable
-from mtltox.network import Hyper, ModelParams
+from mtltox.network import Hyper, ModelParams, param_shapes
 
 FORMAT_VERSION = 2
 DTYPE = "<f8"
@@ -35,7 +36,9 @@ EMBEDDING = "embedding"  # the embedding matrix's name in the header's "tensors"
 HEADER_TYPES = dict(
     version=int, hyper=dict, vocab_checksum=str, embedding=dict, meta=dict, tensors=dict, payload_bytes=int, sha256=str
 )
-HYPER_FIELDS = sorted(f.name for f in fields(Hyper))
+# The JSON types each Hyper field's value may have; a bool is not a number.
+HYPER_TYPES = {name: {int: (int,), float: (int, float), bool: (bool,)}[t] for name, t in get_type_hints(Hyper).items()}
+HYPER_FIELDS = sorted(HYPER_TYPES)
 HEADER_LIMIT = 1 << 20  # bytes; a longer first line is not a version 2 header
 VERSION_1 = "checkpoint version 1; re-run `mtltox train`"
 
@@ -121,6 +124,21 @@ def _check_header(path, header, payload_size: int) -> None:
         raise CheckpointError(f"{path}: 'payload_bytes' must be {offset}, the bytes its tensors take")
     if payload_size != offset:
         raise CheckpointError(f"{path}: payload holds {payload_size} bytes, the header declares {offset}")
+    hyper, width = header["hyper"], header["embedding"]["dim1"] + header["embedding"]["dim2"]
+    wrong = [key for key, kinds in HYPER_TYPES.items() if type(hyper[key]) not in kinds]
+    if wrong:
+        raise CheckpointError(f"{path}: 'hyper' mistypes {', '.join(wrong)}")
+    if hyper["embed_dim"] != width:
+        raise CheckpointError(f"{path}: 'hyper' embed_dim is {hyper['embed_dim']}, not dim1 + dim2 = {width}")
+    shapes = {name: entry["shape"] for name, entry in header["tensors"].items()}
+    if len(shapes[EMBEDDING]) != 2 or shapes[EMBEDDING][1] != width:
+        raise CheckpointError(f"{path}: tensor '{EMBEDDING}' has shape {shapes[EMBEDDING]}, not [rows, {width}]")
+    del shapes[EMBEDDING]
+    expected = {name: list(shape) for name, shape in param_shapes(Hyper(**hyper)).items()}
+    if shapes != expected:
+        diff = [f"'{name}' {shapes.get(name)} (the model's {expected.get(name)})"
+                for name in sorted(shapes.keys() | expected.keys()) if shapes.get(name) != expected.get(name)]
+        raise CheckpointError(f"{path}: tensors do not fit 'hyper': {'; '.join(diff)}")
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str, dict]:

@@ -4,8 +4,16 @@ Subcommands: prep, propagate, train, evaluate, bias-report, templates,
 ks-compare. Exit codes: 0 success, 2 input error (a missing or unreadable
 input file, the checkpoint included), 3 numerical failure, 4
 checkpoint/vocabulary compatibility error (a corrupt, malformed or version 1
-checkpoint, a vocabulary that does not match it, or data prepared with
-another one).
+checkpoint, one whose tensors do not fit its ``hyper``, a vocabulary that
+does not match it, or data prepared with another one).
+
+``train`` writes ``checkpoint_fold<k>.json`` and ``run_fold<k>.json`` per
+fold; a run record's ``metrics`` is its validation split's
+``BiasReport.to_dict()``. With ``--alpha grid:...`` it first writes
+``alpha_grid.json``: ``chosen_alpha`` and, in ``results``, one run record
+per grid point. ``evaluate`` and ``bias-report`` write
+``BiasReport.to_dict()`` to ``--out`` and stdout, and its subgroup table as
+CSV beside ``--out``.
 
 Config file (JSON) for propagate/train. Every key is optional, and every
 accepted key is shown; any other key is refused with exit code 2:
@@ -37,9 +45,11 @@ UTF-8 with ``<file>: line <n>: not UTF-8: ...``. ``prep`` refuses an input
 with no records or a row whose text has no tokens; propagate, train and
 evaluate refuse a prepared line with no tokens, a token id that is not a
 non-negative integer, or a ``true_length`` (older, padded lines) outside
-[0, len(token_ids)]; ``bias-report`` refuses a predictions file with no
-rows, a score that is not a finite number or a label that is not 0 or 1;
-an embedding value must be finite. ``train`` refuses a corpus with
+[0, len(token_ids)]; ``propagate`` refuses a corpus weighted with a ``c``
+other than ``train.c``; ``bias-report`` reads a ``.jsonl`` file (in any
+letter case) as JSONL and refuses a predictions file with no rows, a score
+that is not a finite number or a label that is not 0 or 1; an embedding
+value must be finite. ``train`` refuses a corpus with
 unannotated identity rows: run ``propagate`` on it first. ``ks-compare``
 refuses a ``run_fold*.json`` that is not a JSON object with a ``metrics``
 object, or whose metric is missing, null or not a finite number, naming
@@ -259,25 +269,19 @@ def cmd_propagate(args) -> int:
 def cmd_train(args) -> int:
     config, comments, vocab, table, hyper, cfg = _training_inputs(args)
     subgroups = config.get("subgroups", list(IDENTITY_COLUMNS))
-    grid = args.alpha if isinstance(args.alpha, list) else None
-    if grid is not None:
-        for alpha in grid:  # TrainConfig refuses an alpha outside [0, 1]
-            dataclasses.replace(cfg, alpha=alpha)
-    elif args.alpha is not None:
-        cfg = dataclasses.replace(cfg, alpha=args.alpha)
     out_dir = Path(args.out_dir)  # made where the first file is written
-
-    if grid is not None:
-        chosen, results = grid_search_alpha(comments, table, hyper, cfg, subgroups, grid)
+    if isinstance(args.alpha, list):  # grid_search_alpha refuses a bad alpha before any training
+        chosen, records = grid_search_alpha(comments, table, hyper, cfg, subgroups, args.alpha)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "alpha_grid.json").write_text(
-            json.dumps({"chosen_alpha": chosen, "results": results}, indent=2)
-        )
+        results = [record.to_dict() for record in records]
+        (out_dir / "alpha_grid.json").write_text(json.dumps({"chosen_alpha": chosen, "results": results}, indent=2))
         print(f"alpha grid search: chose alpha={chosen}")
         cfg = dataclasses.replace(cfg, alpha=chosen)
+    elif args.alpha is not None:
+        cfg = dataclasses.replace(cfg, alpha=args.alpha)
 
-    def write_fold(params, record, report) -> None:
-        fold = record.fold
+    def write_fold(params, record) -> None:
+        fold, metrics = record.fold, record.metrics
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(
             out_dir / f"checkpoint_fold{fold}.json",
@@ -288,20 +292,24 @@ def cmd_train(args) -> int:
         )
         (out_dir / f"run_fold{fold}.json").write_text(json.dumps(record.to_dict(), indent=2))
         print(
-            f"fold {fold}: val AUC={report.overall_auc}, F1={report.f1:.4f}, "
-            f"GMB AUC={report.generalized_mean_bias_auc}"
+            f"fold {fold}: val AUC={metrics['overall_auc']}, F1={metrics['f1']:.4f}, "
+            f"GMB AUC={metrics['generalized_mean_bias_auc']}"
         )
 
     run_experiment(comments, table, hyper, cfg, subgroups, on_fold=write_fold)
     return 0
 
 
-def _report_to_csv(report: BiasReport, path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
+def _write_report(report: BiasReport, out: Path) -> None:
+    """The report as JSON to ``out`` and stdout, and its subgroup table as CSV beside ``out``."""
+    text = json.dumps(report.to_dict(), indent=2)
+    out.write_text(text)
+    with out.with_suffix(".csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subgroup", "subgroup_auc", "bpsn_auc", "n_pos", "n_neg"])
         for name, stats in report.subgroups.items():
             writer.writerow([name, stats.subgroup_auc, stats.bpsn_auc, stats.n_pos, stats.n_neg])
+    print(text)
 
 
 def cmd_evaluate(args) -> int:
@@ -309,12 +317,7 @@ def cmd_evaluate(args) -> int:
     comments = load_comments(args.data)
     _check_token_ids(args.data, comments, table)
     subgroups = [s for s in args.subgroups.split(",") if s] if args.subgroups else []
-    report = evaluate_model(params, table, comments, subgroups, args.p)
-    payload = {"p": args.p, "report": report.to_dict()}
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2))
-    _report_to_csv(report, out.with_suffix(".csv"))
-    print(json.dumps(payload["report"], indent=2))
+    _write_report(evaluate_model(params, table, comments, subgroups, args.p), Path(args.out))
     return 0
 
 
@@ -331,7 +334,7 @@ def _predictions_to_examples(path: Path, subgroups: list[str]) -> list[ScoredExa
         )
         return ScoredExample(score=score, label=int(label), subgroups=groups)
 
-    examples = read_rows(path, "jsonl" if path.suffix == ".jsonl" else "csv", example)
+    examples = read_rows(path, "jsonl" if path.suffix.lower() == ".jsonl" else "csv", example)
     if not examples:
         raise CorpusError(f"{path}: no predictions")
     return examples
@@ -340,11 +343,7 @@ def _predictions_to_examples(path: Path, subgroups: list[str]) -> list[ScoredExa
 def cmd_bias_report(args) -> int:
     subgroups = [s for s in args.subgroups.split(",") if s] if args.subgroups else list(IDENTITY_COLUMNS)
     examples = _predictions_to_examples(Path(args.predictions), subgroups)
-    report = bias_report(examples, subgroups, p=args.p)
-    out = Path(args.out)
-    out.write_text(json.dumps(report.to_dict(), indent=2))
-    _report_to_csv(report, out.with_suffix(".csv"))
-    print(json.dumps(report.to_dict(), indent=2))
+    _write_report(bias_report(examples, subgroups, p=args.p), Path(args.out))
     return 0
 
 

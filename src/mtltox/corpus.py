@@ -206,6 +206,8 @@ def read_rows(path: str | Path, kind: str, parse: Callable) -> list:
 
 
 def _parse_score(value, name: str) -> float:
+    if isinstance(value, bool):  # a JSON true or false, which float() would read as 1 or 0
+        raise CorpusError(f"field {name!r} is not a number: {value!r}")
     try:
         score = float(value)
     except (TypeError, ValueError):
@@ -221,6 +223,8 @@ def _record_from_mapping(row_num: int, row) -> RawRecord:
         raise CorpusError(f"a record must be a JSON object, got {row!r}")
     if row.get("comment_text") is None:
         raise CorpusError("missing field 'comment_text'")
+    if not isinstance(row["comment_text"], str):
+        raise CorpusError(f"field 'comment_text' is not a string: {row['comment_text']!r}")
     if row.get("target") in (None, ""):
         raise CorpusError("missing field 'target'")
     target = _parse_score(row["target"], "target")
@@ -242,7 +246,7 @@ def _record_from_mapping(row_num: int, row) -> RawRecord:
 
     return RawRecord(
         id=str(row.get("id", row_num)),
-        comment_text=str(row["comment_text"]),
+        comment_text=row["comment_text"],
         target=target,
         identity_scores=identity_scores if (any_identity_column and identity_scores) else None,
         subtype_scores=subtype_scores,

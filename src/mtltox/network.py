@@ -113,50 +113,45 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape)
-
-
-def param_names(hyper: Hyper) -> list[str]:
-    names = []
-    for layer in (0, 1):
-        for direction in ("fwd", "bwd"):
-            prefix = f"lstm{layer}_{direction}"
-            names += [f"{prefix}_Wx", f"{prefix}_Wh", f"{prefix}_b"]
-    if hyper.attention:
-        names.append("attn_w")
-    names += ["dense1_W", "dense1_b", "dense2_W", "dense2_b", "head_tox_w", "head_tox_b"]
-    if hyper.n_aux > 0:
-        names += ["head_aux_W", "head_aux_b"]
-    return names
-
-
-def init_params(hyper: Hyper, seed: int = 0) -> ModelParams:
-    """Fan-based uniform init; biases zero except the LSTM forget gate at 1."""
-    rng = np.random.default_rng(seed)
+def param_shapes(hyper: Hyper) -> dict[str, tuple[int, ...]]:
+    """Every learnable tensor's name and shape, in the order init draws them and checkpoints store them."""
     h = hyper.hidden
-    tensors: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     for layer in (0, 1):
         in_dim = hyper.embed_dim if layer == 0 else 2 * h
         for direction in ("fwd", "bwd"):
             prefix = f"lstm{layer}_{direction}"
-            tensors[f"{prefix}_Wx"] = _glorot(rng, in_dim, 4 * h, (in_dim, 4 * h))
-            tensors[f"{prefix}_Wh"] = _glorot(rng, h, 4 * h, (h, 4 * h))
-            b = np.zeros(4 * h)
-            b[h : 2 * h] = 1.0  # forget-gate bias
-            tensors[f"{prefix}_b"] = b
+            shapes |= {f"{prefix}_Wx": (in_dim, 4 * h), f"{prefix}_Wh": (h, 4 * h), f"{prefix}_b": (4 * h,)}
     if hyper.attention:
-        tensors["attn_w"] = _glorot(rng, 2 * h, 1, (2 * h,))
-    tensors["dense1_W"] = _glorot(rng, 2 * h, hyper.dense1, (2 * h, hyper.dense1))
-    tensors["dense1_b"] = np.zeros(hyper.dense1)
-    tensors["dense2_W"] = _glorot(rng, hyper.dense1, hyper.dense2, (hyper.dense1, hyper.dense2))
-    tensors["dense2_b"] = np.zeros(hyper.dense2)
-    tensors["head_tox_w"] = _glorot(rng, hyper.dense2, 1, (hyper.dense2,))
-    tensors["head_tox_b"] = np.zeros(1)
+        shapes["attn_w"] = (2 * h,)
+    shapes |= {
+        "dense1_W": (2 * h, hyper.dense1),
+        "dense1_b": (hyper.dense1,),
+        "dense2_W": (hyper.dense1, hyper.dense2),
+        "dense2_b": (hyper.dense2,),
+        "head_tox_w": (hyper.dense2,),
+        "head_tox_b": (1,),
+    }
     if hyper.n_aux > 0:
-        tensors["head_aux_W"] = _glorot(rng, hyper.dense2, hyper.n_aux, (hyper.dense2, hyper.n_aux))
-        tensors["head_aux_b"] = np.zeros(hyper.n_aux)
+        shapes |= {"head_aux_W": (hyper.dense2, hyper.n_aux), "head_aux_b": (hyper.n_aux,)}
+    return shapes
+
+
+def init_params(hyper: Hyper, seed: int = 0) -> ModelParams:
+    """Glorot uniform weights (a vector is one output column), drawn in ``param_shapes`` order;
+    biases zero except the LSTM forget gate at 1."""
+    rng = np.random.default_rng(seed)
+    h = hyper.hidden
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(hyper).items():
+        if name.endswith("_b"):
+            tensors[name] = np.zeros(shape)
+            if name.startswith("lstm"):
+                tensors[name][h : 2 * h] = 1.0  # forget-gate bias
+        else:
+            fan_in, fan_out = shape if len(shape) == 2 else (shape[0], 1)
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            tensors[name] = rng.uniform(-limit, limit, shape)
     return ModelParams(hyper=hyper, tensors=tensors)
 
 

@@ -39,7 +39,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     alpha: float = 0.6
-    c: float = 3.0
+    c: float = 3.0  # read only by propagate_identities; training reads each comment's beta
     grad_clip_norm: float | None = 5.0
     patience: int = 5
     k_folds: int = 5
@@ -254,6 +254,20 @@ def evaluate_model(
     return bias_report(examples, names, p=power)
 
 
+def _fit(
+    train_set: list[Comment],
+    val_set: list[Comment],
+    table: EmbeddingTable,
+    hyper: Hyper,
+    cfg: TrainConfig,
+    subgroup_names,
+) -> tuple[ModelParams, RunRecord]:
+    """``train_fold``, then the record's metrics: the validation split's ``BiasReport.to_dict()``."""
+    params, record = train_fold(train_set, val_set, table, hyper, cfg)
+    record.metrics = evaluate_model(params, table, val_set, subgroup_names, cfg.power).to_dict()
+    return params, record
+
+
 def grid_search_alpha(
     comments: list[Comment],
     table: EmbeddingTable,
@@ -261,37 +275,24 @@ def grid_search_alpha(
     cfg: TrainConfig,
     subgroup_names,
     grid,
-) -> tuple[float, list[dict]]:
+) -> tuple[float, list[RunRecord]]:
     """Train one model per alpha on a fixed fold and pick the best.
 
-    Selection maximizes the validation Generalized Mean Bias AUC (undefined
-    counts as worst); exact ties go to the larger alpha.
+    Returns the chosen alpha and one record per grid point. Selection
+    maximizes the validation Generalized Mean Bias AUC (undefined counts as
+    worst); exact ties go to the larger alpha.
     """
     run_cfgs = [replace(cfg, alpha=alpha) for alpha in grid]  # every alpha is checked before the first run
     if not run_cfgs:
         raise ValueError("alpha grid must be nonempty")
     train_set, val_set = _split(comments, make_folds(len(comments), cfg.k_folds, cfg.seed).folds[0])
+    records = [_fit(train_set, val_set, table, hyper, run_cfg, subgroup_names)[1] for run_cfg in run_cfgs]
 
-    results = []
-    for run_cfg in run_cfgs:
-        params, _ = train_fold(train_set, val_set, table, hyper, run_cfg)
-        report = evaluate_model(params, table, val_set, subgroup_names, cfg.power)
-        results.append(
-            {
-                "alpha": run_cfg.alpha,
-                "generalized_mean_bias_auc": report.generalized_mean_bias_auc,
-                "overall_auc": report.overall_auc,
-                "f1": report.f1,
-            }
-        )
-    best = max(
-        results,
-        key=lambda r: (
-            -np.inf if r["generalized_mean_bias_auc"] is None else r["generalized_mean_bias_auc"],
-            r["alpha"],
-        ),
-    )
-    return best["alpha"], results
+    def rank(record: RunRecord) -> tuple[float, float]:
+        gmb = record.metrics["generalized_mean_bias_auc"]
+        return -np.inf if gmb is None else gmb, record.alpha
+
+    return max(records, key=rank).alpha, records
 
 
 def propagate_identities(
@@ -306,7 +307,8 @@ def propagate_identities(
     layer, alpha=0 so only the K identity heads learn, uniform example
     weights) on the annotated subset, then scores the rest. Annotated
     comments pass through untouched; filled ones are flagged ``propagated``
-    and reweighted.
+    and reweighted with ``cfg.c``, which must be the weight the corpus's
+    other comments carry.
     """
     annotated = [c for c in comments if not c.needs_propagation]
     unannotated = [c for c in comments if c.needs_propagation]
@@ -316,6 +318,12 @@ def propagate_identities(
         raise ValueError("cannot propagate identities: no annotated comments")
     if hyper.n_aux == 0:
         raise ValueError("identity propagation needs auxiliary heads (n_aux > 0)")
+    other = sorted({c.beta for c in comments if c.beta != 1.0} - {cfg.c})
+    if other:
+        raise ValueError(
+            f"comments are weighted with beta {', '.join(map(str, other))} but c is {cfg.c}: "
+            "set train.c to the --c the corpus was prepared with"
+        )
 
     prop_hyper = replace(hyper, attention=False)
     prop_cfg = replace(cfg, alpha=0.0)
@@ -342,58 +350,27 @@ def propagate_identities(
     return out
 
 
-@dataclass
-class ExperimentResult:
-    records: list[RunRecord]
-    reports: list[BiasReport]
-    aggregate: dict
-
-
 def run_experiment(
     comments: list[Comment],
     table: EmbeddingTable,
     hyper: Hyper,
     cfg: TrainConfig,
     subgroup_names,
-    on_fold: Callable[[ModelParams, RunRecord, BiasReport], None] | None = None,
-) -> ExperimentResult:
-    """K folds -> train -> evaluate -> aggregate.
+    on_fold: Callable[[ModelParams, RunRecord], None] | None = None,
+) -> list[RunRecord]:
+    """K folds, each trained and scored on its validation split; one record per fold.
 
-    Per-fold metric values are retained (not just means) so two experiments
-    can be compared with the KS test. ``on_fold(params, record, report)`` is
-    called once per fold, after the record's fold and metrics are set. The
-    corpus must be fully annotated (see ``propagate_identities``).
+    Two experiments' per-fold metric values can be compared with the KS
+    test. ``on_fold(params, record)`` is called once per fold, after the
+    record's fold and metrics are set. The corpus must be fully annotated
+    (see ``propagate_identities``).
     """
     records: list[RunRecord] = []
-    reports: list[BiasReport] = []
     for fold, indices in enumerate(make_folds(len(comments), cfg.k_folds, cfg.seed).folds):
         train_set, val_set = _split(comments, indices)
-        params, record = train_fold(train_set, val_set, table, hyper, replace(cfg, seed=cfg.seed + fold))
-        report = evaluate_model(params, table, val_set, subgroup_names, cfg.power)
+        params, record = _fit(train_set, val_set, table, hyper, replace(cfg, seed=cfg.seed + fold), subgroup_names)
         record.fold = fold
-        record.metrics = {
-            "overall_auc": report.overall_auc,
-            "precision": report.precision,
-            "recall": report.recall,
-            "f1": report.f1,
-            "generalized_mean_bias_auc": report.generalized_mean_bias_auc,
-            "bpsn_auc": {name: s.bpsn_auc for name, s in report.subgroups.items()},
-            "subgroup_auc": {name: s.subgroup_auc for name, s in report.subgroups.items()},
-        }
         if on_fold is not None:
-            on_fold(params, record, report)
+            on_fold(params, record)
         records.append(record)
-        reports.append(report)
-
-    def _mean(values):
-        defined = [v for v in values if v is not None]
-        return float(np.mean(defined)) if defined else None
-
-    aggregate = {
-        "overall_auc": _mean([r.overall_auc for r in reports]),
-        "f1": _mean([r.f1 for r in reports]),
-        "generalized_mean_bias_auc": _mean([r.generalized_mean_bias_auc for r in reports]),
-        "per_fold_auc": [r.overall_auc for r in reports],
-        "per_fold_f1": [r.f1 for r in reports],
-    }
-    return ExperimentResult(records=records, reports=reports, aggregate=aggregate)
+    return records

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from mtltox.cli import main
 from mtltox.corpus import IDENTITY_COLUMNS
+from mtltox.metrics import ScoredExample, SubgroupStats, bias_report
 
 
 CONFIG = {
@@ -151,9 +153,9 @@ class TestTrainEvaluate:
             ]
         )
         assert code == 0
-        payload = json.loads((workdir / "report.json").read_text())
-        assert payload["p"] == -5
-        assert set(payload["report"]["subgroups"]) == set(IDENTITY_COLUMNS)
+        report = json.loads((workdir / "report.json").read_text())
+        assert report["power"] == -5
+        assert set(report["subgroups"]) == set(IDENTITY_COLUMNS)
         csv_text = (workdir / "report.csv").read_text()
         assert csv_text.startswith("subgroup,")
 
@@ -173,13 +175,18 @@ class TestTrainEvaluate:
         assert code == 4
 
 
-@pytest.mark.parametrize("extra", [(), ("--alpha", "grid:0.4,0.8")], ids=["plain", "alpha-grid"])
-def test_train_refuses_unannotated_rows_until_propagated(workdir, capsys, extra):
+def unannotate_rows(workdir):
+    """Empty the identity cells of three rows of the fixture corpus."""
     lines = (workdir / "corpus.csv").read_text().splitlines()
     for i in (2, 5, 8):
         id_, text, target = lines[i].split(",")[:3]
         lines[i] = ",".join([id_, text, target] + [""] * len(IDENTITY_COLUMNS))
     (workdir / "corpus.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("extra", [(), ("--alpha", "grid:0.4,0.8")], ids=["plain", "alpha-grid"])
+def test_train_refuses_unannotated_rows_until_propagated(workdir, capsys, extra):
+    unannotate_rows(workdir)
     assert run_prep(workdir) == 0
     assert "needing identity propagation: 3" in capsys.readouterr().out
 
@@ -233,6 +240,17 @@ def run_propagate(workdir):
             "--out", str(workdir / "filled.jsonl"),
         ]
     )
+
+
+def test_propagate_refuses_a_c_other_than_the_corpus_weights(workdir, capsys):
+    unannotate_rows(workdir)
+    corpus, vocab, data = (str(workdir / name) for name in ("corpus.csv", "vocab.tsv", "data.jsonl"))
+    assert main(["prep", "--input", corpus, "--vocab-out", vocab, "--max-len", "12", "--c", "5", "--out", data]) == 0
+    capsys.readouterr()
+    assert run_propagate(workdir) == 2  # the config leaves train.c at its default, 3.0
+    err = capsys.readouterr().err
+    assert "beta 5.0 but c is 3.0" in err and "Traceback" not in err
+    assert not (workdir / "filled.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -549,17 +567,51 @@ def run_on_checkpoint(workdir, command, checkpoint):
     return main([command, *args])
 
 
+def _edit_header(edit):
+    """A corruption that rewrites the header line and keeps the payload, whose hash stays valid."""
+    def corrupt(data):
+        line, payload = data.split(b"\n", 1)
+        return json.dumps(edit(json.loads(line))).encode() + b"\n" + payload
+    return corrupt
+
+
+def _with_hyper(**change):
+    return _edit_header(lambda h: h | {"hyper": h["hyper"] | change})
+
+
+def _renamed_tensor(h):
+    return h | {"tensors": {"dense1_bias" if name == "dense1_b" else name: e for name, e in h["tensors"].items()}}
+
+
+def _embedding_shape(h):
+    rows = h["tensors"]["embedding"]["shape"][0]
+    return h | {"tensors": h["tensors"] | {"embedding": {"shape": [2 * rows, 3], "offset": 0}}}
+
+
+# Each corruption of the fixture's checkpoint and a part of the error it gives. The
+# header edits describe a model other than the fixture's (hidden 3, dense 4, n_aux 9,
+# embedding 3 + 3) without touching the payload.
 CORRUPTIONS = {
-    "truncated": lambda data: data[:-1],
-    "flipped-payload-byte": lambda data: data[:-5] + bytes([data[-5] ^ 0x01]) + data[-4:],
-    "byte-appended": lambda data: data + b"\0",
-    "version-1": lambda data: b'{"version": 1}',
+    "truncated": (lambda data: data[:-1], "payload holds"),
+    "flipped-payload-byte": (
+        lambda data: data[:-5] + bytes([data[-5] ^ 0x01]) + data[-4:], "payload SHA-256 does not match"
+    ),
+    "byte-appended": (lambda data: data + b"\0", "payload holds"),
+    "version-1": (lambda data: b'{"version": 1}', "re-run"),
+    "renamed-tensor": (
+        _edit_header(_renamed_tensor), "'dense1_b' None (the model's [4]); 'dense1_bias' [4] (the model's None)"
+    ),
+    "hidden-4": (_with_hyper(hidden=4), "'lstm0_fwd_Wh' [3, 12] (the model's [4, 16])"),
+    "n_aux-3": (_with_hyper(n_aux=3), "'head_aux_W' [4, 9] (the model's [4, 3])"),
+    "hidden-string": (_with_hyper(hidden="x"), "'hyper' mistypes hidden"),
+    "embed_dim-7": (_with_hyper(embed_dim=7), "'hyper' embed_dim is 7, not dim1 + dim2 = 6"),
+    "embedding-shape": (_edit_header(_embedding_shape), "tensor 'embedding' has shape [40, 3], not [rows, 6]"),
 }
 
 
 @pytest.mark.parametrize("command", ["evaluate", "templates"])
-@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
-def test_corrupt_checkpoint_exit_4(workdir, capsys, command, corrupt):
+@pytest.mark.parametrize("corrupt, message", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_corrupt_checkpoint_exit_4(workdir, capsys, command, corrupt, message):
     assert run_prep(workdir) == 0
     assert run_train(workdir) == 0
     bad = workdir / "bad.json"
@@ -567,9 +619,7 @@ def test_corrupt_checkpoint_exit_4(workdir, capsys, command, corrupt):
     capsys.readouterr()
     assert run_on_checkpoint(workdir, command, bad) == 4
     err = capsys.readouterr().err
-    assert str(bad) in err and "Traceback" not in err
-    if corrupt is CORRUPTIONS["version-1"]:
-        assert "re-run" in err
+    assert f"{bad}: " in err and message in err and "Traceback" not in err, err
     assert not (workdir / "out.json").exists()
 
 
@@ -605,6 +655,32 @@ def test_cli_docstring_config_example_is_accepted(tmp_path):
     # The example shows every accepted key, so it cannot fall behind the code either.
     sections = {section: set(types) for section, types in cli.CONFIG_TYPES.items()}
     assert {section: set(config[section]) for section in sections} == sections
+
+
+def test_every_stored_report_has_the_keys_of_a_bias_report(workdir):
+    """run_fold*.json's metrics, each alpha_grid.json result's metrics, and the
+    files evaluate and bias-report write all hold BiasReport.to_dict()."""
+    assert run_prep(workdir) == 0
+    assert run_train(workdir, out_dir="trained") == 0
+    assert run_train(workdir, out_dir="grid", extra=("--alpha", "grid:0.4,0.8")) == 0
+    assert run_evaluate(workdir) == 0
+    preds = workdir / "preds.csv"
+    preds.write_text("score,label,male\n0.9,1,0.0\n0.2,0,0.9\n0.8,1,0.9\n")
+    assert main(["bias-report", "--predictions", str(preds), "--out", str(workdir / "rep.json")]) == 0
+
+    def read(path):
+        return json.loads(path.read_text())
+
+    stored = [read(path)["metrics"] for path in sorted(workdir.glob("*/run_fold*.json"))]
+    stored += [result["metrics"] for result in read(workdir / "grid" / "alpha_grid.json")["results"]]
+    stored += [read(workdir / "report.json"), read(workdir / "rep.json")]
+    assert len(stored) == 2 + 2 + 2 + 2
+    keys = set(bias_report([ScoredExample(0.9, 1), ScoredExample(0.2, 0)], ["male"]).to_dict())
+    stats_keys = {f.name for f in dataclasses.fields(SubgroupStats)}
+    for report in stored:
+        assert set(report) == keys
+        assert list(report["subgroups"]) == list(IDENTITY_COLUMNS)
+        assert all(set(stats) == stats_keys for stats in report["subgroups"].values())
 
 
 class TestBiasReportCommand:
@@ -805,12 +881,31 @@ class TestKsCompare:
         assert run_train(workdir, out_dir="run_a", seed="5") == 0
         assert run_train(workdir, out_dir="run_b", seed="6") == 0
         metrics = json.loads((workdir / "run_a" / "run_fold0.json").read_text())["metrics"]
-        assert set(metrics["bpsn_auc"]) == set(IDENTITY_COLUMNS)
-        assert set(metrics["subgroup_auc"]) == set(IDENTITY_COLUMNS)
+        assert set(metrics["subgroups"]) == set(IDENTITY_COLUMNS)
+        assert all({"bpsn_auc", "subgroup_auc"} <= set(s) for s in metrics["subgroups"].values())
         capsys.readouterr()
         code = main(["ks-compare", "--run-a", str(workdir / "run_a"), "--run-b", str(workdir / "run_b")])
         assert code == 0
         assert capsys.readouterr().out.startswith("D=")
+
+    def test_reads_records_with_the_older_metrics_shape(self, tmp_path, capsys):
+        """Records written before the metrics became a BiasReport held name -> AUC dicts."""
+        for run, values in (("a", [0.1, 0.2]), ("b", [0.8, 0.9])):
+            (tmp_path / run).mkdir()
+            for fold, value in enumerate(values):
+                metrics = {
+                    "overall_auc": value, "precision": 0.5, "recall": 0.5, "f1": value,
+                    "generalized_mean_bias_auc": None,
+                    "bpsn_auc": {"male": 0.75, "female": None},
+                    "subgroup_auc": {"male": 1.0, "female": None},
+                }
+                record = {"seed": 5 + fold, "alpha": 0.6, "fold": fold, "epochs": [], "metrics": metrics,
+                          "wall_clock": 0.1, "config": {}}
+                (tmp_path / run / f"run_fold{fold}.json").write_text(json.dumps(record, indent=2))
+        for metric in ("auc", "f1"):
+            argv = ["ks-compare", "--run-a", str(tmp_path / "a"), "--run-b", str(tmp_path / "b"), "--metric", metric]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.startswith("D=1.0 ")
 
     def test_missing_metric_exit_2(self, tmp_path):
         self.write_run(tmp_path / "a", [0.8, 0.9])

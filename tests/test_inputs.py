@@ -35,6 +35,10 @@ def corpus_jsonl(trained):
     return "".join(json.dumps(row) + "\n" for row in rows)
 
 
+def predictions_jsonl(trained):
+    return "".join(json.dumps({"score": s, "label": l}) + "\n" for s, l in [(0.9, 1), (0.2, 0), (0.8, 1)])
+
+
 def prep(tmp, path, fmt):
     outputs = ["--vocab-out", str(tmp / "v.tsv"), "--out", str(tmp / "d.jsonl")]
     return ["prep", "--input", str(path), "--format", fmt, *outputs]
@@ -70,6 +74,14 @@ INPUTS = {
         lambda t, tmp, path: prep(tmp, path, "csv"),
     ),
     "corpus-jsonl": ("corpus.jsonl", corpus_jsonl, "5", 3, lambda t, tmp, path: prep(tmp, path, "jsonl")),
+    "corpus-jsonl-text-not-string": (
+        "corpus.jsonl", corpus_jsonl, '{"comment_text": ["a", "b"], "target": 0.1}', 3,
+        lambda t, tmp, path: prep(tmp, path, "jsonl"),
+    ),
+    "corpus-jsonl-bool-score": (
+        "corpus.jsonl", corpus_jsonl, '{"comment_text": "some words", "target": true, "male": false}', 3,
+        lambda t, tmp, path: prep(tmp, path, "jsonl"),
+    ),
     "prepared-jsonl": (
         "data.jsonl", lambda t: (t / "data.jsonl").read_text(), '{"id": "2", "token_ids": [2,', 3,
         lambda t, tmp, path: train(t, tmp, data=path),
@@ -89,11 +101,8 @@ INPUTS = {
         "preds.csv", lambda t: "score,label,male\n0.9,1,0.0\n0.2,0,0.9\n0.8,1,0.9\n0.1,0,0.0\n", "0.2,2,0.9", 2,
         bias_report,
     ),
-    "predictions-jsonl": (
-        "preds.jsonl",
-        lambda t: "".join(json.dumps({"score": s, "label": l}) + "\n" for s, l in [(0.9, 1), (0.2, 0), (0.8, 1)]),
-        '{"score": 0.2}', 3, bias_report,
-    ),
+    "predictions-jsonl": ("preds.jsonl", predictions_jsonl, '{"score": 0.2}', 3, bias_report),
+    "predictions-jsonl-upper-case-suffix": ("preds.JSONL", predictions_jsonl, '{"score": 0.2}', 3, bias_report),
 }
 
 

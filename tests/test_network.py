@@ -19,7 +19,7 @@ from mtltox.network import (
     embed_batch,
     forward,
     init_params,
-    param_names,
+    param_shapes,
     predict,
     spatial_dropout_mask,
 )
@@ -62,7 +62,8 @@ class TestInitParams:
         for n_aux, attention in ((0, True), (2, False), (3, True)):
             h = tiny_hyper(n_aux=n_aux, attention=attention)
             params = init_params(h, seed=0)
-            assert sorted(param_names(h)) == sorted(params.tensors)
+            assert {name: a.shape for name, a in params.tensors.items()} == param_shapes(h)
+            assert list(param_shapes(h)) == list(params.tensors)
 
 
 class TestForward:

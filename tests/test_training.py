@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mtltox.corpus import make_folds
 from mtltox.embeddings import checksum, random_table
 from mtltox.metrics import prf1, ScoredExample
 from mtltox.network import Hyper, ModelParams, NetworkError, init_params, predict
@@ -13,6 +14,7 @@ from mtltox.training import (
     _targets,
     adam_step,
     clip_global_norm,
+    evaluate_model,
     grid_search_alpha,
     propagate_identities,
     run_experiment,
@@ -159,7 +161,7 @@ class TestGridSearch:
         _, results = grid_search_alpha(
             comments, table, toy_hyper(), quick_cfg(epochs=1), [], grid=[0.2, 0.8]
         )
-        assert [r["alpha"] for r in results] == [0.2, 0.8]
+        assert [r.alpha for r in results] == [0.2, 0.8]
 
     def test_undefined_metric_ties_prefer_larger_alpha(self):
         # With no subgroups the bias metric is always undefined, so every
@@ -226,14 +228,23 @@ class TestRunExperiment:
     def test_two_fold_plumbing(self):
         train, _, vocab = biased_corpus(n_train=60, n_eval=8, seed=3)
         table = random_table(vocab, 4, 4, seed=0)
-        result = run_experiment(
-            train, table, toy_hyper(n_aux=6), quick_cfg(epochs=1), ["gay", "muslim"]
-        )
-        assert len(result.records) == 2
-        assert len(result.reports) == 2
-        defined = [r.overall_auc for r in result.reports if r.overall_auc is not None]
+        cfg = quick_cfg(epochs=1)
+        folds = make_folds(len(train), cfg.k_folds, cfg.seed).folds
+        reports = []
+
+        def rescore(params, record):
+            val_set = [train[i] for i in folds[record.fold][1]]
+            reports.append(evaluate_model(params, table, val_set, ["gay", "muslim"], cfg.power))
+
+        records = run_experiment(train, table, toy_hyper(n_aux=6), cfg, ["gay", "muslim"], on_fold=rescore)
+        assert [r.fold for r in records] == [0, 1]
+        assert [r.metrics for r in records] == [report.to_dict() for report in reports]
+        assert all(set(r.metrics["subgroups"]) == {"gay", "muslim"} for r in records)
+        defined = [r.metrics["overall_auc"] for r in records if r.metrics["overall_auc"] is not None]
+        expected = [report.overall_auc for report in reports if report.overall_auc is not None]
+        assert len(defined) == len(expected)
         if defined:
-            assert result.aggregate["overall_auc"] == pytest.approx(np.mean(defined))
+            assert np.mean(defined) == pytest.approx(np.mean(expected))
 
     def test_unannotated_without_propagation_rejected(self):
         train, _, vocab = biased_corpus(n_train=30, n_eval=8, seed=4)
@@ -247,8 +258,8 @@ class TestRunExperiment:
         comments, vocab = separable_corpus(n=30, seed=7)
         table = random_table(vocab, 4, 4, seed=0)
         cfg = quick_cfg(epochs=1, alpha=1.0, c=1.0)
-        result = run_experiment(comments, table, toy_hyper(n_aux=0), cfg, [])
-        assert len(result.records) == 2
+        records = run_experiment(comments, table, toy_hyper(n_aux=0), cfg, [])
+        assert len(records) == 2
 
 
 def test_batch_pass_sums_single_example_gradients():
