@@ -46,10 +46,10 @@ with no records or a row whose text has no tokens; propagate, train and
 evaluate refuse a prepared line with no tokens, a token id that is not a
 non-negative integer, or a ``true_length`` (older, padded lines) outside
 [0, len(token_ids)]; ``propagate`` refuses a corpus weighted with a ``c``
-other than ``train.c``; ``bias-report`` reads a ``.jsonl`` file (in any
-letter case) as JSONL and refuses a predictions file with no rows, a score
-that is not a finite number or a label that is not 0 or 1; an embedding
-value must be finite. ``train`` refuses a corpus with
+other than ``train.c``; ``bias-report`` reads a ``.jsonl`` or ``.json``
+file (in any letter case) as JSONL and refuses a predictions file with no
+rows, a score that is not a finite number or a label that is not 0 or 1; an
+embedding value must be finite. ``train`` refuses a corpus with
 unannotated identity rows: run ``propagate`` on it first. ``ks-compare``
 refuses a ``run_fold*.json`` that is not a JSON object with a ``metrics``
 object, or whose metric is missing, null or not a finite number, naming
@@ -334,7 +334,7 @@ def _predictions_to_examples(path: Path, subgroups: list[str]) -> list[ScoredExa
         )
         return ScoredExample(score=score, label=int(label), subgroups=groups)
 
-    examples = read_rows(path, "jsonl" if path.suffix.lower() == ".jsonl" else "csv", example)
+    examples = read_rows(path, "jsonl" if path.suffix.lower() in (".jsonl", ".json") else "csv", example)
     if not examples:
         raise CorpusError(f"{path}: no predictions")
     return examples

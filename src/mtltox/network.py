@@ -8,7 +8,9 @@ layer's recurrence, which runs both directions as one (2, n, H) state, time-majo
 with the longest comment first: step t touches only the comments longer than t.
 The reverse direction takes those steps over each comment's tokens reversed.
 Attention and pooling reduce over each comment's own tokens. In BPTT only
-``dh·Whᵀ`` stays per step.
+``dh·Whᵀ`` stays per step. From hidden size ``_THREAD_MIN_HIDDEN``, with two
+usable CPUs, each direction runs on its own thread instead, with the same
+numpy calls on its slice of the stacked arrays, so the bits do not change.
 
 Gate layout inside the fused 4H-wide LSTM weights: input, forget, candidate,
 output, in that order.
@@ -16,18 +18,34 @@ output, in that order.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from mtltox.corpus import Comment
 from mtltox.embeddings import EmbeddingTable, lookup
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 PREDICT_BATCH = 64  # comments per forward pass inside predict()
 # Rows per product for the input projections and the dense layers. Every
 # such product has this one shape, because OpenBLAS picks its kernel by shape
 # and two kernels can round a row differently (batch-composition rule).
 _ROW_BLOCK = 128
+# From this hidden size, and when two CPUs are usable, each direction of a
+# layer runs on its own thread, from its input projection to its weight
+# gradients. One forward and backward pass of 16 comments at the paper's
+# length profile (embed 600, 2 cores, 1 BLAS thread), threads against the
+# stacked loop on one thread, two runs: hidden 8 0.74-0.76x, 16 0.71-0.77x,
+# 32 0.82-0.87x, 64 0.96-0.99x, 128 1.10-1.27x, 256 1.48-1.66x.
+_THREAD_MIN_HIDDEN = 128
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid, executor), made on first use
+_pool_lock = threading.Lock()
 
 
 class NetworkError(RuntimeError):
@@ -191,30 +209,110 @@ def _heads(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([t["head_tox_w"], w_aux.T]), np.concatenate([t["head_tox_b"], t.get("head_aux_b", [])])
 
 
-def _recurrence(zx: np.ndarray, pack: _Packing, wh: np.ndarray, keep: bool):
-    """Both directions of an LSTM layer over packed rows: zx (2, T, 4H) holds X·Wx + b, wh (2, H, 4H)
-    the two Wh. Returns (h, cache or None), the cache being (gates after their nonlinearities, c, h)."""
-    hdim = wh.shape[1]
-    h = np.empty(zx.shape[:2] + (hdim,))
-    cache = (np.empty(zx.shape), np.empty(h.shape), h) if keep else None
-    # At least two state rows per direction: a one-row product takes numpy's
-    # GEMV path, which rounds differently from GEMM (batch-composition rule).
-    # Rows past the active ones hold finished comments' states; their
-    # products are discarded.
-    h_state = np.zeros((2, max(pack.steps[0], 2), hdim))
-    c_state = np.zeros_like(h_state)
+def _threaded(hdim: int) -> bool:
+    """Whether each direction of a layer runs on its own thread."""
+    if hdim < _THREAD_MIN_HIDDEN:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _reverse_worker() -> ThreadPoolExecutor:
+    """The one long-lived thread that runs reverse directions, made on first use in this process."""
+    # Imported here: it costs 0.6 MB and 8 ms, which runs below _THREAD_MIN_HIDDEN never need.
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():  # a forked child has no copy of the thread
+            _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="mtltox-reverse"))
+        return _pool[1]
+
+
+def _each_direction(threaded: bool, run, *args) -> None:
+    """run(dirs, *args) over both directions of a layer: once over the stack
+    slice(0, 2), or the forward direction here and the reverse one on the
+    worker thread. Either way returns only when both are done."""
+    if not threaded:
+        run(slice(0, 2), *args)
+        return
+    # The copied context carries the caller's numpy error state (np.errstate) to the worker.
+    reverse = _reverse_worker().submit(contextvars.copy_context().run, run, slice(1, 2), *args)
+    try:
+        run(slice(0, 1), *args)
+    finally:
+        reverse.result()
+
+
+def _recurrence(zx: np.ndarray, pack: _Packing, wh: np.ndarray, h: np.ndarray, cache, work) -> None:
+    """A stack of S directions of an LSTM layer over packed rows: zx (S, T, 4H) holds X·Wx + b, wh (S, H, 4H)
+    the Wh. Writes h (S, T, H) and, unless cache is None, cache's (gates after their nonlinearities, c) of every
+    row. work holds (S, rows, ·) buffers: zeros, the c state, then the z, gates and H-wide step arrays."""
+    s, hdim = wh.shape[:2]
+    zeros, c_state, *step_bufs = work
+    z_buf, g_buf, t_buf = (b.reshape(-1) for b in step_bufs)  # each step's arrays are their first elements
+    zeros[:] = 0.0
+    c_state[:] = 0.0
+    h[:, pack.offsets[:-1]] = 0.0  # each step's first row, which the step after a one-row step reads
+    prev = 0
+    # Step outputs go positionally: a keyword out= costs about 0.2 µs a call,
+    # which shows at small hidden sizes.
     for off, n in zip(pack.offsets, pack.steps):
-        z = zx[:, off : off + n] + (h_state[:, : max(n, 2)] @ wh)[:, :n]
-        gates = _sigmoid(z)
-        gates[..., 2 * hdim : 3 * hdim] = np.tanh(z[..., 2 * hdim : 3 * hdim])
-        i_g, f_g, g_g, o_g = (gates[..., k * hdim : (k + 1) * hdim] for k in range(4))
-        c_state[:, :n] = f_g * c_state[:, :n] + i_g * g_g
-        h_state[:, :n] = o_g * np.tanh(c_state[:, :n])
-        h[:, off : off + n] = h_state[:, :n]
-        if keep:
-            cache[0][:, off : off + n] = gates
-            cache[1][:, off : off + n] = c_state[:, :n]
-    return h, cache
+        rows, m = slice(off, off + n), max(n, 2)
+        # At least two state rows per direction: a one-row product takes
+        # numpy's GEMV path, which rounds differently from GEMM
+        # (batch-composition rule). The state is the previous step's first m
+        # rows of h, where its active comments come first. A row past the n
+        # active ones gives a product that is discarded; it may be this
+        # step's first row, zero until it is written.
+        h_prev = h[:, prev : prev + m] if off else zeros[:, :m]
+        z = z_buf[: s * m * 4 * hdim].reshape(s, m, 4 * hdim)
+        np.matmul(h_prev, wh, z)
+        z = z[:, :n]
+        z += zx[:, rows]
+        g = g_buf[: s * n * 4 * hdim].reshape(s, n, 4 * hdim)
+        np.negative(z, g)  # sigmoid, in place
+        np.exp(g, g)
+        g += 1.0
+        np.divide(1.0, g, g)
+        np.tanh(z[..., 2 * hdim : 3 * hdim], g[..., 2 * hdim : 3 * hdim])
+        i_g, f_g, g_g, o_g = (g[..., k * hdim : (k + 1) * hdim] for k in range(4))
+        if cache:
+            cache[0][:, rows] = g
+            c_prev, c = cache[1][:, prev : prev + n] if off else zeros[:, :n], cache[1][:, rows]
+        else:
+            c_prev = c = c_state[:, :n]
+        t = t_buf[: s * n * hdim].reshape(s, n, hdim)
+        np.multiply(f_g, c_prev, c)
+        np.multiply(i_g, g_g, t)
+        c += t
+        np.tanh(c, t)
+        np.multiply(o_g, t, h[:, rows])
+        prev = off
+
+
+def _buffers(rows: int, hdim: int, *widths: int) -> tuple[np.ndarray, ...]:
+    """One empty (2, rows, width·H) array per width: a work buffer of both directions."""
+    return tuple(np.empty((2, rows, w * hdim)) for w in widths)
+
+
+def _stack(arrays: list, dirs: slice) -> np.ndarray:
+    """arrays[dirs] as one (S, ...) array: a view of one direction's array, or a copy of both."""
+    return arrays[dirs.start][None] if dirs.stop - dirs.start == 1 else np.stack(arrays[dirs])
+
+
+def _layer_forward(dirs: slice, x: np.ndarray, pack: _Packing, weights, x_packed, zx, h, cache, work) -> None:
+    """The directions in dirs of one layer: the input projection X·Wx + b of each into its zx, in
+    _ROW_BLOCK-row products (x_packed's rows past x's are zero), then their recurrence."""
+    wx, b, whs = weights
+    n_rows, in_dim = x.shape
+    for d in range(2)[dirs]:
+        x.take(pack.order[d], axis=0, out=x_packed[d, :n_rows], mode="clip")
+        out = zx[d].reshape(-1, _ROW_BLOCK, zx.shape[2])
+        np.matmul(x_packed[d].reshape(-1, _ROW_BLOCK, in_dim), wx[d], out=out)
+        zx[d, :n_rows] += b[d]
+    sliced_cache = cache and tuple(a[dirs] for a in cache)
+    _recurrence(zx[dirs], pack, _stack(whs, dirs), h[dirs], sliced_cache, tuple(w[dirs] for w in work))
 
 
 def forward(
@@ -234,15 +332,30 @@ def forward(
     row_comment = np.repeat(np.arange(len(lengths)), lengths)
     x = tokens * dropout_masks[row_comment] if dropout_masks is not None else tokens
 
-    hdim = params.hyper.hidden
-    zx = np.empty((2, len(row_comment), 4 * hdim))  # both layers project into it
+    hdim, n_rows = params.hyper.hidden, len(row_comment)
+    padded_rows = -(-n_rows // _ROW_BLOCK) * _ROW_BLOCK
+    threaded = _threaded(hdim)
+    # This thread makes every whole-layer array, and each direction writes
+    # only its own slice: a worker thread's own large temporaries would sit
+    # in its own malloc arena, beside this thread's.
+    zx = np.empty((2, padded_rows, 4 * hdim))  # both layers project into it
+    work = _buffers(max(pack.steps[0], 2), hdim, 1, 1, 4, 4, 1)  # as _recurrence lists
     layer_inputs, lstm = [], {}
     for layer in (0, 1):
         layer_inputs.append(x)
         prefixes = [f"lstm{layer}_{direction}" for direction in ("fwd", "bwd")]  # in pack.order's order
-        for d, prefix in enumerate(prefixes):
-            np.add(_rows_matmul(x[pack.order[d]], t[f"{prefix}_Wx"]), t[f"{prefix}_b"], out=zx[d])
-        h, lstm[layer] = _recurrence(zx, pack, np.stack([t[f"{p}_Wh"] for p in prefixes]), keep_caches)
+        weights = (
+            [t[f"{p}_Wx"] for p in prefixes],
+            [t[f"{p}_b"] for p in prefixes],
+            [t[f"{p}_Wh"] for p in prefixes],
+        )
+        x_packed = np.empty((2, padded_rows, x.shape[1]))
+        x_packed[:, n_rows:] = 0.0
+        h = np.empty((2, n_rows, hdim))
+        cache = (np.empty((2, n_rows, 4 * hdim)), np.empty((2, n_rows, hdim)), h) if keep_caches else None
+        _each_direction(threaded, _layer_forward, x, pack, weights, x_packed, zx, h, cache, work)
+        del x_packed
+        lstm[layer] = cache
         # One finiteness check per layer, forward direction first. Packed rows
         # are time-major: a direction's first bad row is its first bad timestep.
         bad = np.argwhere(~np.isfinite(h).all(axis=2))
@@ -253,7 +366,7 @@ def forward(
                 f"non-finite activation in {prefixes[bad[0, 0]]} at timestep {row - pack.starts[comment]} "
                 f"of batch row {comment}"
             )
-        x = np.empty((len(row_comment), 2 * hdim))  # the forward direction in the first H columns
+        x = np.empty((n_rows, 2 * hdim))  # the forward direction in the first H columns
         x.reshape(-1, 2, hdim)[pack.order, [[0], [1]]] = h
         del h  # the next layer projects without it
 
@@ -279,30 +392,62 @@ def forward(
     return BatchTrace(pack, layer_inputs, lstm, x, attn_tanh, attn_weights, pooled, z1, z2, heads)
 
 
-def _bptt(cache: tuple, d_h_seq: np.ndarray, pack: _Packing, wh_t: np.ndarray, d_z: np.ndarray):
-    """Backpropagation through time over both directions, from the layer's
-    (T, 2H) output gradients; wh_t (2, 4H, H) holds the two Whᵀ. Only
-    ``dh·Whᵀ`` runs per step. Fills d_z (2, T, 4H) with dZ of every row."""
-    gates, c, _ = cache
-    hdim, steps, offsets = c.shape[2], pack.steps, pack.offsets
-    d_h_out = d_h_seq.reshape(-1, 2, hdim)[pack.order, [[0], [1]]]  # each direction's packed rows
-    tanh_c = np.tanh(c)
+def _bptt(dirs: slice, cache: tuple, d_h_out: np.ndarray, pack: _Packing, whs: list, d_z: np.ndarray, work) -> None:
+    """Backpropagation through time over the directions in dirs of a layer,
+    from their packed output gradients d_h_out (2, T, H); whs holds the two
+    Wh. Only ``dh·Whᵀ`` runs per step. Fills d_z (2, T, 4H) with dZ of every
+    row. work holds tanh(c) and its slope (2, T, H), then the (2, rows, ·) dh
+    and dc carried to the step before, and dh, dc and the products of a step.
+    Outputs go positionally, as in _recurrence."""
+    gates, c, d_h_out, d_z = cache[0][dirs], cache[1][dirs], d_h_out[dirs], d_z[dirs]
+    wh_t = np.swapaxes(_stack(whs, dirs), 1, 2)  # slices keep Wh.T's layout
+    tanh_c, d_tanh_c, d_h_next, d_c_next, *step_bufs = (w[dirs] for w in work)
+    dh_buf, dc_buf, p_buf = (b.reshape(-1) for b in step_bufs)  # each step's arrays are their first elements
+    s, hdim, steps, offsets = c.shape[0], c.shape[2], pack.steps, pack.offsets
+    np.tanh(c, tanh_c)
+    np.square(tanh_c, d_tanh_c)
+    np.subtract(1.0, d_tanh_c, d_tanh_c)
     # d_z starts as the slopes, and each step multiplies its products in (bit for bit commutative).
-    np.subtract(1.0, gates, out=d_z)
+    np.subtract(1.0, gates, d_z)
     d_z *= gates  # sigmoid' for i, f, o
-    d_z[..., 2 * hdim : 3 * hdim] = 1.0 - gates[..., 2 * hdim : 3 * hdim] ** 2  # tanh' for g
-    d_h_next = np.zeros((2, steps[0], hdim))
-    d_c_next = np.zeros_like(d_h_next)
+    g_slope = d_z[..., 2 * hdim : 3 * hdim]
+    np.square(gates[..., 2 * hdim : 3 * hdim], g_slope)
+    np.subtract(1.0, g_slope, g_slope)  # tanh' for g
+    d_h_next[:] = 0.0
+    d_c_next[:] = 0.0
     for step in range(len(steps) - 1, -1, -1):
         n = steps[step]
         rows = slice(offsets[step], offsets[step + 1])
         i_g, f_g, g_g, o_g = (gates[:, rows, k * hdim : (k + 1) * hdim] for k in range(4))
         c_prev = c[:, offsets[step - 1] : offsets[step - 1] + n] if step > 0 else 0.0
-        d_h = d_h_out[:, rows] + d_h_next[:, :n]
-        d_c = d_h * o_g * (1.0 - tanh_c[:, rows] ** 2) + d_c_next[:, :n]
-        d_z[:, rows] *= np.concatenate([d_c * g_g, d_c * c_prev, d_c * i_g, d_h * tanh_c[:, rows]], axis=2)
-        d_c_next[:, :n] = d_c * f_g
-        d_h_next[:, :n] = d_z[:, rows] @ wh_t
+        dh = dh_buf[: s * n * hdim].reshape(s, n, hdim)
+        dc = dc_buf[: s * n * hdim].reshape(s, n, hdim)
+        p = p_buf[: s * n * 4 * hdim].reshape(s, n, 4 * hdim)
+        np.add(d_h_out[:, rows], d_h_next[:, :n], dh)
+        np.multiply(dh, o_g, dc)
+        dc *= d_tanh_c[:, rows]
+        dc += d_c_next[:, :n]
+        np.multiply(dc, g_g, p[..., :hdim])
+        np.multiply(dc, c_prev, p[..., hdim : 2 * hdim])
+        np.multiply(dc, i_g, p[..., 2 * hdim : 3 * hdim])
+        np.multiply(dh, tanh_c[:, rows], p[..., 3 * hdim :])
+        d_z[:, rows] *= p
+        np.multiply(dc, f_g, d_c_next[:, :n])
+        np.matmul(d_z[:, rows], wh_t, d_h_next[:, :n])
+
+
+def _weight_grads(dirs: slice, h, pack: _Packing, x, wxs, d_z, grads, h_prev, x_packed) -> None:
+    """For each direction d in dirs of a layer, from its d_z[d]: the gradients of Wh, Wx and b into grads[d]'s
+    arrays, then, unless wxs is None, the input gradient d_z·Wxᵀ into x_packed[d], once dWx is done with it."""
+    for d in range(2)[dirs]:
+        g_wh, g_wx, g_b = grads[d].values()
+        h[d].take(pack.prev, axis=0, out=h_prev[d], mode="clip")
+        np.matmul(h_prev[d].T, d_z[d, pack.steps[0] :], out=g_wh)
+        x.take(pack.order[d], axis=0, out=x_packed[d], mode="clip")
+        np.matmul(x_packed[d].T, d_z[d], out=g_wx)
+        d_z[d].sum(axis=0, out=g_b)
+        if wxs is not None:
+            np.matmul(d_z[d], wxs[d].T, out=x_packed[d])
 
 
 def backward(
@@ -349,23 +494,35 @@ def backward(
         d_u *= 1.0 - trace.attn_tanh**2
         grads["attn_w"] = d_u @ trace.h_seq
         d_h_seq += d_u[:, None] * t["attn_w"][None, :]
+    del d_pooled
 
     # Stacked BiLSTMs, top down. Layer 1's input grads feed layer 0's
-    # outputs; layer 0's input is the frozen embedding, so it gets none.
-    d_z = np.empty((2, pack.order.shape[1], 4 * hyper.hidden))  # both layers backpropagate into it
+    # outputs; layer 0's input is the frozen embedding, so it gets none. As
+    # in forward, this thread makes every array a direction writes. BPTT and
+    # the weight gradients run as two rounds, so that the arrays of one are
+    # freed before those of the other are made.
+    hdim, n_rows = hyper.hidden, pack.order.shape[1]
+    threaded = _threaded(hdim)
+    d_z = np.empty((2, n_rows, 4 * hdim))  # both layers backpropagate into it
     for layer in (1, 0):
-        x, h_packed = trace.layer_inputs[layer], trace.lstm[layer][2]
+        x, cache = trace.layer_inputs[layer], trace.lstm[layer]
         prefixes = [f"lstm{layer}_{direction}" for direction in ("fwd", "bwd")]
-        wh_t = np.swapaxes(np.stack([t[f"{p}_Wh"] for p in prefixes]), 1, 2)  # slices keep Wh.T's layout
-        _bptt(trace.lstm[layer], d_h_seq, pack, wh_t, d_z)
-        d_x = np.zeros_like(x) if layer == 1 else None
-        for d, prefix in enumerate(prefixes):
-            grads[f"{prefix}_Wh"] = h_packed[d][pack.prev].T @ d_z[d, pack.steps[0] :]
-            grads[f"{prefix}_Wx"] = x[pack.order[d]].T @ d_z[d]
-            grads[f"{prefix}_b"] = d_z[d].sum(axis=0)
-            if d_x is not None:
-                d_x[pack.order[d]] += d_z[d] @ t[f"{prefix}_Wx"].T
-        d_h_seq = d_x
+        d_h_out = d_h_seq.reshape(-1, 2, hdim)[pack.order, [[0], [1]]]  # each direction's packed rows
+        del d_h_seq
+        work = _buffers(n_rows, hdim, 1, 1) + _buffers(pack.steps[0], hdim, 1, 1, 1, 1, 4)  # as _bptt lists
+        _each_direction(threaded, _bptt, cache, d_h_out, pack, [t[f"{p}_Wh"] for p in prefixes], d_z, work)
+        del d_h_out, work
+        layer_grads = [{f"{p}_{w}": np.empty(t[f"{p}_{w}"].shape) for w in ("Wh", "Wx", "b")} for p in prefixes]
+        h_prev = np.empty((2, n_rows - pack.steps[0], hdim))
+        x_packed = np.empty((2,) + x.shape)
+        wxs = [t[f"{p}_Wx"] for p in prefixes] if layer == 1 else None
+        _each_direction(threaded, _weight_grads, cache[2], pack, x, wxs, d_z, layer_grads, h_prev, x_packed)
+        grads |= layer_grads[0] | layer_grads[1]
+        if layer == 1:
+            d_h_seq = np.zeros_like(x)
+            for d in (0, 1):  # forward direction first
+                d_h_seq[pack.order[d]] += x_packed[d]
+        del h_prev, x_packed
     return {name: grads[name] for name in t}
 
 

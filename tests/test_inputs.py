@@ -103,6 +103,7 @@ INPUTS = {
     ),
     "predictions-jsonl": ("preds.jsonl", predictions_jsonl, '{"score": 0.2}', 3, bias_report),
     "predictions-jsonl-upper-case-suffix": ("preds.JSONL", predictions_jsonl, '{"score": 0.2}', 3, bias_report),
+    "predictions-jsonl-json-suffix": ("preds.json", predictions_jsonl, '{"score": 0.2}', 3, bias_report),
 }
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -357,6 +360,115 @@ class TestStackedDirections:
                     assert grads[name].tobytes() == base_grads[name].tobytes(), name
 
 
+def run_directions(monkeypatch, threaded):
+    """Force each LSTM direction onto its own thread (as with two usable CPUs), or both into one stacked loop."""
+    monkeypatch.setattr(network, "_THREAD_MIN_HIDDEN", 0 if threaded else 10**9)
+    if threaded:
+        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+class TestThreadedDirections:
+    """From _THREAD_MIN_HIDDEN, each direction of a layer runs on its own
+    thread. Each thread issues the numpy calls that its slice of the stacked
+    loop would, so no output or gradient may change by a bit."""
+
+    # One unique longest comment, which runs alone for its last steps.
+    lengths = [9, 3, 3, 1, 2]
+
+    def run(self, hidden, params=None):
+        h = tiny_hyper(n_aux=1, embed_dim=3, hidden=hidden, dense=4)
+        params = params or init_params(h, seed=3)
+        rng = np.random.default_rng(hidden)
+        tokens = rng.normal(size=(sum(self.lengths), 3))
+        masks = rng.random((len(self.lengths), 3)) + 0.5
+        trace = forward(params, tokens, self.lengths, masks)
+        grads = backward(params, trace, rng.normal(size=len(self.lengths)), rng.normal(size=(len(self.lengths), 1)))
+        arrays = {f"lstm{layer}_{i}": a for layer in (0, 1) for i, a in enumerate(trace.lstm[layer])}
+        return arrays | {"heads": trace.heads, "pooled": trace.pooled} | grads
+
+    @pytest.mark.parametrize("hidden", [128, 256])
+    def test_threaded_equals_inline_bitwise(self, monkeypatch, hidden):
+        calls = []
+        recurrence = network._recurrence
+
+        def spy(zx, *args):
+            calls.append((threading.current_thread().name, zx.shape[0]))
+            return recurrence(zx, *args)
+
+        monkeypatch.setattr(network, "_recurrence", spy)
+        run_directions(monkeypatch, threaded=False)
+        inline = self.run(hidden)
+        assert calls == [(threading.current_thread().name, 2)] * 2
+        calls.clear()
+        run_directions(monkeypatch, threaded=True)
+        threaded = self.run(hidden)
+        assert sorted(calls) == sorted([(threading.current_thread().name, 1), ("mtltox-reverse_0", 1)] * 2)
+        assert inline.keys() == threaded.keys()
+        for name in inline:
+            assert threaded[name].tobytes() == inline[name].tobytes(), name
+
+    @pytest.mark.parametrize("tensor", ["lstm1_bwd_Wh", "lstm0_fwd_Wh"])
+    def test_nan_weight_gives_the_same_error_on_both_paths(self, monkeypatch, tensor):
+        params = init_params(tiny_hyper(n_aux=1, embed_dim=3, hidden=128, dense=4), seed=3)
+        params.tensors[tensor][0, 0] = np.nan
+        messages = []
+        for threaded in (False, True):
+            run_directions(monkeypatch, threaded)
+            with pytest.raises(NetworkError, match=tensor[:-3] + r" at timestep \d+ of batch row \d+") as err:
+                self.run(128, params)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_a_call_that_raises_leaves_the_next_call_working(self, monkeypatch):
+        run_directions(monkeypatch, threaded=True)
+        params = init_params(tiny_hyper(n_aux=1, embed_dim=3, hidden=128, dense=4), seed=3)
+        before = self.run(128, params)
+        broken = params.copy()
+        broken.tensors["lstm0_bwd_Wh"][1, 2] = np.nan
+        with pytest.raises(NetworkError, match="lstm0_bwd"):
+            self.run(128, broken)
+        recurrence = network._recurrence
+
+        def fails_on_the_worker(*args):
+            if threading.current_thread().name.startswith("mtltox-reverse"):
+                raise MemoryError("worker out of memory")
+            return recurrence(*args)
+
+        monkeypatch.setattr(network, "_recurrence", fails_on_the_worker)
+        with pytest.raises(MemoryError, match="worker out of memory"):
+            self.run(128, params)
+        monkeypatch.setattr(network, "_recurrence", recurrence)
+        after = self.run(128, params)
+        for name in before:
+            assert after[name].tobytes() == before[name].tobytes(), name
+
+    def test_callers_on_many_threads_share_the_worker(self, monkeypatch):
+        # Each call owns its buffers and waits for its own reverse direction,
+        # so callers that share the one worker thread still get their own bits.
+        run_directions(monkeypatch, threaded=True)
+        params = init_params(tiny_hyper(n_aux=1, embed_dim=3, hidden=128, dense=4), seed=3)
+        want = self.run(128, params)
+        results, interval = [], sys.getswitchinterval()
+
+        def caller():
+            for _ in range(3):
+                results.append(self.run(128, params))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert len(results) == 12
+        for got in results:
+            assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+
 class TestBatchComposition:
     vocab = Vocabulary.build([[f"w{i}" for i in range(30)]])
     table = random_table(vocab, 2, 2, seed=0)
@@ -374,9 +486,18 @@ class TestBatchComposition:
 
     # dense=512 is the paper's size, where a 2- or 3-row product would take
     # OpenBLAS's small-matrix kernel and round differently.
-    @pytest.mark.parametrize("attention, dense", [(True, 2), (False, 2), (True, 512)])
-    def test_predict_equals_chunked_predict_bitwise(self, attention, dense):
-        h = tiny_hyper(n_aux=2, embed_dim=4, hidden=8, dense=dense, max_len=9, attention=attention)
+    # hidden=128 runs each LSTM direction on its own thread where two CPUs are usable.
+    @pytest.mark.parametrize(
+        "attention, dense, hidden",
+        [
+            pytest.param(True, 2, 8, id="True-2"),
+            pytest.param(False, 2, 8, id="False-2"),
+            pytest.param(True, 512, 8, id="True-512"),
+            pytest.param(True, 2, 128, id="True-2-hidden128"),
+        ],
+    )
+    def test_predict_equals_chunked_predict_bitwise(self, attention, dense, hidden):
+        h = tiny_hyper(n_aux=2, embed_dim=4, hidden=hidden, dense=dense, max_len=9, attention=attention)
         params = init_params(h, seed=6)
         cs = self.comments(70, 9, seed=8)
         y, aux = predict(params, self.table, cs)
