@@ -5,11 +5,21 @@ attention pooling, the hand-derived backward pass, Adam, and the rank-based
 bias metrics. No deep-learning framework is involved.
 """
 
+import os
+
+# One BLAS thread unless the environment says otherwise, set before numpy
+# loads: from hidden 128 the two directions of a layer run on two threads,
+# and a multi-threaded BLAS under each makes them compete for the same cores.
+# `mtltox evaluate` of a paper-size checkpoint over 160 comments on 2 cores:
+# 2.31 s with OPENBLAS_NUM_THREADS unset against 1.71 s with it at 1.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from mtltox.corpus import (
     IDENTITY_COLUMNS,
     SUBTYPE_COLUMNS,
     Comment,
-    FoldPlan,
     RawRecord,
     Vocabulary,
     binarize_and_weight,

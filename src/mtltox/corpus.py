@@ -80,16 +80,6 @@ class Comment:
         return len(self.token_ids)
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Deterministic K-fold split: ``folds[i] = (train_idx, val_idx)``."""
-
-    n: int
-    k_folds: int
-    seed: int
-    folds: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
 def tokenize(text: str) -> list[str]:
     """Strip the PUNCTUATION characters and split on whitespace.
 
@@ -350,8 +340,9 @@ def load_comments(path: str | Path) -> list[Comment]:
     return read_rows(path, "jsonl", _prepared_comment)
 
 
-def make_folds(n: int, k_folds: int = 5, seed: int = 0) -> FoldPlan:
-    """Shuffle indices with the given seed and split into K disjoint folds.
+def make_folds(n: int, k_folds: int = 5, seed: int = 0) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Shuffle indices with the given seed and split into K disjoint folds,
+    each a ``(train_idx, val_idx)`` pair.
 
     Validation fold sizes differ by at most one; together they cover every
     index exactly once.
@@ -371,4 +362,4 @@ def make_folds(n: int, k_folds: int = 5, seed: int = 0) -> FoldPlan:
         train = np.concatenate([perm[:start], perm[start + size :]])
         folds.append((tuple(int(j) for j in train), tuple(int(j) for j in val)))
         start += size
-    return FoldPlan(n=n, k_folds=k_folds, seed=seed, folds=tuple(folds))
+    return tuple(folds)

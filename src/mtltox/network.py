@@ -7,10 +7,11 @@ output. Each LSTM layer-direction projects all T tokens (``X·Wx``) before the
 layer's recurrence, which runs both directions as one (2, n, H) state, time-major
 with the longest comment first: step t touches only the comments longer than t.
 The reverse direction takes those steps over each comment's tokens reversed.
-Attention and pooling reduce over each comment's own tokens. In BPTT only
-``dh·Whᵀ`` stays per step. From hidden size ``_THREAD_MIN_HIDDEN``, with two
-usable CPUs, each direction runs on its own thread instead, with the same
-numpy calls on its slice of the stacked arrays, so the bits do not change.
+A step is plain numpy expressions on that state, which lives only inside the
+recurrence's call. Attention and pooling reduce over each comment's own tokens.
+In BPTT only ``dh·Whᵀ`` stays per step. From hidden size ``_THREAD_MIN_HIDDEN``,
+with two usable CPUs, each direction runs on its own thread instead, with the
+same numpy calls on its (1, n, H) slice of the stack, so the bits do not change.
 
 Gate layout inside the fused 4H-wide LSTM weights: input, forget, candidate,
 output, in that order.
@@ -244,56 +245,29 @@ def _each_direction(threaded: bool, run, *args) -> None:
         reverse.result()
 
 
-def _recurrence(zx: np.ndarray, pack: _Packing, wh: np.ndarray, h: np.ndarray, cache, work) -> None:
+def _recurrence(zx: np.ndarray, pack: _Packing, wh: np.ndarray, h: np.ndarray, cache) -> None:
     """A stack of S directions of an LSTM layer over packed rows: zx (S, T, 4H) holds X·Wx + b, wh (S, H, 4H)
     the Wh. Writes h (S, T, H) and, unless cache is None, cache's (gates after their nonlinearities, c) of every
-    row. work holds (S, rows, ·) buffers: zeros, the c state, then the z, gates and H-wide step arrays."""
+    row."""
     s, hdim = wh.shape[:2]
-    zeros, c_state, *step_bufs = work
-    z_buf, g_buf, t_buf = (b.reshape(-1) for b in step_bufs)  # each step's arrays are their first elements
-    zeros[:] = 0.0
-    c_state[:] = 0.0
-    h[:, pack.offsets[:-1]] = 0.0  # each step's first row, which the step after a one-row step reads
-    prev = 0
-    # Step outputs go positionally: a keyword out= costs about 0.2 µs a call,
-    # which shows at small hidden sizes.
+    # At least two state rows per direction: a one-row product takes numpy's
+    # GEMV path, which rounds differently from GEMM (batch-composition rule).
+    # Rows past the active ones hold finished comments' states; their
+    # products are discarded.
+    h_state = np.zeros((s, max(pack.steps[0], 2), hdim))
+    c_state = np.zeros_like(h_state)
     for off, n in zip(pack.offsets, pack.steps):
-        rows, m = slice(off, off + n), max(n, 2)
-        # At least two state rows per direction: a one-row product takes
-        # numpy's GEMV path, which rounds differently from GEMM
-        # (batch-composition rule). The state is the previous step's first m
-        # rows of h, where its active comments come first. A row past the n
-        # active ones gives a product that is discarded; it may be this
-        # step's first row, zero until it is written.
-        h_prev = h[:, prev : prev + m] if off else zeros[:, :m]
-        z = z_buf[: s * m * 4 * hdim].reshape(s, m, 4 * hdim)
-        np.matmul(h_prev, wh, z)
-        z = z[:, :n]
-        z += zx[:, rows]
-        g = g_buf[: s * n * 4 * hdim].reshape(s, n, 4 * hdim)
-        np.negative(z, g)  # sigmoid, in place
-        np.exp(g, g)
-        g += 1.0
-        np.divide(1.0, g, g)
-        np.tanh(z[..., 2 * hdim : 3 * hdim], g[..., 2 * hdim : 3 * hdim])
-        i_g, f_g, g_g, o_g = (g[..., k * hdim : (k + 1) * hdim] for k in range(4))
+        rows = slice(off, off + n)
+        z = zx[:, rows] + (h_state[:, : max(n, 2)] @ wh)[:, :n]
+        gates = _sigmoid(z)
+        gates[..., 2 * hdim : 3 * hdim] = np.tanh(z[..., 2 * hdim : 3 * hdim])
+        i_g, f_g, g_g, o_g = (gates[..., k * hdim : (k + 1) * hdim] for k in range(4))
+        c_state[:, :n] = f_g * c_state[:, :n] + i_g * g_g
+        h_state[:, :n] = o_g * np.tanh(c_state[:, :n])
+        h[:, rows] = h_state[:, :n]
         if cache:
-            cache[0][:, rows] = g
-            c_prev, c = cache[1][:, prev : prev + n] if off else zeros[:, :n], cache[1][:, rows]
-        else:
-            c_prev = c = c_state[:, :n]
-        t = t_buf[: s * n * hdim].reshape(s, n, hdim)
-        np.multiply(f_g, c_prev, c)
-        np.multiply(i_g, g_g, t)
-        c += t
-        np.tanh(c, t)
-        np.multiply(o_g, t, h[:, rows])
-        prev = off
-
-
-def _buffers(rows: int, hdim: int, *widths: int) -> tuple[np.ndarray, ...]:
-    """One empty (2, rows, width·H) array per width: a work buffer of both directions."""
-    return tuple(np.empty((2, rows, w * hdim)) for w in widths)
+            cache[0][:, rows] = gates
+            cache[1][:, rows] = c_state[:, :n]
 
 
 def _stack(arrays: list, dirs: slice) -> np.ndarray:
@@ -301,7 +275,7 @@ def _stack(arrays: list, dirs: slice) -> np.ndarray:
     return arrays[dirs.start][None] if dirs.stop - dirs.start == 1 else np.stack(arrays[dirs])
 
 
-def _layer_forward(dirs: slice, x: np.ndarray, pack: _Packing, weights, x_packed, zx, h, cache, work) -> None:
+def _layer_forward(dirs: slice, x: np.ndarray, pack: _Packing, weights, x_packed, zx, h, cache) -> None:
     """The directions in dirs of one layer: the input projection X·Wx + b of each into its zx, in
     _ROW_BLOCK-row products (x_packed's rows past x's are zero), then their recurrence."""
     wx, b, whs = weights
@@ -312,7 +286,7 @@ def _layer_forward(dirs: slice, x: np.ndarray, pack: _Packing, weights, x_packed
         np.matmul(x_packed[d].reshape(-1, _ROW_BLOCK, in_dim), wx[d], out=out)
         zx[d, :n_rows] += b[d]
     sliced_cache = cache and tuple(a[dirs] for a in cache)
-    _recurrence(zx[dirs], pack, _stack(whs, dirs), h[dirs], sliced_cache, tuple(w[dirs] for w in work))
+    _recurrence(zx[dirs], pack, _stack(whs, dirs), h[dirs], sliced_cache)
 
 
 def forward(
@@ -335,11 +309,8 @@ def forward(
     hdim, n_rows = params.hyper.hidden, len(row_comment)
     padded_rows = -(-n_rows // _ROW_BLOCK) * _ROW_BLOCK
     threaded = _threaded(hdim)
-    # This thread makes every whole-layer array, and each direction writes
-    # only its own slice: a worker thread's own large temporaries would sit
-    # in its own malloc arena, beside this thread's.
+    # This thread makes every whole-layer array; each direction writes only its own slice.
     zx = np.empty((2, padded_rows, 4 * hdim))  # both layers project into it
-    work = _buffers(max(pack.steps[0], 2), hdim, 1, 1, 4, 4, 1)  # as _recurrence lists
     layer_inputs, lstm = [], {}
     for layer in (0, 1):
         layer_inputs.append(x)
@@ -353,7 +324,7 @@ def forward(
         x_packed[:, n_rows:] = 0.0
         h = np.empty((2, n_rows, hdim))
         cache = (np.empty((2, n_rows, 4 * hdim)), np.empty((2, n_rows, hdim)), h) if keep_caches else None
-        _each_direction(threaded, _layer_forward, x, pack, weights, x_packed, zx, h, cache, work)
+        _each_direction(threaded, _layer_forward, x, pack, weights, x_packed, zx, h, cache)
         del x_packed
         lstm[layer] = cache
         # One finiteness check per layer, forward direction first. Packed rows
@@ -392,48 +363,30 @@ def forward(
     return BatchTrace(pack, layer_inputs, lstm, x, attn_tanh, attn_weights, pooled, z1, z2, heads)
 
 
-def _bptt(dirs: slice, cache: tuple, d_h_out: np.ndarray, pack: _Packing, whs: list, d_z: np.ndarray, work) -> None:
-    """Backpropagation through time over the directions in dirs of a layer,
-    from their packed output gradients d_h_out (2, T, H); whs holds the two
-    Wh. Only ``dh·Whᵀ`` runs per step. Fills d_z (2, T, 4H) with dZ of every
-    row. work holds tanh(c) and its slope (2, T, H), then the (2, rows, ·) dh
-    and dc carried to the step before, and dh, dc and the products of a step.
-    Outputs go positionally, as in _recurrence."""
+def _bptt(dirs: slice, cache: tuple, d_h_out: np.ndarray, pack: _Packing, whs: list, d_z: np.ndarray) -> None:
+    """Backpropagation through time over the directions in dirs of a layer, from
+    their packed output gradients d_h_out (2, T, H); whs holds the two Wh. Only
+    ``dh·Whᵀ`` runs per step. Fills d_z (2, T, 4H) with dZ of every row."""
     gates, c, d_h_out, d_z = cache[0][dirs], cache[1][dirs], d_h_out[dirs], d_z[dirs]
     wh_t = np.swapaxes(_stack(whs, dirs), 1, 2)  # slices keep Wh.T's layout
-    tanh_c, d_tanh_c, d_h_next, d_c_next, *step_bufs = (w[dirs] for w in work)
-    dh_buf, dc_buf, p_buf = (b.reshape(-1) for b in step_bufs)  # each step's arrays are their first elements
     s, hdim, steps, offsets = c.shape[0], c.shape[2], pack.steps, pack.offsets
-    np.tanh(c, tanh_c)
-    np.square(tanh_c, d_tanh_c)
-    np.subtract(1.0, d_tanh_c, d_tanh_c)
+    tanh_c = np.tanh(c)
     # d_z starts as the slopes, and each step multiplies its products in (bit for bit commutative).
-    np.subtract(1.0, gates, d_z)
+    np.subtract(1.0, gates, out=d_z)
     d_z *= gates  # sigmoid' for i, f, o
-    g_slope = d_z[..., 2 * hdim : 3 * hdim]
-    np.square(gates[..., 2 * hdim : 3 * hdim], g_slope)
-    np.subtract(1.0, g_slope, g_slope)  # tanh' for g
-    d_h_next[:] = 0.0
-    d_c_next[:] = 0.0
+    d_z[..., 2 * hdim : 3 * hdim] = 1.0 - gates[..., 2 * hdim : 3 * hdim] ** 2  # tanh' for g
+    d_h_next = np.zeros((s, steps[0], hdim))
+    d_c_next = np.zeros_like(d_h_next)
     for step in range(len(steps) - 1, -1, -1):
         n = steps[step]
         rows = slice(offsets[step], offsets[step + 1])
         i_g, f_g, g_g, o_g = (gates[:, rows, k * hdim : (k + 1) * hdim] for k in range(4))
         c_prev = c[:, offsets[step - 1] : offsets[step - 1] + n] if step > 0 else 0.0
-        dh = dh_buf[: s * n * hdim].reshape(s, n, hdim)
-        dc = dc_buf[: s * n * hdim].reshape(s, n, hdim)
-        p = p_buf[: s * n * 4 * hdim].reshape(s, n, 4 * hdim)
-        np.add(d_h_out[:, rows], d_h_next[:, :n], dh)
-        np.multiply(dh, o_g, dc)
-        dc *= d_tanh_c[:, rows]
-        dc += d_c_next[:, :n]
-        np.multiply(dc, g_g, p[..., :hdim])
-        np.multiply(dc, c_prev, p[..., hdim : 2 * hdim])
-        np.multiply(dc, i_g, p[..., 2 * hdim : 3 * hdim])
-        np.multiply(dh, tanh_c[:, rows], p[..., 3 * hdim :])
-        d_z[:, rows] *= p
-        np.multiply(dc, f_g, d_c_next[:, :n])
-        np.matmul(d_z[:, rows], wh_t, d_h_next[:, :n])
+        d_h = d_h_out[:, rows] + d_h_next[:, :n]
+        d_c = d_h * o_g * (1.0 - tanh_c[:, rows] ** 2) + d_c_next[:, :n]
+        d_z[:, rows] *= np.concatenate([d_c * g_g, d_c * c_prev, d_c * i_g, d_h * tanh_c[:, rows]], axis=2)
+        d_c_next[:, :n] = d_c * f_g
+        d_h_next[:, :n] = d_z[:, rows] @ wh_t
 
 
 def _weight_grads(dirs: slice, h, pack: _Packing, x, wxs, d_z, grads, h_prev, x_packed) -> None:
@@ -498,7 +451,7 @@ def backward(
 
     # Stacked BiLSTMs, top down. Layer 1's input grads feed layer 0's
     # outputs; layer 0's input is the frozen embedding, so it gets none. As
-    # in forward, this thread makes every array a direction writes. BPTT and
+    # in forward, this thread makes every whole-layer array. BPTT and
     # the weight gradients run as two rounds, so that the arrays of one are
     # freed before those of the other are made.
     hdim, n_rows = hyper.hidden, pack.order.shape[1]
@@ -509,9 +462,8 @@ def backward(
         prefixes = [f"lstm{layer}_{direction}" for direction in ("fwd", "bwd")]
         d_h_out = d_h_seq.reshape(-1, 2, hdim)[pack.order, [[0], [1]]]  # each direction's packed rows
         del d_h_seq
-        work = _buffers(n_rows, hdim, 1, 1) + _buffers(pack.steps[0], hdim, 1, 1, 1, 1, 4)  # as _bptt lists
-        _each_direction(threaded, _bptt, cache, d_h_out, pack, [t[f"{p}_Wh"] for p in prefixes], d_z, work)
-        del d_h_out, work
+        _each_direction(threaded, _bptt, cache, d_h_out, pack, [t[f"{p}_Wh"] for p in prefixes], d_z)
+        del d_h_out
         layer_grads = [{f"{p}_{w}": np.empty(t[f"{p}_{w}"].shape) for w in ("Wh", "Wx", "b")} for p in prefixes]
         h_prev = np.empty((2, n_rows - pack.steps[0], hdim))
         x_packed = np.empty((2,) + x.shape)

@@ -27,7 +27,6 @@ DEFAULT_IDENTITY_KEYWORDS = ("gay", "lesbian", "bisexual", "muslim", "jew", "bla
 class Template:
     text: str  # contains the slot exactly once
     polarity: str  # "toxic" or "nontoxic"
-    source: str = "builtin"
 
     def __post_init__(self):
         if self.polarity not in ("toxic", "nontoxic"):
@@ -67,7 +66,7 @@ class ProbeResult:
         }
 
 
-def load_templates(path: str | Path, source: str = "file") -> list[Template]:
+def load_templates(path: str | Path) -> list[Template]:
     """Read a templates file: one ``polarity<TAB>text`` per line, # comments.
 
     A malformed line raises CorpusError naming the file and the line.
@@ -78,7 +77,7 @@ def load_templates(path: str | Path, source: str = "file") -> list[Template]:
         polarity, tab, text = line.partition("\t")
         if not tab:
             raise ValueError("expected polarity<TAB>text")
-        return Template(text=text, polarity=polarity, source=source)
+        return Template(text=text, polarity=polarity)
 
     return list(filter(None, read_rows(path, "lines", template)))
 
@@ -87,7 +86,7 @@ def builtin_templates() -> list[Template]:
     """The 7 non-toxic and 7 toxic built-in probe sentences."""
     ref = resources.files("mtltox").joinpath("data/builtin_templates.tsv")
     with resources.as_file(ref) as path:
-        return load_templates(path, source="builtin")
+        return load_templates(path)
 
 
 def instantiate(template: Template, keyword: str) -> str:

@@ -172,7 +172,7 @@ def dataset_loss(
 
 
 def _split(comments: list[Comment], fold: tuple) -> tuple[list[Comment], list[Comment]]:
-    """The (train, validation) comments of one ``FoldPlan`` fold."""
+    """The (train, validation) comments of one ``make_folds`` fold."""
     train_idx, val_idx = fold
     return [comments[i] for i in train_idx], [comments[i] for i in val_idx]
 
@@ -285,7 +285,7 @@ def grid_search_alpha(
     run_cfgs = [replace(cfg, alpha=alpha) for alpha in grid]  # every alpha is checked before the first run
     if not run_cfgs:
         raise ValueError("alpha grid must be nonempty")
-    train_set, val_set = _split(comments, make_folds(len(comments), cfg.k_folds, cfg.seed).folds[0])
+    train_set, val_set = _split(comments, make_folds(len(comments), cfg.k_folds, cfg.seed)[0])
     records = [_fit(train_set, val_set, table, hyper, run_cfg, subgroup_names)[1] for run_cfg in run_cfgs]
 
     def rank(record: RunRecord) -> tuple[float, float]:
@@ -329,7 +329,7 @@ def propagate_identities(
     prop_cfg = replace(cfg, alpha=0.0)
     flat = [dataclasses.replace(c, beta=1.0) for c in annotated]
     k = min(10, max(2, len(flat) // 2))
-    train_set, val_set = _split(flat, make_folds(len(flat), k, cfg.seed).folds[0])
+    train_set, val_set = _split(flat, make_folds(len(flat), k, cfg.seed)[0])
     params, _ = train_fold(train_set, val_set, table, prop_hyper, prop_cfg)
 
     _, aux_hat = predict(params, table, unannotated)
@@ -366,7 +366,7 @@ def run_experiment(
     (see ``propagate_identities``).
     """
     records: list[RunRecord] = []
-    for fold, indices in enumerate(make_folds(len(comments), cfg.k_folds, cfg.seed).folds):
+    for fold, indices in enumerate(make_folds(len(comments), cfg.k_folds, cfg.seed)):
         train_set, val_set = _split(comments, indices)
         params, record = _fit(train_set, val_set, table, hyper, replace(cfg, seed=cfg.seed + fold), subgroup_names)
         record.fold = fold

@@ -965,3 +965,22 @@ def test_readme_command_lines_parse():
         # argparse accepts unambiguous prefixes; the README spells flags out.
         for flag in (t for t in tokens if t.startswith("--")):
             assert flag[2:].replace("-", "_") in args, (command, flag)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("value, expected", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_import_defaults_to_one_blas_thread(value, expected):
+    import os
+    import subprocess
+    import sys
+
+    import mtltox
+
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env |= dict.fromkeys(BLAS_THREAD_VARS, value) if value is not None else {}
+    env["PYTHONPATH"] = str(Path(mtltox.__file__).resolve().parents[1])
+    script = f"import os, mtltox; print(*(os.environ[v] for v in {BLAS_THREAD_VARS}))"
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == [expected] * 3

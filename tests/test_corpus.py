@@ -210,13 +210,13 @@ class TestMakeComment:
 class TestMakeFolds:
     def test_even_partition(self):
         plan = make_folds(10, 5, seed=7)
-        val_sets = [set(v) for _, v in plan.folds]
+        val_sets = [set(v) for _, v in plan]
         assert all(len(v) == 2 for v in val_sets)
         assert set().union(*val_sets) == set(range(10))
 
     def test_remainder_distribution(self):
         plan = make_folds(11, 5, seed=0)
-        sizes = sorted(len(v) for _, v in plan.folds)
+        sizes = sorted(len(v) for _, v in plan)
         assert sizes == [2, 2, 2, 2, 3]
 
     def test_deterministic(self):
@@ -224,10 +224,10 @@ class TestMakeFolds:
 
     def test_disjoint_and_complementary(self):
         plan = make_folds(17, 4, seed=1)
-        for train, val in plan.folds:
+        for train, val in plan:
             assert set(train) & set(val) == set()
             assert set(train) | set(val) == set(range(17))
-        val_sets = [set(v) for _, v in plan.folds]
+        val_sets = [set(v) for _, v in plan]
         for i in range(len(val_sets)):
             for j in range(i + 1, len(val_sets)):
                 assert val_sets[i] & val_sets[j] == set()

@@ -229,7 +229,7 @@ class TestRunExperiment:
         train, _, vocab = biased_corpus(n_train=60, n_eval=8, seed=3)
         table = random_table(vocab, 4, 4, seed=0)
         cfg = quick_cfg(epochs=1)
-        folds = make_folds(len(train), cfg.k_folds, cfg.seed).folds
+        folds = make_folds(len(train), cfg.k_folds, cfg.seed)
         reports = []
 
         def rescore(params, record):
