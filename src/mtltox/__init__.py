@@ -64,7 +64,6 @@ from mtltox.training import (
     RunRecord,
     TrainConfig,
     adam_step,
-    grid_search_alpha,
     propagate_identities,
     run_experiment,
     train_fold,

@@ -128,13 +128,17 @@ def _check_header(path, header, payload_size: int) -> None:
     wrong = [key for key, kinds in HYPER_TYPES.items() if type(hyper[key]) not in kinds]
     if wrong:
         raise CheckpointError(f"{path}: 'hyper' mistypes {', '.join(wrong)}")
+    try:
+        model = Hyper(**hyper)
+    except ValueError as exc:  # Hyper's checks read "<field> must be ..."
+        raise CheckpointError(f"{path}: hyper.{exc}") from exc
     if hyper["embed_dim"] != width:
         raise CheckpointError(f"{path}: 'hyper' embed_dim is {hyper['embed_dim']}, not dim1 + dim2 = {width}")
     shapes = {name: entry["shape"] for name, entry in header["tensors"].items()}
     if len(shapes[EMBEDDING]) != 2 or shapes[EMBEDDING][1] != width:
         raise CheckpointError(f"{path}: tensor '{EMBEDDING}' has shape {shapes[EMBEDDING]}, not [rows, {width}]")
     del shapes[EMBEDDING]
-    expected = {name: list(shape) for name, shape in param_shapes(Hyper(**hyper)).items()}
+    expected = {name: list(shape) for name, shape in param_shapes(model).items()}
     if shapes != expected:
         diff = [f"'{name}' {shapes.get(name)} (the model's {expected.get(name)})"
                 for name in sorted(shapes.keys() | expected.keys()) if shapes.get(name) != expected.get(name)]

@@ -4,16 +4,18 @@ Subcommands: prep, propagate, train, evaluate, bias-report, templates,
 ks-compare. Exit codes: 0 success, 2 input error (a missing or unreadable
 input file, the checkpoint included), 3 numerical failure, 4
 checkpoint/vocabulary compatibility error (a corrupt, malformed or version 1
-checkpoint, one whose tensors do not fit its ``hyper``, a vocabulary that
-does not match it, or data prepared with another one).
+checkpoint, one whose ``hyper`` breaks ``Hyper``'s checks or whose tensors
+do not fit it, a vocabulary that does not match it, or data prepared with
+another one).
 
 ``train`` writes ``checkpoint_fold<k>.json`` and ``run_fold<k>.json`` per
 fold; a run record's ``metrics`` is its validation split's
-``BiasReport.to_dict()``. With ``--alpha grid:...`` it first writes
-``alpha_grid.json``: ``chosen_alpha`` and, in ``results``, one run record
-per grid point. ``evaluate`` and ``bias-report`` write
-``BiasReport.to_dict()`` to ``--out`` and stdout, and its subgroup table as
-CSV beside ``--out``.
+``BiasReport.to_dict()``. With ``--alpha grid:...`` fold 0 trains one
+model per grid alpha and keeps the best as fold 0's model (see
+``run_experiment``), and ``alpha_grid.json`` is written before fold 0's
+files: ``chosen_alpha`` and, in ``results``, one run record per grid
+point. ``evaluate`` and ``bias-report`` write ``BiasReport.to_dict()`` to
+``--out`` and stdout, and its subgroup table as CSV beside ``--out``.
 
 Config file (JSON) for propagate/train. Every key is optional, and every
 accepted key is shown; any other key is refused with exit code 2:
@@ -45,11 +47,11 @@ UTF-8 with ``<file>: line <n>: not UTF-8: ...``. ``prep`` refuses an input
 with no records or a row whose text has no tokens; propagate, train and
 evaluate refuse a prepared line with no tokens, a token id that is not a
 non-negative integer, or a ``true_length`` (older, padded lines) outside
-[0, len(token_ids)]; ``propagate`` refuses a corpus weighted with a ``c``
-other than ``train.c``; ``bias-report`` reads a ``.jsonl`` or ``.json``
-file (in any letter case) as JSONL and refuses a predictions file with no
-rows, a score that is not a finite number or a label that is not 0 or 1; an
-embedding value must be finite. ``train`` refuses a corpus with
+[0, len(token_ids)]; ``propagate`` and ``train`` refuse a corpus weighted
+with a ``c`` other than ``train.c``; ``bias-report`` reads a ``.jsonl`` or
+``.json`` file (in any letter case) as JSONL and refuses a predictions file
+with no rows, a score that is not a finite number or a label that is not 0
+or 1; an embedding value must be finite. ``train`` refuses a corpus with
 unannotated identity rows: run ``propagate`` on it first. ``ks-compare``
 refuses a ``run_fold*.json`` that is not a JSON object with a ``metrics``
 object, or whose metric is missing, null or not a finite number, naming
@@ -58,7 +60,11 @@ numbers (``--alpha`` may be ``grid:`` and a list of them) when the
 arguments are parsed. An alpha outside [0, 1], a ``batch_size`` below 1, a
 ``k_folds`` below 2 or an ``aux_source`` other than "identities" or
 "subtypes" exits 2 before any training; ``--out-dir`` is made where the
-first file is written.
+first file is written. So does, naming the config file and
+``<section>.<key>``, a ``hyper`` size (``hidden``, ``dense1``, ``dense2``,
+``max_len``) below 1, an ``n_aux`` below 0, a ``dropout_rate`` outside
+[0, 1), a ``learning_rate`` that is not a finite number above 0, or a
+``grad_clip_norm`` that is neither null nor a finite number above 0.
 The MTLTOX_SEED environment variable overrides the default seed wherever
 --seed is not given.
 """
@@ -100,7 +106,6 @@ from mtltox.templates import (
 from mtltox.training import (
     TrainConfig,
     evaluate_model,
-    grid_search_alpha,
     propagate_identities,
     run_experiment,
 )
@@ -187,14 +192,18 @@ def _build_table(config: dict, vocab: Vocabulary) -> EmbeddingTable:
     return build_table(vocab, src1, src2, emb.get("oov_seed", 0), dim1=dim1, dim2=dim2)
 
 
+def _from_config(path: str | None, section: str, cls, **fields):
+    """``cls(**fields)``; a refused value is named by the config file and ``<section>.<field>``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:  # Hyper's and TrainConfig's checks read "<field> must be ..."
+        raise CorpusError(f"{path}: {section}.{exc}") from exc
+
+
 def _build_train_cfg(config: dict, args) -> TrainConfig:
-    fields = dict(config.get("train", {}))
-    if getattr(args, "seed", None) is not None:
-        fields["seed"] = args.seed
-    fields.setdefault("seed", _default_seed())
-    if getattr(args, "folds", None) is not None:
-        fields["k_folds"] = args.folds
-    return TrainConfig(**fields)
+    cfg = _from_config(args.config, "train", TrainConfig, **{"seed": _default_seed(), **config.get("train", {})})
+    flags = {"seed": getattr(args, "seed", None), "k_folds": getattr(args, "folds", None)}
+    return dataclasses.replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _check_token_ids(data_path: str, comments: list[Comment], table: EmbeddingTable) -> None:
@@ -215,7 +224,7 @@ def _training_inputs(args):
     vocab = Vocabulary.load(args.vocab)
     table = _build_table(config, vocab)
     _check_token_ids(args.data, comments, table)
-    hyper = Hyper(embed_dim=table.dim, **config.get("hyper", {}))
+    hyper = _from_config(args.config, "hyper", Hyper, embed_dim=table.dim, **config.get("hyper", {}))
     return config, comments, vocab, table, hyper, _build_train_cfg(config, args)
 
 
@@ -270,19 +279,19 @@ def cmd_train(args) -> int:
     config, comments, vocab, table, hyper, cfg = _training_inputs(args)
     subgroups = config.get("subgroups", list(IDENTITY_COLUMNS))
     out_dir = Path(args.out_dir)  # made where the first file is written
-    if isinstance(args.alpha, list):  # grid_search_alpha refuses a bad alpha before any training
-        chosen, records = grid_search_alpha(comments, table, hyper, cfg, subgroups, args.alpha)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        results = [record.to_dict() for record in records]
-        (out_dir / "alpha_grid.json").write_text(json.dumps({"chosen_alpha": chosen, "results": results}, indent=2))
-        print(f"alpha grid search: chose alpha={chosen}")
-        cfg = dataclasses.replace(cfg, alpha=chosen)
-    elif args.alpha is not None:
+    grid = args.alpha if isinstance(args.alpha, list) else None
+    if args.alpha is not None and grid is None:
         cfg = dataclasses.replace(cfg, alpha=args.alpha)
 
-    def write_fold(params, record) -> None:
+    def write_fold(params, record, tried) -> None:
         fold, metrics = record.fold, record.metrics
         out_dir.mkdir(parents=True, exist_ok=True)
+        if grid is not None and fold == 0:
+            results = [r.to_dict() for r in tried]
+            (out_dir / "alpha_grid.json").write_text(
+                json.dumps({"chosen_alpha": record.alpha, "results": results}, indent=2)
+            )
+            print(f"alpha grid search: chose alpha={record.alpha}")
         save_checkpoint(
             out_dir / f"checkpoint_fold{fold}.json",
             params,
@@ -296,7 +305,7 @@ def cmd_train(args) -> int:
             f"GMB AUC={metrics['generalized_mean_bias_auc']}"
         )
 
-    run_experiment(comments, table, hyper, cfg, subgroups, on_fold=write_fold)
+    run_experiment(comments, table, hyper, cfg, subgroups, grid, on_fold=write_fold)
     return 0
 
 

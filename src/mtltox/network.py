@@ -68,6 +68,15 @@ class Hyper:
     attention: bool = True  # identity propagation uses the same net without it
     max_len: int = 220
 
+    def __post_init__(self):
+        for name in ("embed_dim", "hidden", "dense1", "dense2", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_aux < 0:
+            raise ValueError(f"n_aux must be >= 0, got {self.n_aux}")
+        if not 0.0 <= self.dropout_rate < 1.0:  # NaN fails this too
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+
 
 @dataclass
 class ModelParams:

@@ -1,5 +1,5 @@
-"""Adam training loop, K-fold orchestration, alpha grid search, and the
-identity-label propagation preprocessing stage.
+"""Adam training loop, K-fold orchestration with an optional alpha grid on
+fold 0, and the identity-label propagation preprocessing stage.
 
 Every run is fully determined by (config, seed, corpus): initialization,
 epoch shuffles, and dropout masks all come from seeded generators, and batch
@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails this too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.grad_clip_norm is not None and not 0.0 < self.grad_clip_norm < np.inf:
+            raise ValueError(f"grad_clip_norm must be None or finite and > 0, got {self.grad_clip_norm}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.k_folds < 2:
@@ -254,45 +258,14 @@ def evaluate_model(
     return bias_report(examples, names, p=power)
 
 
-def _fit(
-    train_set: list[Comment],
-    val_set: list[Comment],
-    table: EmbeddingTable,
-    hyper: Hyper,
-    cfg: TrainConfig,
-    subgroup_names,
-) -> tuple[ModelParams, RunRecord]:
-    """``train_fold``, then the record's metrics: the validation split's ``BiasReport.to_dict()``."""
-    params, record = train_fold(train_set, val_set, table, hyper, cfg)
-    record.metrics = evaluate_model(params, table, val_set, subgroup_names, cfg.power).to_dict()
-    return params, record
-
-
-def grid_search_alpha(
-    comments: list[Comment],
-    table: EmbeddingTable,
-    hyper: Hyper,
-    cfg: TrainConfig,
-    subgroup_names,
-    grid,
-) -> tuple[float, list[RunRecord]]:
-    """Train one model per alpha on a fixed fold and pick the best.
-
-    Returns the chosen alpha and one record per grid point. Selection
-    maximizes the validation Generalized Mean Bias AUC (undefined counts as
-    worst); exact ties go to the larger alpha.
-    """
-    run_cfgs = [replace(cfg, alpha=alpha) for alpha in grid]  # every alpha is checked before the first run
-    if not run_cfgs:
-        raise ValueError("alpha grid must be nonempty")
-    train_set, val_set = _split(comments, make_folds(len(comments), cfg.k_folds, cfg.seed)[0])
-    records = [_fit(train_set, val_set, table, hyper, run_cfg, subgroup_names)[1] for run_cfg in run_cfgs]
-
-    def rank(record: RunRecord) -> tuple[float, float]:
-        gmb = record.metrics["generalized_mean_bias_auc"]
-        return -np.inf if gmb is None else gmb, record.alpha
-
-    return max(records, key=rank).alpha, records
+def _check_c(comments: list[Comment], c: float) -> None:
+    """Refuse comments weighted with a beta other than 1 and ``c``: ``c`` is not what the corpus was prepared with."""
+    other = sorted({comment.beta for comment in comments if comment.beta != 1.0} - {c})
+    if other:
+        raise ValueError(
+            f"comments are weighted with beta {', '.join(map(str, other))} but c is {c}: "
+            "set train.c to the --c the corpus was prepared with"
+        )
 
 
 def propagate_identities(
@@ -318,12 +291,7 @@ def propagate_identities(
         raise ValueError("cannot propagate identities: no annotated comments")
     if hyper.n_aux == 0:
         raise ValueError("identity propagation needs auxiliary heads (n_aux > 0)")
-    other = sorted({c.beta for c in comments if c.beta != 1.0} - {cfg.c})
-    if other:
-        raise ValueError(
-            f"comments are weighted with beta {', '.join(map(str, other))} but c is {cfg.c}: "
-            "set train.c to the --c the corpus was prepared with"
-        )
+    _check_c(comments, cfg.c)
 
     prop_hyper = replace(hyper, attention=False)
     prop_cfg = replace(cfg, alpha=0.0)
@@ -350,27 +318,53 @@ def propagate_identities(
     return out
 
 
+def _rank(record: RunRecord) -> tuple[float, float]:
+    """A grid point's order: its validation GMB AUC (undefined counts as worst), then the larger alpha."""
+    gmb = record.metrics["generalized_mean_bias_auc"]
+    return -np.inf if gmb is None else gmb, record.alpha
+
+
 def run_experiment(
     comments: list[Comment],
     table: EmbeddingTable,
     hyper: Hyper,
     cfg: TrainConfig,
     subgroup_names,
-    on_fold: Callable[[ModelParams, RunRecord], None] | None = None,
+    grid: Sequence[float] | None = None,
+    on_fold: Callable[[ModelParams, RunRecord, list[RunRecord]], None] | None = None,
 ) -> list[RunRecord]:
     """K folds, each trained and scored on its validation split; one record per fold.
 
-    Two experiments' per-fold metric values can be compared with the KS
-    test. ``on_fold(params, record)`` is called once per fold, after the
-    record's fold and metrics are set. The corpus must be fully annotated
-    (see ``propagate_identities``).
+    With a ``grid`` of alphas, fold 0 trains one model per alpha and keeps
+    the one with the best validation Generalized Mean Bias AUC (undefined
+    counts as worst; exact ties go to the larger alpha); folds 1 to K-1
+    train with its alpha. Two experiments' per-fold metric values can be
+    compared with the KS test. ``on_fold(params, record, tried)`` is called
+    once per fold, after the record's fold and metrics are set; ``tried``
+    holds the fold's records in training order, one per grid alpha on fold
+    0 and ``[record]`` otherwise. The corpus must be fully annotated and
+    weighted with ``cfg.c`` (see ``propagate_identities``).
     """
+    run_cfgs = [cfg] if grid is None else [replace(cfg, alpha=alpha) for alpha in grid]  # checked before any run
+    if not run_cfgs:
+        raise ValueError("alpha grid must be nonempty")
+    _check_c(comments, cfg.c)
     records: list[RunRecord] = []
     for fold, indices in enumerate(make_folds(len(comments), cfg.k_folds, cfg.seed)):
         train_set, val_set = _split(comments, indices)
-        params, record = _fit(train_set, val_set, table, hyper, replace(cfg, seed=cfg.seed + fold), subgroup_names)
-        record.fold = fold
+        tried: list[RunRecord] = []
+
+        def fit(run_cfg: TrainConfig) -> tuple[ModelParams, RunRecord]:
+            params, record = train_fold(train_set, val_set, table, hyper, replace(run_cfg, seed=cfg.seed + fold))
+            record.fold = fold
+            record.metrics = evaluate_model(params, table, val_set, subgroup_names, cfg.power).to_dict()
+            tried.append(record)
+            return params, record
+
+        # max drops each model that is not the best so far before the next one trains.
+        params, record = max(map(fit, run_cfgs), key=lambda fitted: _rank(fitted[1]))
+        run_cfgs = [replace(cfg, alpha=record.alpha)]
         if on_fold is not None:
-            on_fold(params, record)
+            on_fold(params, record, tried)
         records.append(record)
     return records

@@ -324,6 +324,88 @@ def test_config_value_of_wrong_type_exit_2(workdir, capsys, command, output, sec
     assert not (workdir / output).exists()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "command, output", [(run_train, "run"), (run_propagate, "filled.jsonl")], ids=["train", "propagate"]
+)
+@pytest.mark.parametrize(
+    "section, key, value, rule",
+    [
+        ("hyper", "hidden", 0, "must be >= 1, got 0"),
+        ("hyper", "hidden", -2, "must be >= 1, got -2"),
+        ("hyper", "dense1", 0, "must be >= 1, got 0"),
+        ("hyper", "dense2", 0, "must be >= 1, got 0"),
+        ("hyper", "max_len", 0, "must be >= 1, got 0"),
+        ("hyper", "n_aux", -1, "must be >= 0, got -1"),
+        ("hyper", "dropout_rate", 1.5, "must be in [0, 1), got 1.5"),
+        ("hyper", "dropout_rate", -0.2, "must be in [0, 1), got -0.2"),
+        ("hyper", "dropout_rate", NAN, "must be in [0, 1), got nan"),
+        ("train", "learning_rate", 0, "must be finite and > 0, got 0"),
+        ("train", "learning_rate", -0.001, "must be finite and > 0, got -0.001"),
+        ("train", "learning_rate", NAN, "must be finite and > 0, got nan"),
+        ("train", "learning_rate", INF, "must be finite and > 0, got inf"),
+        ("train", "grad_clip_norm", -1, "must be None or finite and > 0, got -1"),
+        ("train", "grad_clip_norm", 0, "must be None or finite and > 0, got 0"),
+        ("train", "grad_clip_norm", NAN, "must be None or finite and > 0, got nan"),
+    ],
+    ids=[
+        "hidden-0", "hidden-negative", "dense1-0", "dense2-0", "max_len-0", "n_aux-negative", "dropout-1.5",
+        "dropout-negative", "dropout-nan", "learning-rate-0", "learning-rate-negative", "learning-rate-nan",
+        "learning-rate-inf", "grad-clip-negative", "grad-clip-0", "grad-clip-nan",
+    ],
+)
+def test_config_value_out_of_range_exit_2(workdir, capsys, command, output, section, key, value, rule):
+    assert run_prep(workdir) == 0
+    config = json.loads(json.dumps(CONFIG))
+    config[section][key] = value  # json writes NaN and Infinity, and reads them back
+    (workdir / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'config.json'}: {section}.{key} {rule}" in err
+    assert "Traceback" not in err
+    assert not (workdir / output).exists()
+
+
+def test_grid_run_trains_one_model_per_grid_alpha_and_one_per_later_fold(workdir, monkeypatch):
+    import mtltox.training as training
+
+    calls = []
+    real_train_fold = training.train_fold
+    monkeypatch.setattr(training, "train_fold", lambda *args: calls.append(args[-1].alpha) or real_train_fold(*args))
+    assert run_prep(workdir) == 0
+    assert run_train(workdir, extra=("--alpha", "grid:0.4,0.8")) == 0
+    assert calls == [0.4, 0.8, 0.8]  # fold 0 keeps 0.8's model; fold 1 trains with 0.8
+
+
+def test_fold_0_is_the_chosen_grid_point(workdir, monkeypatch):
+    from mtltox.checkpoint import load_checkpoint
+    import mtltox.training as training
+
+    trained = []
+    real_train_fold = training.train_fold
+
+    def keep(*args):
+        trained.append(real_train_fold(*args))
+        return trained[-1]
+
+    monkeypatch.setattr(training, "train_fold", keep)
+    assert run_prep(workdir) == 0
+    # Fold 0's GMB AUC is undefined at every alpha on the fixture, so the tie goes to 0.8, trained first.
+    assert run_train(workdir, extra=("--alpha", "grid:0.8,0.4,0.6")) == 0
+    run = workdir / "run"
+    grid = json.loads((run / "alpha_grid.json").read_text())
+    assert grid["chosen_alpha"] == 0.8
+    assert json.loads((run / "run_fold0.json").read_text()) == grid["results"][0]
+    params, _, _, meta = load_checkpoint(run / "checkpoint_fold0.json")
+    assert meta["alpha"] == 0.8
+    chosen = trained[0][0]
+    assert params.tensors.keys() == chosen.tensors.keys()
+    assert all(np.array_equal(params.tensors[name], chosen.tensors[name]) for name in chosen.tensors)
+
+
 @pytest.mark.parametrize(
     "extra, alpha",
     [(("--alpha", "1.5"), None), (("--alpha", "grid:0.5,1.5"), None), ((), -0.1)],
@@ -348,8 +430,13 @@ def test_train_refuses_alpha_outside_unit_interval(workdir, capsys, extra, alpha
         ((), {"batch_size": 0}, "batch_size must be >= 1, got 0"),
         ((), {"aux_source": "subtype"}, "aux_source must be 'identities' or 'subtypes', got 'subtype'"),
         (("--alpha", "grid:0.4,0.8", "--folds", "20"), {}, "need at least 20 records, got 12"),
+        (
+            (),
+            {"c": 7.0},  # the fixture is weighted with prep's default --c 3
+            "comments are weighted with beta 3.0 but c is 7.0: set train.c to the --c the corpus was prepared with",
+        ),
     ],
-    ids=["one-fold", "more-folds-than-comments", "batch-size-0", "aux-source", "grid-more-folds"],
+    ids=["one-fold", "more-folds-than-comments", "batch-size-0", "aux-source", "grid-more-folds", "c-mismatch"],
 )
 def test_train_refuses_a_bad_setting_without_making_out_dir(workdir, capsys, extra, train, message):
     assert run_prep(workdir) == 0
@@ -606,6 +693,12 @@ CORRUPTIONS = {
     "hidden-string": (_with_hyper(hidden="x"), "'hyper' mistypes hidden"),
     "embed_dim-7": (_with_hyper(embed_dim=7), "'hyper' embed_dim is 7, not dim1 + dim2 = 6"),
     "embedding-shape": (_edit_header(_embedding_shape), "tensor 'embedding' has shape [40, 3], not [rows, 6]"),
+    "hidden-0": (_with_hyper(hidden=0), "hyper.hidden must be >= 1, got 0"),
+    "dense1-0": (_with_hyper(dense1=0), "hyper.dense1 must be >= 1, got 0"),
+    "max_len-negative": (_with_hyper(max_len=-4), "hyper.max_len must be >= 1, got -4"),
+    "n_aux-negative": (_with_hyper(n_aux=-1), "hyper.n_aux must be >= 0, got -1"),
+    "dropout-1.5": (_with_hyper(dropout_rate=1.5), "hyper.dropout_rate must be in [0, 1), got 1.5"),
+    "dropout-nan": (_with_hyper(dropout_rate=float("nan")), "hyper.dropout_rate must be in [0, 1), got nan"),
 }
 
 

@@ -15,7 +15,6 @@ from mtltox.training import (
     adam_step,
     clip_global_norm,
     evaluate_model,
-    grid_search_alpha,
     propagate_identities,
     run_experiment,
     train_fold,
@@ -145,33 +144,85 @@ class TestTrainFold:
             _targets(comments, toy_hyper(n_aux=9), quick_cfg(aux_source="subtypes"))
 
 
+def run_grid(comments, table, grid, subgroups=(), **cfg):
+    """run_experiment over an alpha grid; (fold records, the records each fold tried)."""
+    tried = []
+    records = run_experiment(
+        comments, table, toy_hyper(), quick_cfg(epochs=1, **cfg), list(subgroups), grid,
+        on_fold=lambda params, record, fold_tried: tried.append(fold_tried),
+    )
+    return records, tried
+
+
 class TestGridSearch:
     def test_single_point_grid(self):
         comments, vocab = separable_corpus(n=30, seed=4)
         table = random_table(vocab, 4, 4, seed=0)
-        chosen, results = grid_search_alpha(
-            comments, table, toy_hyper(), quick_cfg(epochs=1), [], grid=[0.4]
-        )
-        assert chosen == 0.4
-        assert len(results) == 1
+        records, tried = run_grid(comments, table, [0.4])
+        assert [r.alpha for r in records] == [0.4, 0.4]
+        assert [len(fold) for fold in tried] == [1, 1]
 
     def test_one_entry_per_grid_point(self):
         comments, vocab = separable_corpus(n=30, seed=5)
         table = random_table(vocab, 4, 4, seed=0)
-        _, results = grid_search_alpha(
-            comments, table, toy_hyper(), quick_cfg(epochs=1), [], grid=[0.2, 0.8]
-        )
-        assert [r.alpha for r in results] == [0.2, 0.8]
+        records, tried = run_grid(comments, table, [0.2, 0.8])
+        assert [r.alpha for r in tried[0]] == [0.2, 0.8]
+        assert all(r.fold == 0 for r in tried[0])
+        assert records[0] in tried[0]
+        assert tried[1] == [records[1]]
 
     def test_undefined_metric_ties_prefer_larger_alpha(self):
         # With no subgroups the bias metric is always undefined, so every
-        # grid point ties and the larger alpha must win.
+        # grid point ties and the larger alpha must win, on every fold.
         comments, vocab = separable_corpus(n=30, seed=6)
         table = random_table(vocab, 4, 4, seed=0)
-        chosen, _ = grid_search_alpha(
-            comments, table, toy_hyper(), quick_cfg(epochs=1), [], grid=[0.2, 0.6, 1.0]
+        records, tried = run_grid(comments, table, [0.2, 1.0, 0.6])
+        assert [r.alpha for r in records] == [1.0, 1.0]
+        assert records[0] is tried[0][1]
+
+    def test_best_defined_metric_wins_over_a_larger_alpha(self, monkeypatch):
+        import mtltox.training as training
+
+        comments, vocab = separable_corpus(n=30, seed=4)
+        table = random_table(vocab, 4, 4, seed=0)
+        gmb = iter([0.6, 0.9, None, 0.5])  # in training order: the grid on fold 0, then fold 1
+        real_evaluate_model = training.evaluate_model
+        monkeypatch.setattr(
+            training, "evaluate_model",
+            lambda *args: dataclasses.replace(real_evaluate_model(*args), generalized_mean_bias_auc=next(gmb)),
         )
-        assert chosen == 1.0
+        records, tried = run_grid(comments, table, [0.2, 0.5, 0.8])
+        assert [r.metrics["generalized_mean_bias_auc"] for r in tried[0]] == [0.6, 0.9, None]
+        assert [r.alpha for r in records] == [0.5, 0.5]
+
+    def test_empty_grid_rejected(self):
+        comments, vocab = separable_corpus(n=30, seed=4)
+        table = random_table(vocab, 4, 4, seed=0)
+        with pytest.raises(ValueError, match="nonempty"):
+            run_grid(comments, table, [])
+
+    def test_only_the_best_model_is_kept_beside_the_one_training(self, monkeypatch):
+        import gc
+        import weakref
+
+        import mtltox.training as training
+
+        comments, vocab = separable_corpus(n=30, seed=6)
+        table = random_table(vocab, 4, 4, seed=0)
+        trained, alive = [], []
+
+        def watched_train_fold(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in trained))
+            params, record = real_train_fold(*args)
+            trained.append(weakref.ref(params))
+            return params, record
+
+        real_train_fold = training.train_fold
+        monkeypatch.setattr(training, "train_fold", watched_train_fold)
+        run_grid(comments, table, [0.2, 0.6, 1.0, 0.4])
+        assert len(alive) == 5  # four grid points on fold 0, then fold 1
+        assert max(alive) == 1
 
 
 class TestPropagateIdentities:
@@ -232,7 +283,8 @@ class TestRunExperiment:
         folds = make_folds(len(train), cfg.k_folds, cfg.seed)
         reports = []
 
-        def rescore(params, record):
+        def rescore(params, record, tried):
+            assert tried == [record]
             val_set = [train[i] for i in folds[record.fold][1]]
             reports.append(evaluate_model(params, table, val_set, ["gay", "muslim"], cfg.power))
 
