@@ -46,8 +46,8 @@ identities = list(DEFAULT_IDENTITY_KEYWORDS)
 templates = builtin_templates()
 print(f"{'identity':<10} {'single nontoxic':>16} {'mtl nontoxic':>14}")
 for model, probe in (
-    ("single", run_probe(single, table, vocab, identities, templates, 16)),
-    ("mtl", run_probe(mtl, table, vocab, identities, templates, 16)),
+    ("single", run_probe(single, table, vocab, identities, templates)),
+    ("mtl", run_probe(mtl, table, vocab, identities, templates)),
 ):
     if model == "single":
         single_probe = probe

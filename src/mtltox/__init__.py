@@ -29,7 +29,7 @@ from mtltox.corpus import (
     tokenize,
 )
 from mtltox.embeddings import EmbeddingTable, build_table, load_vectors, random_table
-from mtltox.losses import LossBreakdown, bce, loss_grad_heads, multitask_loss
+from mtltox.losses import LossBreakdown, loss_grad_heads, multitask_loss
 from mtltox.metrics import (
     BiasReport,
     ScoredExample,

@@ -10,8 +10,9 @@ values come back bit for bit and save/load/save is byte-identical.
 
 A load reads at most HEADER_LIMIT bytes for the header line, checks the
 whole header against the file's size before it allocates anything, and the
-payload against the header's hash. Version 1 checkpoints (the whole file one
-JSON text) are not read: retrain them with ``mtltox train``.
+payload against the header's hash, then every payload value for
+finiteness. Version 1 checkpoints (the whole file one JSON text) are not
+read: retrain them with ``mtltox train``.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
     """Returns (params, embedding table, vocab checksum, meta).
 
     A missing file raises FileNotFoundError. A file that cannot be read, or
-    whose header or payload is malformed or corrupt, raises CheckpointError.
+    whose header or payload is malformed or corrupt, raises CheckpointError;
+    so does a payload that holds a NaN or an infinity.
     """
     try:
         with open(path, "rb") as fh:
@@ -174,6 +176,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if sha.hexdigest() != header["sha256"]:
         raise CheckpointError(f"{path}: payload SHA-256 does not match the header")
+    bad = next((name for name, a in arrays.items() if not np.isfinite(a).all()), None)
+    if bad is not None:
+        raise CheckpointError(f"{path}: tensor '{bad}' holds a non-finite value")
     emb = header["embedding"]
     table = EmbeddingTable(matrix=arrays.pop(EMBEDDING), dim1=emb["dim1"], dim2=emb["dim2"])
     params = ModelParams(hyper=Hyper(**header["hyper"]), tensors=arrays)

@@ -4,9 +4,9 @@ Subcommands: prep, propagate, train, evaluate, bias-report, templates,
 ks-compare. Exit codes: 0 success, 2 input error (a missing or unreadable
 input file, the checkpoint included), 3 numerical failure, 4
 checkpoint/vocabulary compatibility error (a corrupt, malformed or version 1
-checkpoint, one whose ``hyper`` breaks ``Hyper``'s checks or whose tensors
-do not fit it, a vocabulary that does not match it, or data prepared with
-another one).
+checkpoint, one whose ``hyper`` breaks ``Hyper``'s checks, whose tensors
+do not fit it or hold a NaN or an infinity, a vocabulary that does not
+match it, or data prepared with another one).
 
 ``train`` writes ``checkpoint_fold<k>.json`` and ``run_fold<k>.json`` per
 fold; a run record's ``metrics`` is its validation split's
@@ -63,10 +63,11 @@ arguments are parsed. An alpha outside [0, 1], a ``batch_size`` below 1, a
 first file is written. So does, naming the config file and
 ``<section>.<key>``, a ``hyper`` size (``hidden``, ``dense1``, ``dense2``,
 ``max_len``) below 1, an ``n_aux`` below 0, a ``dropout_rate`` outside
-[0, 1), a ``learning_rate`` that is not a finite number above 0, or a
-``grad_clip_norm`` that is neither null nor a finite number above 0.
-The MTLTOX_SEED environment variable overrides the default seed wherever
---seed is not given.
+[0, 1), a ``learning_rate`` that is not a finite number above 0, a
+``grad_clip_norm`` that is neither null nor a finite number above 0, an
+``epochs`` or ``seed`` below 0 (``--seed`` too, naming ``seed``), a
+``patience`` below 1, or an ``embeddings`` ``dim1``, ``dim2`` or
+``oov_seed`` below 0, checked before any embedding file is read.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import typing
 from pathlib import Path
@@ -117,10 +117,6 @@ EXIT_COMPAT = 4
 
 class CompatibilityError(RuntimeError):
     pass
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("MTLTOX_SEED", "0"))
 
 
 # The JSON value types a field of each type accepts, and their name; a bool is not a number.
@@ -177,6 +173,10 @@ def _load_config(path: str | None) -> dict:
             accepted, name = types[key]
             if type(value) not in accepted:
                 raise CorpusError(f"{path}: '{section}.{key}' must be {name}")
+    embeddings = config.get("embeddings", {})
+    for key in ("dim1", "dim2", "oov_seed"):
+        if embeddings.get(key, 0) < 0:
+            raise CorpusError(f"{path}: embeddings.{key} must be >= 0, got {embeddings[key]}")
     subgroups = config.get("subgroups", [])
     if type(subgroups) is not list or not all(type(name) is str for name in subgroups):
         raise CorpusError(f"{path}: 'subgroups' must be a list of strings")
@@ -201,7 +201,7 @@ def _from_config(path: str | None, section: str, cls, **fields):
 
 
 def _build_train_cfg(config: dict, args) -> TrainConfig:
-    cfg = _from_config(args.config, "train", TrainConfig, **{"seed": _default_seed(), **config.get("train", {})})
+    cfg = _from_config(args.config, "train", TrainConfig, **config.get("train", {}))
     flags = {"seed": getattr(args, "seed", None), "k_folds": getattr(args, "folds", None)}
     return dataclasses.replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 

@@ -25,13 +25,6 @@ class LossBreakdown:
     total: float
     toxicity_term: float  # alpha-weighted, beta-weighted, mean-reduced
     auxiliary_term: float
-    per_example: np.ndarray  # unreduced beta_n * [...] contributions
-
-
-def bce(y_hat: float, y: float) -> float:
-    """Binary cross-entropy with the prediction clamped to [EPS, 1 - EPS]."""
-    p = min(max(y_hat, EPS), 1.0 - EPS)
-    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
 def _arrays(y_hat, aux_hat, y, aux_y, beta):
@@ -63,7 +56,6 @@ def multitask_loss(y_hat, aux_hat, y, aux_y, beta, alpha: float) -> LossBreakdow
         total=float(per_example.sum() * scale),
         toxicity_term=float((beta * alpha * tox).sum() * scale),
         auxiliary_term=float((beta * (1.0 - alpha) * aux).sum() * scale),
-        per_example=per_example,
     )
 
 

@@ -34,10 +34,10 @@ TOXIC_SENTENCES = (
 )
 
 
-def build_vocab(identities=DEFAULT_IDENTITY_KEYWORDS) -> Vocabulary:
+def build_vocab() -> Vocabulary:
     """Vocabulary covering the templates, fillers, and identity keywords."""
     texts = [t.text.replace("<Identity>", "x") for t in builtin_templates()]
-    texts += list(NEUTRAL_SENTENCES) + list(TOXIC_SENTENCES) + list(identities)
+    texts += list(NEUTRAL_SENTENCES) + list(TOXIC_SENTENCES) + list(DEFAULT_IDENTITY_KEYWORDS)
     return Vocabulary.build(tokenize(t) for t in texts)
 
 
@@ -45,23 +45,21 @@ def biased_corpus(
     n_train: int = 3200,
     n_eval: int = 800,
     identity_cooccurrence: float = 0.8,
-    identities=DEFAULT_IDENTITY_KEYWORDS,
-    vocab: Vocabulary | None = None,
-    max_len: int = 16,
-    c: float = 3.0,
     seed: int = 0,
 ) -> tuple[list[Comment], list[Comment], Vocabulary]:
-    """Returns (train set, eval set, vocabulary).
+    """Returns (train set, eval set, ``build_vocab()``).
 
     Training: half the examples mention an identity, and of those a
     ``identity_cooccurrence`` fraction are toxic; the other half are
     background comments, split evenly between toxic and neutral. Evaluation:
     identity mentions are all non-toxic (balanced across identities) against
-    an equal number of toxic and neutral background comments.
+    an equal number of toxic and neutral background comments. The identities
+    are ``DEFAULT_IDENTITY_KEYWORDS``, one label each; comments are cut at 16
+    tokens and weighted with c = 3.0.
     """
     rng = np.random.default_rng(seed)
-    if vocab is None:
-        vocab = build_vocab(identities)
+    vocab = build_vocab()
+    identities, max_len, c = DEFAULT_IDENTITY_KEYWORDS, 16, 3.0
     templates = builtin_templates()
     nontoxic_templates = [t for t in templates if t.polarity == "nontoxic"]
     toxic_templates = [t for t in templates if t.polarity == "toxic"]
@@ -102,18 +100,13 @@ def biased_corpus(
     return train, evaluation, vocab
 
 
-def separable_corpus(
-    n: int = 200,
-    marker: str = "badword",
-    vocab: Vocabulary | None = None,
-    max_len: int = 12,
-    seed: int = 0,
-) -> tuple[list[Comment], Vocabulary]:
-    """Linearly separable toy corpus: toxic iff the marker token appears."""
+def separable_corpus(n: int = 200, seed: int = 0) -> tuple[list[Comment], Vocabulary]:
+    """Linearly separable toy corpus of comments cut at 12 tokens: toxic iff
+    the marker token "badword" appears."""
     rng = np.random.default_rng(seed)
+    marker, max_len = "badword", 12
     filler = [w for s in NEUTRAL_SENTENCES for w in tokenize(s)]
-    if vocab is None:
-        vocab = Vocabulary.build([filler + [marker]])
+    vocab = Vocabulary.build([filler + [marker]])
     comments = []
     for i in range(n):
         toxic = i % 2 == 0

@@ -100,22 +100,19 @@ def run_probe(
     vocab: Vocabulary,
     identities=DEFAULT_IDENTITY_KEYWORDS,
     templates: list[Template] | None = None,
-    max_len: int | None = None,
 ) -> dict[str, ProbeResult]:
     """Score every (template, identity) pair; results grouped by identity.
 
-    A probe's one identity label marks the identity it mentions. A name given
-    twice is probed once.
+    A probe's one identity label marks the identity it mentions, and its
+    tokens are cut at the model's ``max_len``. A name given twice is probed once.
     """
     if templates is None:
         templates = builtin_templates()
-    if max_len is None:
-        max_len = params.hyper.max_len
     unique = list(dict.fromkeys(identities))
     probes = [
         make_comment(
             f"{identity}:{t.polarity}", instantiate(t, identity),
-            float(t.polarity == "toxic"), np.ones(1), vocab, max_len, 1.0,
+            float(t.polarity == "toxic"), np.ones(1), vocab, params.hyper.max_len, 1.0,
         )
         for identity in unique
         for t in templates

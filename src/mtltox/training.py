@@ -53,10 +53,9 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.grad_clip_norm is not None and not 0.0 < self.grad_clip_norm < np.inf:
             raise ValueError(f"grad_clip_norm must be None or finite and > 0, got {self.grad_clip_norm}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.k_folds < 2:
-            raise ValueError(f"k_folds must be >= 2, got {self.k_folds}")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0), ("k_folds", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.aux_source not in ("identities", "subtypes"):
             raise ValueError(f"aux_source must be 'identities' or 'subtypes', got {self.aux_source!r}")
 

@@ -275,7 +275,7 @@ def _bias_run(train, evaluation, vocab, table, n_aux, alpha, seed):
         for s, cm in zip(scores, evaluation)
     ]
     bpsns = {name: bpsn_auc(examples, name) for name in IDENTS}
-    probe = run_probe(params, table, vocab, IDENTS, builtin_templates(), 16)
+    probe = run_probe(params, table, vocab, IDENTS, builtin_templates())
     mean_nontoxic = float(np.mean([probe[n].mean_nontoxic for n in IDENTS]))
     return bpsns, mean_nontoxic, record
 

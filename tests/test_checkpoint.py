@@ -48,11 +48,12 @@ def test_save_load_save_byte_identical(tmp_path):
 def test_file_is_a_header_line_then_the_float64_payload(tmp_path):
     """The first line is the JSON header; then come the <f8 bytes of the
     embedding matrix and of each tensor in order, which the header's offsets,
-    length and SHA-256 describe. NaN, infinities and -0.0 come back bit for
-    bit, and meta keys that json turns into strings read back as strings."""
+    length and SHA-256 describe. The largest and smallest floats, a
+    subnormal and -0.0 come back bit for bit, and meta keys that json turns
+    into strings read back as strings."""
     hyper = tiny_hyper(n_aux=2)
     params = init_params(hyper, seed=3)
-    params.tensors["dense1_W"].flat[:4] = [np.inf, -np.inf, np.nan, -0.0]
+    params.tensors["dense1_W"].flat[:4] = [np.finfo(float).max, -np.finfo(float).max, 5e-324, -0.0]
     vocab = Vocabulary.build([["a", "b"]])
     table = random_table(vocab, 1, 1, seed=0)
     meta = {"fold": 2, "alpha": 0.6, "nested": {"k": [1, 2.5, None]}, 7: True}
@@ -82,6 +83,18 @@ def test_file_is_a_header_line_then_the_float64_payload(tmp_path):
     saved_bits = params.tensors["dense1_W"].view("<u8")
     assert np.array_equal(loaded.tensors["dense1_W"].view("<u8"), saved_bits)
     assert loaded_meta["7"] is True
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_refused_naming_the_tensor(tmp_path, value):
+    params = init_params(tiny_hyper(n_aux=2), seed=3)
+    params.tensors["dense2_W"].flat[1] = value
+    table = random_table(Vocabulary.build([["a", "b"]]), 1, 1, seed=0)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, params, table, "abc")
+    with pytest.raises(CheckpointError, match="tensor 'dense2_W' holds a non-finite value") as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_unreadable_checkpoint(tmp_path):

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import tempfile
@@ -11,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtltox.cli as cli
 from mtltox.cli import main
-from mtltox.corpus import IDENTITY_COLUMNS
+from mtltox.corpus import IDENTITY_COLUMNS, CorpusError
 from mtltox.metrics import ScoredExample, SubgroupStats, bias_report
+from mtltox.network import Hyper
 
 
 CONFIG = {
@@ -349,11 +353,18 @@ NAN, INF = float("nan"), float("inf")
         ("train", "grad_clip_norm", -1, "must be None or finite and > 0, got -1"),
         ("train", "grad_clip_norm", 0, "must be None or finite and > 0, got 0"),
         ("train", "grad_clip_norm", NAN, "must be None or finite and > 0, got nan"),
+        ("train", "epochs", -1, "must be >= 0, got -1"),
+        ("train", "patience", 0, "must be >= 1, got 0"),
+        ("train", "seed", -1, "must be >= 0, got -1"),
+        ("embeddings", "dim1", -1, "must be >= 0, got -1"),
+        ("embeddings", "dim2", -1, "must be >= 0, got -1"),
+        ("embeddings", "oov_seed", -1, "must be >= 0, got -1"),
     ],
     ids=[
         "hidden-0", "hidden-negative", "dense1-0", "dense2-0", "max_len-0", "n_aux-negative", "dropout-1.5",
         "dropout-negative", "dropout-nan", "learning-rate-0", "learning-rate-negative", "learning-rate-nan",
-        "learning-rate-inf", "grad-clip-negative", "grad-clip-0", "grad-clip-nan",
+        "learning-rate-inf", "grad-clip-negative", "grad-clip-0", "grad-clip-nan", "epochs-negative", "patience-0",
+        "seed-negative", "dim1-negative", "dim2-negative", "oov-seed-negative",
     ],
 )
 def test_config_value_out_of_range_exit_2(workdir, capsys, command, output, section, key, value, rule):
@@ -367,6 +378,51 @@ def test_config_value_out_of_range_exit_2(workdir, capsys, command, output, sect
     assert f"{workdir / 'config.json'}: {section}.{key} {rule}" in err
     assert "Traceback" not in err
     assert not (workdir / output).exists()
+
+
+# A value of each JSON type a config field accepts, mostly near the fields' bounds.
+_TYPED = {
+    int: st.integers(-2, 3),
+    float: st.floats(-0.5, 1.5) | st.sampled_from([NAN, INF, -INF]),
+    bool: st.booleans(),
+    str: st.text(max_size=4),
+    type(None): st.none(),
+}
+_ANY_JSON = st.recursive(
+    st.one_of(*_TYPED.values(), st.integers(), st.floats(), st.just(10**400)),
+    lambda values: st.lists(values, max_size=2) | st.dictionaries(st.text(max_size=2), values, max_size=2),
+    max_leaves=4,
+)
+
+
+# One value for each key of each config section: mostly of the key's type, sometimes any JSON value.
+_CONFIG_VALUES = st.fixed_dictionaries({
+    (section, key): st.one_of(*(_TYPED[t] for t in accepted), _ANY_JSON)
+    for section, types in cli.CONFIG_TYPES.items()
+    for key, (accepted, _) in types.items()
+})
+
+
+@given(values=_CONFIG_VALUES)
+@settings(max_examples=50, deadline=None)
+def test_any_config_value_builds_the_sections_or_is_refused_naming_the_config(values):
+    """Each key of the fixture's config in turn takes its drawn value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "config.json")
+        for (section, key), value in values.items():
+            config = json.loads(json.dumps(CONFIG))
+            config[section][key] = value
+            Path(path).write_text(json.dumps(config))  # json writes NaN and Infinity, and reads them back
+            try:
+                # What _training_inputs builds, with embed_dim from the dimensions rather than a table of them.
+                read = cli._load_config(path)
+                emb = read["embeddings"]
+                cli._from_config(path, "hyper", Hyper, embed_dim=emb["dim1"] + emb["dim2"], **read["hyper"])
+                cfg = cli._build_train_cfg(read, argparse.Namespace(config=path))
+                # The generators that training and the embedding table's OOV rows draw from.
+                np.random.default_rng(cfg.seed), np.random.default_rng(emb.get("oov_seed", 0))
+            except CorpusError as exc:
+                assert str(exc).startswith(f"{path}: "), exc
 
 
 def test_grid_run_trains_one_model_per_grid_alpha_and_one_per_later_fold(workdir, monkeypatch):
@@ -430,13 +486,17 @@ def test_train_refuses_alpha_outside_unit_interval(workdir, capsys, extra, alpha
         ((), {"batch_size": 0}, "batch_size must be >= 1, got 0"),
         ((), {"aux_source": "subtype"}, "aux_source must be 'identities' or 'subtypes', got 'subtype'"),
         (("--alpha", "grid:0.4,0.8", "--folds", "20"), {}, "need at least 20 records, got 12"),
+        (("--seed", "-1"), {}, "seed must be >= 0, got -1"),
         (
             (),
             {"c": 7.0},  # the fixture is weighted with prep's default --c 3
             "comments are weighted with beta 3.0 but c is 7.0: set train.c to the --c the corpus was prepared with",
         ),
     ],
-    ids=["one-fold", "more-folds-than-comments", "batch-size-0", "aux-source", "grid-more-folds", "c-mismatch"],
+    ids=[
+        "one-fold", "more-folds-than-comments", "batch-size-0", "aux-source", "grid-more-folds", "seed-flag-negative",
+        "c-mismatch",
+    ],
 )
 def test_train_refuses_a_bad_setting_without_making_out_dir(workdir, capsys, extra, train, message):
     assert run_prep(workdir) == 0
@@ -479,8 +539,6 @@ def test_non_finite_p_refused_when_parsed(tmp_path, capsys, command, value):
 
 
 def test_config_accepts_an_int_for_a_float_and_null_where_allowed(tmp_path):
-    import mtltox.cli as cli
-
     config = {
         "hyper": {"dropout_rate": 0, "attention": False},
         "train": {"learning_rate": 1, "grad_clip_norm": None},
@@ -675,6 +733,18 @@ def _embedding_shape(h):
     return h | {"tensors": h["tensors"] | {"embedding": {"shape": [2 * rows, 3], "offset": 0}}}
 
 
+def _nan_in(tensor):
+    """A corruption that writes a NaN over the tensor's first value and recomputes the payload's hash."""
+    def corrupt(data):
+        line, payload = data.split(b"\n", 1)
+        header = json.loads(line)
+        at = header["tensors"][tensor]["offset"]
+        payload = payload[:at] + np.array(NAN, "<f8").tobytes() + payload[at + 8 :]
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+        return json.dumps(header).encode() + b"\n" + payload
+    return corrupt
+
+
 # Each corruption of the fixture's checkpoint and a part of the error it gives. The
 # header edits describe a model other than the fixture's (hidden 3, dense 4, n_aux 9,
 # embedding 3 + 3) without touching the payload.
@@ -699,6 +769,8 @@ CORRUPTIONS = {
     "n_aux-negative": (_with_hyper(n_aux=-1), "hyper.n_aux must be >= 0, got -1"),
     "dropout-1.5": (_with_hyper(dropout_rate=1.5), "hyper.dropout_rate must be in [0, 1), got 1.5"),
     "dropout-nan": (_with_hyper(dropout_rate=float("nan")), "hyper.dropout_rate must be in [0, 1), got nan"),
+    "nan-in-dense1_W": (_nan_in("dense1_W"), "tensor 'dense1_W' holds a non-finite value"),
+    "nan-in-embedding": (_nan_in("embedding"), "tensor 'embedding' holds a non-finite value"),
 }
 
 
@@ -738,8 +810,6 @@ def test_same_seed_checkpoints_byte_identical(workdir):
 
 
 def test_cli_docstring_config_example_is_accepted(tmp_path):
-    import mtltox.cli as cli
-
     example = cli.__doc__.split("any other key is refused with exit code 2:", 1)[1].split("\n\n")[1]
     config = json.loads(example)
     path = tmp_path / "cfg.json"

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from mtltox.losses import bce, loss_grad_heads, multitask_loss
+from mtltox.losses import loss_grad_heads, multitask_loss
+
+
+def bce(y_hat, y):
+    """One example's loss with alpha 1, beta 1 and no auxiliary heads: its toxicity BCE."""
+    return multitask_loss([y_hat], np.zeros((1, 0)), [y], np.zeros((1, 0)), [1.0], 1.0).total
 
 
 class TestBce:
@@ -36,7 +41,7 @@ class TestMultitaskLoss:
         alpha = 1.0
         out = multitask_loss(*batch([0.7], [[0.2, 0.9]], [1.0], [[0.5, 0.5]], [2.0]), alpha)
         assert out.auxiliary_term == 0.0
-        assert out.total == pytest.approx(2.0 * bce(0.7, 1.0), abs=1e-12)
+        assert out.total == pytest.approx(2.0 * -np.log(0.7), abs=1e-12)
 
     def test_single_example_hand_value(self):
         # beta=3, alpha=0.6, yhat=0.7 y=1, one aux head yhat=0.4 y=0.25;
@@ -59,7 +64,8 @@ class TestMultitaskLoss:
             *batch([0.7, 0.3], [[0.2, 0.9], [0.5, 0.5]], [1.0, 0.0], [[0.5, 0.1], [0.0, 1.0]], [3.0, 1.0]),
             alpha,
         )
-        assert out.total == pytest.approx(out.per_example.sum() / 2.0, abs=1e-9)
+        # Both toxicity BCEs are -ln 0.7: beta 3 and 1, alpha 0.6, mean over two examples.
+        assert out.toxicity_term == pytest.approx(alpha * (3.0 + 1.0) * -np.log(0.7) / 2.0, abs=1e-12)
         assert out.total == pytest.approx(out.toxicity_term + out.auxiliary_term, abs=1e-9)
 
     def test_alpha_affine_interpolation(self):
