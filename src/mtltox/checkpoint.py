@@ -21,12 +21,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
+from mtltox.corpus import from_json
 from mtltox.embeddings import EmbeddingTable
 from mtltox.network import Hyper, ModelParams, param_shapes
 
@@ -37,9 +37,7 @@ EMBEDDING = "embedding"  # the embedding matrix's name in the header's "tensors"
 HEADER_TYPES = dict(
     version=int, hyper=dict, vocab_checksum=str, embedding=dict, meta=dict, tensors=dict, payload_bytes=int, sha256=str
 )
-# The JSON types each Hyper field's value may have; a bool is not a number.
-HYPER_TYPES = {name: {int: (int,), float: (int, float), bool: (bool,)}[t] for name, t in get_type_hints(Hyper).items()}
-HYPER_FIELDS = sorted(HYPER_TYPES)
+HYPER_FIELDS = sorted(f.name for f in fields(Hyper))
 HEADER_LIMIT = 1 << 20  # bytes; a longer first line is not a version 2 header
 VERSION_1 = "checkpoint version 1; re-run `mtltox train`"
 
@@ -95,8 +93,8 @@ def save_checkpoint(
         raise
 
 
-def _check_header(path, header, payload_size: int) -> None:
-    """Refuse a header that is malformed or does not describe exactly payload_size bytes."""
+def _check_header(path, header, payload_size: int) -> Hyper:
+    """The header's model; refuse a header that is malformed or does not describe exactly payload_size bytes."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
     version = header.get("version")
@@ -125,16 +123,10 @@ def _check_header(path, header, payload_size: int) -> None:
         raise CheckpointError(f"{path}: 'payload_bytes' must be {offset}, the bytes its tensors take")
     if payload_size != offset:
         raise CheckpointError(f"{path}: payload holds {payload_size} bytes, the header declares {offset}")
-    hyper, width = header["hyper"], header["embedding"]["dim1"] + header["embedding"]["dim2"]
-    wrong = [key for key, kinds in HYPER_TYPES.items() if type(hyper[key]) not in kinds]
-    if wrong:
-        raise CheckpointError(f"{path}: 'hyper' mistypes {', '.join(wrong)}")
-    try:
-        model = Hyper(**hyper)
-    except ValueError as exc:  # Hyper's checks read "<field> must be ..."
-        raise CheckpointError(f"{path}: hyper.{exc}") from exc
-    if hyper["embed_dim"] != width:
-        raise CheckpointError(f"{path}: 'hyper' embed_dim is {hyper['embed_dim']}, not dim1 + dim2 = {width}")
+    model = from_json(Hyper, header["hyper"], path, "hyper", CheckpointError)
+    width = header["embedding"]["dim1"] + header["embedding"]["dim2"]
+    if model.embed_dim != width:
+        raise CheckpointError(f"{path}: 'hyper' embed_dim is {model.embed_dim}, not dim1 + dim2 = {width}")
     shapes = {name: entry["shape"] for name, entry in header["tensors"].items()}
     if len(shapes[EMBEDDING]) != 2 or shapes[EMBEDDING][1] != width:
         raise CheckpointError(f"{path}: tensor '{EMBEDDING}' has shape {shapes[EMBEDDING]}, not [rows, {width}]")
@@ -144,6 +136,7 @@ def _check_header(path, header, payload_size: int) -> None:
         diff = [f"'{name}' {shapes.get(name)} (the model's {expected.get(name)})"
                 for name in sorted(shapes.keys() | expected.keys()) if shapes.get(name) != expected.get(name)]
         raise CheckpointError(f"{path}: tensors do not fit 'hyper': {'; '.join(diff)}")
+    return model
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str, dict]:
@@ -163,7 +156,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
                 header = json.loads(line)
             except ValueError as exc:
                 raise CheckpointError(f"{path}: checkpoint header is not JSON: {exc}") from exc
-            _check_header(path, header, os.fstat(fh.fileno()).st_size - len(line))
+            hyper = _check_header(path, header, os.fstat(fh.fileno()).st_size - len(line))
             sha, arrays = hashlib.sha256(), {}
             for name, entry in header["tensors"].items():
                 a = arrays[name] = np.empty(entry["shape"], DTYPE)
@@ -181,5 +174,5 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
         raise CheckpointError(f"{path}: tensor '{bad}' holds a non-finite value")
     emb = header["embedding"]
     table = EmbeddingTable(matrix=arrays.pop(EMBEDDING), dim1=emb["dim1"], dim2=emb["dim2"])
-    params = ModelParams(hyper=Hyper(**header["hyper"]), tensors=arrays)
+    params = ModelParams(hyper=hyper, tensors=arrays)
     return params, table, header["vocab_checksum"], header["meta"]

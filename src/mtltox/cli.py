@@ -6,7 +6,9 @@ input file, the checkpoint included), 3 numerical failure, 4
 checkpoint/vocabulary compatibility error (a corrupt, malformed or version 1
 checkpoint, one whose ``hyper`` breaks ``Hyper``'s checks, whose tensors
 do not fit it or hold a NaN or an infinity, a vocabulary that does not
-match it, or data prepared with another one).
+match it, or data prepared with another one, naming the checkpoint or the
+data file); ``hyper`` is read as a config section is, so a mistyped value
+reads ``<checkpoint>: 'hyper.<key>' must be ...``.
 
 ``train`` writes ``checkpoint_fold<k>.json`` and ``run_fold<k>.json`` per
 fold; a run record's ``metrics`` is its validation split's
@@ -32,8 +34,8 @@ accepted key is shown; any other key is refused with exit code 2:
       "subgroups":  ["male", "female"]
     }
 
-Each value must have the type of the field's default (an integer serves as a
-number; ``grad_clip_norm`` may be null); any other value is refused with exit
+Each value must have the type of the field's annotation (an integer serves as
+a number; ``grad_clip_norm`` may be null); any other value is refused with exit
 code 2. ``subgroups`` (train only), a list of strings, names the subgroups of
 the per-fold bias metrics; the k-th name labels the k-th identity column, and
 the default is all nine identity column names. Omitted embedding sources fall
@@ -55,7 +57,8 @@ or 1; an embedding value must be finite. ``train`` refuses a corpus with
 unannotated identity rows: run ``propagate`` on it first. ``ks-compare``
 refuses a ``run_fold*.json`` that is not a JSON object with a ``metrics``
 object, or whose metric is missing, null or not a finite number, naming
-the file. Each of these exits 2. ``--alpha`` and ``--p`` must be finite
+the file and the key (``<file>: 'metrics.f1' must be a finite number, got
+'NaN'``). Each of these exits 2. ``--alpha`` and ``--p`` must be finite
 numbers (``--alpha`` may be ``grid:`` and a list of them) when the
 arguments are parsed. An alpha outside [0, 1], a ``batch_size`` below 1, a
 ``k_folds`` below 2 or an ``aux_source`` other than "identities" or
@@ -64,10 +67,13 @@ first file is written. So does, naming the config file and
 ``<section>.<key>``, a ``hyper`` size (``hidden``, ``dense1``, ``dense2``,
 ``max_len``) below 1, an ``n_aux`` below 0, a ``dropout_rate`` outside
 [0, 1), a ``learning_rate`` that is not a finite number above 0, a
-``grad_clip_norm`` that is neither null nor a finite number above 0, an
-``epochs`` or ``seed`` below 0 (``--seed`` too, naming ``seed``), a
-``patience`` below 1, or an ``embeddings`` ``dim1``, ``dim2`` or
-``oov_seed`` below 0, checked before any embedding file is read.
+``grad_clip_norm`` that is neither null nor a finite number above 0, a
+``power`` that is not finite, an ``epochs`` or ``seed`` below 0 (``--seed``
+too, naming ``seed``), a ``patience`` below 1, or an ``embeddings``
+``dim1``, ``dim2`` or ``oov_seed`` below 0. Every config value, and
+``--seed`` and ``--folds``, is checked before any input file is read. A
+size too large to allocate (``embeddings.dim1``, ``hyper.hidden``, ...)
+exits 2 naming the config file.
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ import dataclasses
 import json
 import math
 import sys
-import typing
 from pathlib import Path
 
 from mtltox.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -88,13 +93,14 @@ from mtltox.corpus import (
     CorpusError,
     Vocabulary,
     binarize_and_weight,
+    from_json,
     load_comments,
     load_corpus,
     read_rows,
     save_comments,
     tokenize,
 )
-from mtltox.embeddings import EmbeddingTable, build_table, load_vectors
+from mtltox.embeddings import EmbeddingSources, EmbeddingTable
 from mtltox.metrics import BiasReport, ScoredExample, bias_report, ks_two_sample
 from mtltox.network import Hyper, NetworkError
 from mtltox.templates import (
@@ -119,91 +125,27 @@ class CompatibilityError(RuntimeError):
     pass
 
 
-# The JSON value types a field of each type accepts, and their name; a bool is not a number.
-_JSON_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    bool: ((bool,), "true or false"),
-    str: ((str,), "a string"),
-}
-
-
-def _field_types(cls) -> dict[str, tuple[tuple[type, ...], str]]:
-    """The ``_JSON_TYPES`` entry of each field's default, with null where the annotation allows None."""
-    hints = typing.get_type_hints(cls)
-    types = {}
-    for f in dataclasses.fields(cls):
-        if f.default is dataclasses.MISSING:
-            continue
-        accepted, name = _JSON_TYPES[type(f.default)]
-        if type(None) in typing.get_args(hints[f.name]):
-            accepted, name = (*accepted, type(None)), f"{name} or null"
-        types[f.name] = (accepted, name)
-    return types
-
-
-# The keys each config section accepts, with their value types; "subgroups" is
-# the one other top-level key. Hyper's embed_dim has no default: it is dim1 + dim2.
-CONFIG_TYPES = {
-    "hyper": _field_types(Hyper),
-    "embeddings": dict.fromkeys(("source1", "source2"), _JSON_TYPES[str])
-    | dict.fromkeys(("dim1", "dim2", "oov_seed"), _JSON_TYPES[int]),
-    "train": _field_types(TrainConfig),
-}
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
-        raise CorpusError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise CorpusError(f"{path}: config must be a JSON object")
-    unknown = [key for key in config if key not in CONFIG_TYPES and key != "subgroups"]
-    for section, types in CONFIG_TYPES.items():
-        if not isinstance(config.get(section, {}), dict):
-            raise CorpusError(f"{path}: '{section}' must be a JSON object")
-        unknown += [f"{section}.{key}" for key in config.get(section, {}) if key not in types]
+def _load_config(path: str | None, **flags) -> tuple[EmbeddingSources, Hyper, TrainConfig, list[str]]:
+    """The config's sections and subgroups, the flags given (not None) set over ``train``'s."""
+    config = {}
+    if path is not None:
+        try:
+            config = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
+            raise CorpusError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise CorpusError(f"{path}: config must be a JSON object")
+    unknown = [key for key in config if key not in ("hyper", "embeddings", "train", "subgroups")]
     if unknown:
         raise CorpusError(f"{path}: unknown key {', '.join(map(repr, unknown))}")
-    for section, types in CONFIG_TYPES.items():
-        for key, value in config.get(section, {}).items():
-            accepted, name = types[key]
-            if type(value) not in accepted:
-                raise CorpusError(f"{path}: '{section}.{key}' must be {name}")
-    embeddings = config.get("embeddings", {})
-    for key in ("dim1", "dim2", "oov_seed"):
-        if embeddings.get(key, 0) < 0:
-            raise CorpusError(f"{path}: embeddings.{key} must be >= 0, got {embeddings[key]}")
-    subgroups = config.get("subgroups", [])
+    subgroups = config.get("subgroups", list(IDENTITY_COLUMNS))
     if type(subgroups) is not list or not all(type(name) is str for name in subgroups):
         raise CorpusError(f"{path}: 'subgroups' must be a list of strings")
-    return config
-
-
-def _build_table(config: dict, vocab: Vocabulary) -> EmbeddingTable:
-    emb = config.get("embeddings", {})
-    dim1 = emb.get("dim1", 50)
-    dim2 = emb.get("dim2", 50)
-    src1 = load_vectors(emb["source1"], dim1) if emb.get("source1") else {}
-    src2 = load_vectors(emb["source2"], dim2) if emb.get("source2") else {}
-    return build_table(vocab, src1, src2, emb.get("oov_seed", 0), dim1=dim1, dim2=dim2)
-
-
-def _from_config(path: str | None, section: str, cls, **fields):
-    """``cls(**fields)``; a refused value is named by the config file and ``<section>.<field>``."""
-    try:
-        return cls(**fields)
-    except ValueError as exc:  # Hyper's and TrainConfig's checks read "<field> must be ..."
-        raise CorpusError(f"{path}: {section}.{exc}") from exc
-
-
-def _build_train_cfg(config: dict, args) -> TrainConfig:
-    cfg = _from_config(args.config, "train", TrainConfig, **config.get("train", {}))
-    flags = {"seed": getattr(args, "seed", None), "k_folds": getattr(args, "folds", None)}
-    return dataclasses.replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    sources = from_json(EmbeddingSources, config.get("embeddings", {}), path, "embeddings")
+    hyper = from_json(Hyper, config.get("hyper", {}), path, "hyper", embed_dim=sources.dim1 + sources.dim2)
+    cfg = from_json(TrainConfig, config.get("train", {}), path, "train")
+    cfg = dataclasses.replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    return sources, hyper, cfg, subgroups
 
 
 def _check_token_ids(data_path: str, comments: list[Comment], table: EmbeddingTable) -> None:
@@ -218,14 +160,13 @@ def _check_token_ids(data_path: str, comments: list[Comment], table: EmbeddingTa
 
 
 def _training_inputs(args):
-    """(config, comments, vocab, table, hyper, cfg) for propagate and train."""
-    config = _load_config(args.config)
+    """(comments, vocab, table, hyper, cfg, subgroups) for propagate and train; the config is read first."""
+    sources, hyper, cfg, subgroups = _load_config(args.config, seed=args.seed, k_folds=getattr(args, "folds", None))
     comments = load_comments(args.data)
     vocab = Vocabulary.load(args.vocab)
-    table = _build_table(config, vocab)
+    table = sources.table(vocab)
     _check_token_ids(args.data, comments, table)
-    hyper = _from_config(args.config, "hyper", Hyper, embed_dim=table.dim, **config.get("hyper", {}))
-    return config, comments, vocab, table, hyper, _build_train_cfg(config, args)
+    return comments, vocab, table, hyper, cfg, subgroups
 
 
 def _load_paired_checkpoint(path: str, vocab_path: str | None):
@@ -236,7 +177,7 @@ def _load_paired_checkpoint(path: str, vocab_path: str | None):
     params, table, vocab_checksum, _ = load_checkpoint(path)
     vocab = Vocabulary.load(vocab_path) if vocab_path else None
     if vocab is not None and vocab.checksum() != vocab_checksum:
-        raise CompatibilityError("vocabulary does not match the checkpoint")
+        raise CompatibilityError(f"{path}: vocabulary {vocab_path} does not match the checkpoint")
     return params, table, vocab
 
 
@@ -268,7 +209,7 @@ def cmd_prep(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    _, comments, _, table, hyper, cfg = _training_inputs(args)
+    comments, _, table, hyper, cfg, _ = _training_inputs(args)
     filled = propagate_identities(comments, table, hyper, cfg)
     save_comments(args.out, filled)
     print(f"propagated identities for {sum(1 for c in filled if c.propagated)} comments")
@@ -276,8 +217,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, comments, vocab, table, hyper, cfg = _training_inputs(args)
-    subgroups = config.get("subgroups", list(IDENTITY_COLUMNS))
+    comments, vocab, table, hyper, cfg, subgroups = _training_inputs(args)
     out_dir = Path(args.out_dir)  # made where the first file is written
     grid = args.alpha if isinstance(args.alpha, list) else None
     if args.alpha is not None and grid is None:
@@ -386,14 +326,16 @@ def _per_fold_metric(run_dir: Path, metric: str) -> list[float]:
             record = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise CorpusError(f"{path}: cannot read run record: {exc}") from exc
-        metrics = record.get("metrics") if isinstance(record, dict) else None
+        if not isinstance(record, dict):
+            raise CorpusError(f"{path}: run record must be a JSON object")
+        metrics = record.get("metrics")
         if not isinstance(metrics, dict):
-            raise CorpusError(f"{path}: a run record is a JSON object with a 'metrics' object")
+            raise CorpusError(f"{path}: 'metrics' must be a JSON object")
         value = metrics.get(key)
         if value is None:
-            raise CorpusError(f"{path}: metric {key!r} missing or undefined")
+            raise CorpusError(f"{path}: 'metrics.{key}' is missing or null")
         if type(value) not in (int, float) or not math.isfinite(value):
-            raise CorpusError(f"{path}: metric {key!r} must be a finite number, got {value!r}")
+            raise CorpusError(f"{path}: 'metrics.{key}' must be a finite number, got {value!r}")
         values.append(float(value))
     if len(values) < 2:
         raise CorpusError(f"{run_dir}: need at least two folds with metric {key!r}")
@@ -495,6 +437,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # what train and propagate allocate, their config's sizes decide
+        if getattr(args, "config", None) is None:
+            raise
+        print(f"error: {args.config}: a size is too large to allocate: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NetworkError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -156,7 +156,7 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self._lines()).encode("utf-8")).hexdigest()
 
 
-def read_rows(path: str | Path, kind: str, parse: Callable) -> list:
+def read_rows(path: str | Path, kind: str, parse: typing.Callable) -> list:
     """``[parse(n, row) ...]`` over a file's rows: for ``kind`` "csv" a ``DictReader``
     dict per data row, numbered from 1; for "jsonl" the parsed value, and for
     "lines" the text without its ending, of each non-blank line, numbered by line.
@@ -193,6 +193,42 @@ def read_rows(path: str | Path, kind: str, parse: Callable) -> list:
             error = type(exc) if isinstance(exc, CorpusError) else CorpusError
             raise error(f"{path}: row {n}: {exc}") from exc
     return out
+
+
+# The JSON value types a field of each type accepts, and their name; a bool is not a number.
+JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+}
+
+
+def from_json(cls, obj, path, section: str, error: type[Exception] = CorpusError, **given):
+    """``cls(**given, **obj)`` from the JSON object ``obj``, the ``section`` of the file ``path``.
+
+    ``error`` names the file and the section, or ``<section>.<key>``, when ``obj``
+    is not an object, a key is not a field of the dataclass ``cls`` or is one of
+    ``given``'s, a value's JSON type does not fit its field, or ``cls`` refuses a
+    value with a ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{path}: '{section}' must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    unknown = [f"{section}.{key}" for key in obj if key not in hints or key in given]
+    if unknown:
+        raise error(f"{path}: unknown key {', '.join(map(repr, unknown))}")
+    for key, value in obj.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)  # (X, NoneType) for X | None
+        accepted, what = JSON_TYPES[kinds[0]]
+        if type(None) in kinds:
+            accepted, what = (*accepted, type(None)), f"{what} or null"
+        if type(value) not in accepted:
+            raise error(f"{path}: '{section}.{key}' must be {what}")
+    try:
+        return cls(**given, **obj)
+    except ValueError as exc:  # the dataclasses' checks read "<field> must be ..."
+        raise error(f"{path}: {section}.{exc}") from exc
 
 
 def _parse_score(value, name: str) -> float:

@@ -101,6 +101,28 @@ def build_table(
     return EmbeddingTable(matrix=matrix, dim1=dim1, dim2=dim2)
 
 
+@dataclass(frozen=True)
+class EmbeddingSources:
+    """How to build a table: two vector files (an empty path reads none) of
+    dimensions dim1 and dim2, and the seed of the vectors the files lack."""
+
+    source1: str = ""
+    source2: str = ""
+    dim1: int = 50
+    dim2: int = 50
+    oov_seed: int = 0
+
+    def __post_init__(self):
+        for name in ("dim1", "dim2", "oov_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+    def table(self, vocab: Vocabulary) -> EmbeddingTable:
+        src1 = load_vectors(self.source1, self.dim1) if self.source1 else {}
+        src2 = load_vectors(self.source2, self.dim2) if self.source2 else {}
+        return build_table(vocab, src1, src2, self.oov_seed, dim1=self.dim1, dim2=self.dim2)
+
+
 def random_table(
     vocab: Vocabulary, dim1: int, dim2: int, seed: int = 0, scale: float = 1.0
 ) -> EmbeddingTable:

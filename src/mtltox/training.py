@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.grad_clip_norm is not None and not 0.0 < self.grad_clip_norm < np.inf:
             raise ValueError(f"grad_clip_norm must be None or finite and > 0, got {self.grad_clip_norm}")
+        if not -np.inf < self.power < np.inf:  # the bias report's generalized mean; NaN fails this too
+            raise ValueError(f"power must be finite, got {self.power}")
         for name, least in (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0), ("k_folds", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import dataclasses
@@ -6,6 +5,7 @@ import hashlib
 import io
 import json
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 import mtltox.cli as cli
 from mtltox.cli import main
 from mtltox.corpus import IDENTITY_COLUMNS, CorpusError
+from mtltox.embeddings import EmbeddingSources
 from mtltox.metrics import ScoredExample, SubgroupStats, bias_report
 from mtltox.network import Hyper
+from mtltox.training import TrainConfig
 
 
 CONFIG = {
@@ -356,6 +358,9 @@ NAN, INF = float("nan"), float("inf")
         ("train", "epochs", -1, "must be >= 0, got -1"),
         ("train", "patience", 0, "must be >= 1, got 0"),
         ("train", "seed", -1, "must be >= 0, got -1"),
+        ("train", "power", NAN, "must be finite, got nan"),
+        ("train", "power", INF, "must be finite, got inf"),
+        ("train", "power", -INF, "must be finite, got -inf"),
         ("embeddings", "dim1", -1, "must be >= 0, got -1"),
         ("embeddings", "dim2", -1, "must be >= 0, got -1"),
         ("embeddings", "oov_seed", -1, "must be >= 0, got -1"),
@@ -364,7 +369,8 @@ NAN, INF = float("nan"), float("inf")
         "hidden-0", "hidden-negative", "dense1-0", "dense2-0", "max_len-0", "n_aux-negative", "dropout-1.5",
         "dropout-negative", "dropout-nan", "learning-rate-0", "learning-rate-negative", "learning-rate-nan",
         "learning-rate-inf", "grad-clip-negative", "grad-clip-0", "grad-clip-nan", "epochs-negative", "patience-0",
-        "seed-negative", "dim1-negative", "dim2-negative", "oov-seed-negative",
+        "seed-negative", "power-nan", "power-inf", "power-minus-inf", "dim1-negative", "dim2-negative",
+        "oov-seed-negative",
     ],
 )
 def test_config_value_out_of_range_exit_2(workdir, capsys, command, output, section, key, value, rule):
@@ -380,10 +386,50 @@ def test_config_value_out_of_range_exit_2(workdir, capsys, command, output, sect
     assert not (workdir / output).exists()
 
 
-# A value of each JSON type a config field accepts, mostly near the fields' bounds.
+@pytest.mark.parametrize("command", [run_train, run_propagate], ids=["train", "propagate"])
+@pytest.mark.parametrize(
+    "section, key, value, rule",
+    [
+        ("hyper", "hidden", 0, "must be >= 1, got 0"),
+        ("train", "learning_rate", 0, "must be finite and > 0, got 0"),
+        ("train", "power", NAN, "must be finite, got nan"),
+    ],
+    ids=["hidden-0", "learning-rate-0", "power-nan"],
+)
+def test_config_value_refused_before_any_input_file_is_read(workdir, capsys, command, section, key, value, rule):
+    # No prep: the data and the vocabulary are missing, and so is the embedding file.
+    config = json.loads(json.dumps(CONFIG))
+    config[section][key] = value
+    config["embeddings"]["source1"] = str(workdir / "missing.vec")
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'config.json'}: {section}.{key} {rule}" in err
+    assert "missing.vec" not in err and "data.jsonl" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, output", [(run_train, "run"), (run_propagate, "filled.jsonl")], ids=["train", "propagate"]
+)
+@pytest.mark.parametrize("section, key", [("embeddings", "dim1"), ("hyper", "hidden")], ids=["dim1", "hidden"])
+def test_config_size_too_large_to_allocate_exit_2(workdir, capsys, command, output, section, key):
+    if command is run_propagate:
+        unannotate_rows(workdir)  # propagate trains a model only for unannotated rows
+    assert run_prep(workdir) == 0
+    config = json.loads(json.dumps(CONFIG))
+    config[section][key] = 2**40  # no machine allocates a table or a weight matrix of that many values
+    (workdir / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'config.json'}: a size is too large to allocate" in err and "Traceback" not in err
+    assert not (workdir / output).exists()
+
+
+# A value of each JSON type a config field accepts, mostly near the fields' bounds; an integer serves as a number.
 _TYPED = {
     int: st.integers(-2, 3),
-    float: st.floats(-0.5, 1.5) | st.sampled_from([NAN, INF, -INF]),
+    float: st.integers(-2, 3) | st.floats(-0.5, 1.5) | st.sampled_from([NAN, INF, -INF]),
     bool: st.booleans(),
     str: st.text(max_size=4),
     type(None): st.none(),
@@ -395,11 +441,21 @@ _ANY_JSON = st.recursive(
 )
 
 
+# Each config section's dataclass. Its fields are the section's keys, but Hyper's embed_dim, which is dim1 + dim2.
+SECTIONS = {"hyper": Hyper, "embeddings": EmbeddingSources, "train": TrainConfig}
+
+
+def section_keys(section):
+    """Each key of a config section, with its field's annotation."""
+    hints = typing.get_type_hints(SECTIONS[section])
+    return {key: hint for key, hint in hints.items() if key != "embed_dim"}
+
+
 # One value for each key of each config section: mostly of the key's type, sometimes any JSON value.
 _CONFIG_VALUES = st.fixed_dictionaries({
-    (section, key): st.one_of(*(_TYPED[t] for t in accepted), _ANY_JSON)
-    for section, types in cli.CONFIG_TYPES.items()
-    for key, (accepted, _) in types.items()
+    (section, key): st.one_of(*(_TYPED[t] for t in typing.get_args(hint) or (hint,)), _ANY_JSON)
+    for section in SECTIONS
+    for key, hint in section_keys(section).items()
 })
 
 
@@ -414,13 +470,9 @@ def test_any_config_value_builds_the_sections_or_is_refused_naming_the_config(va
             config[section][key] = value
             Path(path).write_text(json.dumps(config))  # json writes NaN and Infinity, and reads them back
             try:
-                # What _training_inputs builds, with embed_dim from the dimensions rather than a table of them.
-                read = cli._load_config(path)
-                emb = read["embeddings"]
-                cli._from_config(path, "hyper", Hyper, embed_dim=emb["dim1"] + emb["dim2"], **read["hyper"])
-                cfg = cli._build_train_cfg(read, argparse.Namespace(config=path))
+                sources, _, cfg, _ = cli._load_config(path)
                 # The generators that training and the embedding table's OOV rows draw from.
-                np.random.default_rng(cfg.seed), np.random.default_rng(emb.get("oov_seed", 0))
+                np.random.default_rng(cfg.seed), np.random.default_rng(sources.oov_seed)
             except CorpusError as exc:
                 assert str(exc).startswith(f"{path}: "), exc
 
@@ -546,7 +598,13 @@ def test_config_accepts_an_int_for_a_float_and_null_where_allowed(tmp_path):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    assert cli._load_config(str(path)) == config
+    _, hyper, cfg, subgroups = cli._load_config(str(path))
+    read = {
+        "hyper": {"dropout_rate": hyper.dropout_rate, "attention": hyper.attention},
+        "train": {"learning_rate": cfg.learning_rate, "grad_clip_norm": cfg.grad_clip_norm},
+        "subgroups": subgroups,
+    }
+    assert read == config
 
 
 @pytest.mark.parametrize("with_id", [True, False], ids=["id-column", "row-number"])
@@ -760,7 +818,7 @@ CORRUPTIONS = {
     ),
     "hidden-4": (_with_hyper(hidden=4), "'lstm0_fwd_Wh' [3, 12] (the model's [4, 16])"),
     "n_aux-3": (_with_hyper(n_aux=3), "'head_aux_W' [4, 9] (the model's [4, 3])"),
-    "hidden-string": (_with_hyper(hidden="x"), "'hyper' mistypes hidden"),
+    "hidden-string": (_with_hyper(hidden="x"), "'hyper.hidden' must be an integer"),
     "embed_dim-7": (_with_hyper(embed_dim=7), "'hyper' embed_dim is 7, not dim1 + dim2 = 6"),
     "embedding-shape": (_edit_header(_embedding_shape), "tensor 'embedding' has shape [40, 3], not [rows, 6]"),
     "hidden-0": (_with_hyper(hidden=0), "hyper.hidden must be >= 1, got 0"),
@@ -799,6 +857,70 @@ def test_missing_checkpoint_exit_2_and_directory_exit_4(workdir, capsys, command
     assert not (workdir / "out.json").exists()
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The fixture corpus prepared and trained once: (its directory, fold 0's checkpoint bytes, and the
+    bytes of the report and CSV that evaluate writes from that checkpoint)."""
+    workdir = tmp_path_factory.mktemp("trained")
+    write_fixture_csv(workdir / "corpus.csv")
+    (workdir / "config.json").write_text(json.dumps(CONFIG))
+    assert run_prep(workdir) == 0 and run_train(workdir) == 0
+    checkpoint = workdir / "run" / "checkpoint_fold0.json"
+    assert run_on_checkpoint(workdir, "evaluate", checkpoint) == 0
+    outputs = [(workdir / name).read_bytes() for name in ("out.json", "out.csv")]
+    return workdir, checkpoint.read_bytes(), outputs
+
+
+def _header_paths(value, path=()):
+    """The path of every value inside a checkpoint header, lists' items and objects' values alike."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield (*path, key)
+        yield from _header_paths(item, (*path, key))
+
+
+_DROP = object()  # a header mutation that deletes the field
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mutated_checkpoint_evaluates_as_before_or_exits_4_naming_it(trained, data):
+    """One header field replaced or deleted, or one payload byte replaced, with the payload's hash recomputed
+    or not. A changed payload with its hash recomputed is another model, whose report may differ."""
+    workdir, original, outputs = trained
+    line, original_payload = original.split(b"\n", 1)
+    header, payload, new_model = json.loads(line), original_payload, False
+    if data.draw(st.booleans(), label="mutate the header"):
+        *parents, key = data.draw(st.sampled_from(list(_header_paths(header))), label="field")
+        container = header
+        for parent in parents:
+            container = container[parent]
+        value = data.draw(st.just(_DROP) | _ANY_JSON, label="value")
+        if value is _DROP:
+            del container[key]
+        else:
+            container[key] = value
+    else:
+        at = data.draw(st.integers(0, len(payload) - 1), label="payload byte")
+        payload = payload[:at] + bytes([data.draw(st.integers(0, 255), label="new byte")]) + payload[at + 1 :]
+        if data.draw(st.booleans(), label="recompute the hash"):
+            header["sha256"] = hashlib.sha256(payload).hexdigest()
+            new_model = payload != original_payload
+    bad = workdir / "mutated.json"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    for name in ("out.json", "out.csv"):
+        (workdir / name).unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_on_checkpoint(workdir, "evaluate", bad)
+    if code == 0 and new_model:
+        json.loads((workdir / "out.json").read_text(), parse_constant=_refuse_constant)
+    elif code == 0:
+        assert [(workdir / name).read_bytes() for name in ("out.json", "out.csv")] == outputs
+    else:
+        assert code == 4 and f"{bad}: " in err.getvalue(), err.getvalue()
+
+
 def test_same_seed_checkpoints_byte_identical(workdir):
     assert run_prep(workdir) == 0
     assert run_train(workdir, out_dir="run_a") == 0
@@ -814,10 +936,17 @@ def test_cli_docstring_config_example_is_accepted(tmp_path):
     config = json.loads(example)
     path = tmp_path / "cfg.json"
     path.write_text(example)
-    assert cli._load_config(str(path)) == config
+    sources, hyper, cfg, subgroups = cli._load_config(str(path))
+    built = {"hyper": hyper, "embeddings": sources, "train": cfg}
+    assert {section: {key: getattr(built[section], key) for key in config[section]} for section in SECTIONS} == {
+        section: config[section] for section in SECTIONS
+    }
+    assert hyper.embed_dim == sources.dim1 + sources.dim2
+    assert subgroups == config["subgroups"]
     # The example shows every accepted key, so it cannot fall behind the code either.
-    sections = {section: set(types) for section, types in cli.CONFIG_TYPES.items()}
-    assert {section: set(config[section]) for section in sections} == sections
+    assert {section: set(config[section]) for section in SECTIONS} == {
+        section: set(section_keys(section)) for section in SECTIONS
+    }
 
 
 def test_every_stored_report_has_the_keys_of_a_bias_report(workdir):
@@ -1070,30 +1199,32 @@ class TestKsCompare:
             assert main(argv) == 0
             assert capsys.readouterr().out.startswith("D=1.0 ")
 
-    def test_missing_metric_exit_2(self, tmp_path):
+    def test_missing_metric_exit_2(self, tmp_path, capsys):
         self.write_run(tmp_path / "a", [0.8, 0.9])
         (tmp_path / "b").mkdir()
         (tmp_path / "b" / "run_fold0.json").write_text(json.dumps({"metrics": {}}))
-        code = main(["ks-compare", "--run-a", str(tmp_path / "a"), "--run-b", str(tmp_path / "b")])
+        code = main(["ks-compare", "--run-a", str(tmp_path / "a"), "--run-b", str(tmp_path / "b"), "--metric", "f1"])
         assert code == 2
+        assert f"{tmp_path / 'b' / 'run_fold0.json'}: 'metrics.f1' is missing or null" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            "[0.8, 0.9]",
-            '{"metrics": [0.8]}',
-            '{"metrics": null}',
-            '{"metrics": {"overall_auc": ',
-            '{"metrics": {"overall_auc": "NaN"}}',
-            '{"metrics": {"overall_auc": NaN}}',
-            '{"metrics": {"overall_auc": Infinity}}',
-            '{"metrics": {"overall_auc": true}}',
-            None,  # a directory where the record should be
+            ("[0.8, 0.9]", "run record must be a JSON object"),
+            ('{"metrics": [0.8]}', "'metrics' must be a JSON object"),
+            ('{"metrics": null}', "'metrics' must be a JSON object"),
+            ('{"metrics": {"overall_auc": ', "cannot read run record"),
+            ('{"metrics": {"overall_auc": "NaN"}}', "'metrics.overall_auc' must be a finite number, got 'NaN'"),
+            ('{"metrics": {"overall_auc": NaN}}', "'metrics.overall_auc' must be a finite number, got nan"),
+            ('{"metrics": {"overall_auc": Infinity}}', "'metrics.overall_auc' must be a finite number, got inf"),
+            ('{"metrics": {"overall_auc": true}}', "'metrics.overall_auc' must be a finite number, got True"),
+            ('{"metrics": {"overall_auc": null}}', "'metrics.overall_auc' is missing or null"),
+            (None, "cannot read run record"),  # a directory where the record should be
         ],
         ids=["array", "metrics-list", "metrics-null", "bad-json", "nan-string", "nan-literal",
-             "infinity", "bool", "directory"],
+             "infinity", "bool", "null", "directory"],
     )
-    def test_malformed_record_named_exit_2(self, tmp_path, capsys, text):
+    def test_malformed_record_named_exit_2(self, tmp_path, capsys, text, message):
         self.write_run(tmp_path / "a", [0.8, 0.9])
         self.write_run(tmp_path / "b", [0.8])
         bad = tmp_path / "b" / "run_fold1.json"
@@ -1104,7 +1235,7 @@ class TestKsCompare:
         code = main(["ks-compare", "--run-a", str(tmp_path / "a"), "--run-b", str(tmp_path / "b")])
         err = capsys.readouterr().err
         assert code == 2
-        assert str(bad) in err
+        assert f"{bad}: {message}" in err
         assert "Traceback" not in err
 
 
