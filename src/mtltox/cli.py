@@ -35,25 +35,29 @@ accepted key is shown; any other key is refused with exit code 2:
     }
 
 Each value must have the type of the field's annotation (an integer serves as
-a number; ``grad_clip_norm`` may be null); any other value is refused with exit
-code 2. ``subgroups`` (train only), a list of strings, names the subgroups of
-the per-fold bias metrics; the k-th name labels the k-th identity column, and
-the default is all nine identity column names. Omitted embedding sources fall
-back to seeded random vectors of the configured dimensions.
+a number; ``grad_clip_norm`` may be null), and an integer must be one a float
+can hold (``<config>: 'train.learning_rate' is an integer too large for a
+float``, and exit 4 in a checkpoint's ``hyper``); any other value is refused
+with exit code 2. ``subgroups`` (train only), a list of strings, names the
+subgroups of the per-fold bias metrics; the k-th name labels the k-th
+identity column, and the default is all nine identity column names. Omitted
+embedding sources fall back to seeded random vectors of the configured
+dimensions.
 
 Every line-based input (the corpus, prepared JSONL, the vocabulary,
 embedding text, templates and predictions) is read by ``corpus.read_rows``:
 an error exits 2 with ``<file>: row <n>: <what>``, rows of a CSV file
 numbered by data row and of the others by line, and a byte that is not
-UTF-8 with ``<file>: line <n>: not UTF-8: ...``. ``prep`` refuses an input
-with no records or a row whose text has no tokens; propagate, train and
-evaluate refuse a prepared line with no tokens, a token id that is not a
-non-negative integer, or a ``true_length`` (older, padded lines) outside
-[0, len(token_ids)]; ``propagate`` and ``train`` refuse a corpus weighted
-with a ``c`` other than ``train.c``; ``bias-report`` reads a ``.jsonl`` or
-``.json`` file (in any letter case) as JSONL and refuses a predictions file
-with no rows, a score that is not a finite number or a label that is not 0
-or 1; an embedding value must be finite. ``train`` refuses a corpus with
+UTF-8 with ``<file>: line <n>: not UTF-8: ...``. ``prep`` refuses a ``--c``
+that is not a finite number above 0, an input with no records or a row
+whose text has no tokens; propagate, train and evaluate refuse a prepared
+line with no tokens, a token id that is not a non-negative integer, or a
+``true_length`` (older, padded lines) outside [0, len(token_ids)];
+``propagate`` and ``train`` refuse a corpus weighted with a ``c`` other
+than ``train.c``; ``bias-report`` reads a ``.jsonl`` or ``.json`` file (in
+any letter case) as JSONL and refuses a predictions file with no rows, a
+score that is not a finite number or a label that is not 0 or 1; an
+embedding value must be finite. ``train`` refuses a corpus with
 unannotated identity rows: run ``propagate`` on it first. ``ks-compare``
 refuses a ``run_fold*.json`` that is not a JSON object with a ``metrics``
 object, or whose metric is missing, null or not a finite number, naming
@@ -66,7 +70,7 @@ arguments are parsed. An alpha outside [0, 1], a ``batch_size`` below 1, a
 first file is written. So does, naming the config file and
 ``<section>.<key>``, a ``hyper`` size (``hidden``, ``dense1``, ``dense2``,
 ``max_len``) below 1, an ``n_aux`` below 0, a ``dropout_rate`` outside
-[0, 1), a ``learning_rate`` that is not a finite number above 0, a
+[0, 1), a ``learning_rate`` or ``c`` that is not a finite number above 0, a
 ``grad_clip_norm`` that is neither null nor a finite number above 0, a
 ``power`` that is not finite, an ``epochs`` or ``seed`` below 0 (``--seed``
 too, naming ``seed``), a ``patience`` below 1, or an ``embeddings``

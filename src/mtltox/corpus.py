@@ -209,8 +209,8 @@ def from_json(cls, obj, path, section: str, error: type[Exception] = CorpusError
 
     ``error`` names the file and the section, or ``<section>.<key>``, when ``obj``
     is not an object, a key is not a field of the dataclass ``cls`` or is one of
-    ``given``'s, a value's JSON type does not fit its field, or ``cls`` refuses a
-    value with a ValueError.
+    ``given``'s, a value's JSON type does not fit its field, an integer is too
+    large for a float, or ``cls`` refuses a value with a ValueError.
     """
     if not isinstance(obj, dict):
         raise error(f"{path}: '{section}' must be a JSON object")
@@ -225,6 +225,11 @@ def from_json(cls, obj, path, section: str, error: type[Exception] = CorpusError
             accepted, what = (*accepted, type(None)), f"{what} or null"
         if type(value) not in accepted:
             raise error(f"{path}: '{section}.{key}' must be {what}")
+        if type(value) is int:  # the model's arithmetic turns it into a float
+            try:
+                float(value)
+            except OverflowError:
+                raise error(f"{path}: '{section}.{key}' is an integer too large for a float") from None
     try:
         return cls(**given, **obj)
     except ValueError as exc:  # the dataclasses' checks read "<field> must be ..."
@@ -255,26 +260,13 @@ def _record_from_mapping(row_num: int, row) -> RawRecord:
         raise CorpusError("missing field 'target'")
     target = _parse_score(row["target"], "target")
 
-    identity_scores: dict[str, float] = {}
-    any_identity_column = False
-    for name in IDENTITY_COLUMNS:
-        if name in row:
-            any_identity_column = True
-            value = row[name]
-            if value in (None, ""):
-                continue
-            identity_scores[name] = _parse_score(value, name)
-    subtype_scores: dict[str, float] = {}
-    for name in SUBTYPE_COLUMNS:
-        value = row.get(name)
-        if value not in (None, ""):
-            subtype_scores[name] = _parse_score(value, name)
-
+    identity_scores = {n: _parse_score(row[n], n) for n in IDENTITY_COLUMNS if row.get(n) not in (None, "")}
+    subtype_scores = {n: _parse_score(row[n], n) for n in SUBTYPE_COLUMNS if row.get(n) not in (None, "")}
     return RawRecord(
         id=str(row.get("id", row_num)),
         comment_text=row["comment_text"],
         target=target,
-        identity_scores=identity_scores if (any_identity_column and identity_scores) else None,
+        identity_scores=identity_scores or None,
         subtype_scores=subtype_scores,
     )
 
@@ -304,8 +296,8 @@ def make_comment(
     identity-absent, and it is flagged ``needs_propagation``. Omitted subtype
     labels are zero.
     """
-    if c <= 0:
-        raise ValueError("c must be > 0")
+    if not 0.0 < c < np.inf:  # NaN fails this too
+        raise ValueError(f"c must be finite and > 0, got {c}")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     comment = Comment(

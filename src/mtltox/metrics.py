@@ -119,10 +119,7 @@ def prf1(examples: list[ScoredExample]) -> PRF1:
 
 def subgroup_auc(examples: list[ScoredExample], subgroup: str) -> float | None:
     """ROC-AUC restricted to comments that mention the given identity."""
-    restricted = [e for e in examples if subgroup in e.subgroups]
-    if not restricted:
-        return None
-    return roc_auc(restricted)
+    return roc_auc([e for e in examples if subgroup in e.subgroups])
 
 
 def bpsn_auc(examples: list[ScoredExample], subgroup: str) -> float | None:
@@ -132,15 +129,12 @@ def bpsn_auc(examples: list[ScoredExample], subgroup: str) -> float | None:
     comments not mentioning it. Low values mean identity mentions are being
     scored above genuinely toxic background comments (false-positive bias).
     """
-    restricted = [
+    return roc_auc([
         e
         for e in examples
         if (e.label == 0 and subgroup in e.subgroups)
         or (e.label == 1 and subgroup not in e.subgroups)
-    ]
-    if not restricted:
-        return None
-    return roc_auc(restricted)
+    ])
 
 
 def generalized_mean_bias(auc_values, p: float = -5.0) -> float | None:
@@ -207,7 +201,7 @@ def bias_report(examples: list[ScoredExample], subgroups, p: float = -5.0) -> Bi
     for name in subgroups:
         members = [e for e in examples if name in e.subgroups]
         per_subgroup[name] = SubgroupStats(
-            subgroup_auc=subgroup_auc(examples, name),
+            subgroup_auc=roc_auc(members),
             bpsn_auc=bpsn_auc(examples, name),
             n_pos=sum(1 for e in members if e.label == 1),
             n_neg=sum(1 for e in members if e.label == 0),

@@ -49,8 +49,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 < self.learning_rate < np.inf:  # NaN fails this too
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("learning_rate", "c"):
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails this too
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.grad_clip_norm is not None and not 0.0 < self.grad_clip_norm < np.inf:
             raise ValueError(f"grad_clip_norm must be None or finite and > 0, got {self.grad_clip_norm}")
         if not -np.inf < self.power < np.inf:  # the bias report's generalized mean; NaN fails this too
@@ -148,12 +149,12 @@ def _batch_pass(
     table: EmbeddingTable,
     comments: list[Comment],
     cfg: TrainConfig,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> tuple[dict[str, np.ndarray], float]:
     """Forward + backward over one batch; returns (summed grads, batch loss)."""
     hyper = params.hyper
     masks = None
-    if rng is not None and hyper.dropout_rate > 0.0:
+    if hyper.dropout_rate > 0.0:
         # One mask per comment, in batch order: the generator stream is the
         # same as with one forward pass per comment.
         masks = np.array([spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng) for _ in comments])
@@ -250,11 +251,7 @@ def evaluate_model(
     names = list(subgroup_names)
     examples = []
     for score, comment in zip(y_hat, comments):
-        groups = frozenset(
-            name
-            for name, value in zip(names, comment.identity_labels[: len(names)])
-            if value >= 0.5
-        )
+        groups = frozenset(name for name, value in zip(names, comment.identity_labels) if value >= 0.5)
         examples.append(ScoredExample(score=float(score), label=comment.y_bin, subgroups=groups))
     return bias_report(examples, names, p=power)
 

@@ -84,6 +84,14 @@ class TestPrep:
         assert "comments: 12" in out
         assert "weighted (beta=3): 2" in out  # identity (i%4) and non-toxic (not i%3): i in {4, 8}
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
+    def test_c_not_finite_and_above_0_exit_2(self, workdir, capsys, c):
+        corpus, vocab, data = (str(workdir / name) for name in ("corpus.csv", "vocab.tsv", "data.jsonl"))
+        assert main(["prep", "--input", corpus, "--vocab-out", vocab, "--c", c, "--out", data]) == 2
+        err = capsys.readouterr().err
+        assert f"c must be finite and > 0, got {float(c)}" in err and "Traceback" not in err
+        assert not (workdir / "data.jsonl").exists() and not (workdir / "vocab.tsv").exists()
+
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code = main(
             [
@@ -361,6 +369,10 @@ NAN, INF = float("nan"), float("inf")
         ("train", "power", NAN, "must be finite, got nan"),
         ("train", "power", INF, "must be finite, got inf"),
         ("train", "power", -INF, "must be finite, got -inf"),
+        ("train", "c", -1, "must be finite and > 0, got -1"),
+        ("train", "c", 0, "must be finite and > 0, got 0"),
+        ("train", "c", NAN, "must be finite and > 0, got nan"),
+        ("train", "c", INF, "must be finite and > 0, got inf"),
         ("embeddings", "dim1", -1, "must be >= 0, got -1"),
         ("embeddings", "dim2", -1, "must be >= 0, got -1"),
         ("embeddings", "oov_seed", -1, "must be >= 0, got -1"),
@@ -369,8 +381,8 @@ NAN, INF = float("nan"), float("inf")
         "hidden-0", "hidden-negative", "dense1-0", "dense2-0", "max_len-0", "n_aux-negative", "dropout-1.5",
         "dropout-negative", "dropout-nan", "learning-rate-0", "learning-rate-negative", "learning-rate-nan",
         "learning-rate-inf", "grad-clip-negative", "grad-clip-0", "grad-clip-nan", "epochs-negative", "patience-0",
-        "seed-negative", "power-nan", "power-inf", "power-minus-inf", "dim1-negative", "dim2-negative",
-        "oov-seed-negative",
+        "seed-negative", "power-nan", "power-inf", "power-minus-inf", "c-negative", "c-0", "c-nan", "c-inf",
+        "dim1-negative", "dim2-negative", "oov-seed-negative",
     ],
 )
 def test_config_value_out_of_range_exit_2(workdir, capsys, command, output, section, key, value, rule):
@@ -423,6 +435,29 @@ def test_config_size_too_large_to_allocate_exit_2(workdir, capsys, command, outp
     assert command(workdir) == 2
     err = capsys.readouterr().err
     assert f"{workdir / 'config.json'}: a size is too large to allocate" in err and "Traceback" not in err
+    assert not (workdir / output).exists()
+
+
+@pytest.mark.parametrize(
+    "command, output", [(run_train, "run"), (run_propagate, "filled.jsonl")], ids=["train", "propagate"]
+)
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("train", "learning_rate"), ("train", "grad_clip_norm"), ("train", "c"), ("train", "seed"),
+        ("hyper", "hidden"), ("hyper", "n_aux"), ("hyper", "dense1"), ("embeddings", "dim1"),
+    ],
+)
+def test_config_integer_too_large_for_a_float_exit_2(workdir, capsys, command, output, section, key):
+    assert run_prep(workdir) == 0
+    config = json.loads(json.dumps(CONFIG))
+    config[section][key] = 10**400  # json writes and reads it as an integer literal
+    (workdir / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'config.json'}: '{section}.{key}' is an integer too large for a float" in err
+    assert "Traceback" not in err
     assert not (workdir / output).exists()
 
 
@@ -819,6 +854,7 @@ CORRUPTIONS = {
     "hidden-4": (_with_hyper(hidden=4), "'lstm0_fwd_Wh' [3, 12] (the model's [4, 16])"),
     "n_aux-3": (_with_hyper(n_aux=3), "'head_aux_W' [4, 9] (the model's [4, 3])"),
     "hidden-string": (_with_hyper(hidden="x"), "'hyper.hidden' must be an integer"),
+    "hidden-10**400": (_with_hyper(hidden=10**400), "'hyper.hidden' is an integer too large for a float"),
     "embed_dim-7": (_with_hyper(embed_dim=7), "'hyper' embed_dim is 7, not dim1 + dim2 = 6"),
     "embedding-shape": (_edit_header(_embedding_shape), "tensor 'embedding' has shape [40, 3], not [rows, 6]"),
     "hidden-0": (_with_hyper(hidden=0), "hyper.hidden must be >= 1, got 0"),

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtltox.checkpoint import save_checkpoint
 from mtltox.cli import main
 from mtltox.corpus import CorpusError, Vocabulary, read_rows
-from mtltox.embeddings import EmbeddingError, load_vectors
+from mtltox.embeddings import EmbeddingError, load_vectors, random_table
+from mtltox.network import Hyper, init_params
 from test_cli import CONFIG, run_prep, run_train, write_fixture_csv
 
 
@@ -184,20 +186,29 @@ _COLUMNS = ["id", "comment_text", "target", "male", "insult"]
 @st.composite
 def _prep_input(draw):
     """(format, bytes) of a prep input: arbitrary or invalid UTF-8 bytes, or
-    rows with columns missing or extra, arbitrary scores, non-object JSONL lines."""
+    rows with columns missing or extra, arbitrary scores, non-object JSONL lines,
+    or well-formed rows."""
     fmt = draw(st.sampled_from(["csv", "jsonl"]))
     shape = draw(st.integers(0, 5))
     if shape == 0:
         return fmt, draw(st.binary(max_size=40))
     if shape == 1:
         return fmt, draw(st.text(st.characters(exclude_categories=["Cs"]), max_size=40)).encode("utf-8")
-    columns = draw(st.lists(st.sampled_from(_COLUMNS + ["extra"]), unique=True, min_size=1))
-    cell = {"id": _TEXT, "comment_text": _TEXT, "extra": _TEXT}
-    score = _JSON_SCORE if fmt == "jsonl" else _SCORE
-    rows = [{c: draw(cell.get(c, score)) for c in columns} for _ in range(draw(st.integers(0, 4)))]
+    # Half the row inputs are ones prep accepts: a text with a token, in-range scores, no stray line or byte.
+    well_formed = draw(st.booleans())
+    if well_formed:
+        others = draw(st.lists(st.sampled_from(["id", "male", "insult", "extra"]), unique=True))
+        columns = ["comment_text", "target", *others]
+        cell = {"id": _TEXT, "comment_text": _TEXT.map("word ".__add__), "target": st.floats(0, 1).map(repr)}
+        cell["extra"], score = _TEXT, st.floats(0, 1).map(repr) | st.just("")
+    else:
+        columns = draw(st.lists(st.sampled_from(_COLUMNS + ["extra"]), unique=True, min_size=1))
+        cell = {"id": _TEXT, "comment_text": _TEXT, "extra": _TEXT}
+        score = _JSON_SCORE if fmt == "jsonl" else _SCORE
+    rows = [{c: draw(cell.get(c, score)) for c in columns} for _ in range(draw(st.integers(well_formed, 4)))]
     if fmt == "jsonl":
         lines = [json.dumps(row) for row in rows]
-        if draw(st.booleans()):
+        if not well_formed and draw(st.booleans()):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["5", '"text"', "[1]", "null", "{"])))
         data = "".join(line + "\n" for line in lines).encode("utf-8")
     else:
@@ -206,15 +217,26 @@ def _prep_input(draw):
         writer.writerow(columns)
         writer.writerows([[row[c] for c in columns] for row in rows])
         data = buffer.getvalue().encode("utf-8")
-    if data and draw(st.booleans()):
+    if data and not well_formed and draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
     return fmt, data
 
 
+def evaluate_with_a_tiny_checkpoint(tmp):
+    """``evaluate``'s arguments for what ``prep`` wrote to ``tmp``, with a tiny untrained model
+    saved for its vocabulary."""
+    vocab = Vocabulary.load(tmp / "v.tsv")
+    params = init_params(Hyper(embed_dim=4, hidden=2, dense1=2, dense2=2, max_len=12))
+    save_checkpoint(tmp / "ck.json", params, random_table(vocab, 2, 2), vocab.checksum())
+    return ["evaluate", "--checkpoint", str(tmp / "ck.json"), "--data", str(tmp / "d.jsonl"),
+            "--vocab", str(tmp / "v.tsv"), "--out", str(tmp / "out.json")]
+
+
 @given(prep_input=_prep_input())
 @settings(max_examples=50, deadline=None)
 def test_prep_ends_in_exit_0_or_exit_2_naming_the_file(prep_input):
+    """And when prep exits 0, evaluate on what it wrote ends in exit 0 or exit 2 naming the file."""
     fmt, data = prep_input
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"corpus.{fmt}"
@@ -223,3 +245,7 @@ def test_prep_ends_in_exit_0_or_exit_2_naming_the_file(prep_input):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(prep(Path(tmp), path, fmt))
         assert code == 0 or (code == 2 and str(path) in err.getvalue()), (code, err.getvalue())
+        if code == 0:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(evaluate_with_a_tiny_checkpoint(Path(tmp)))
+            assert code == 0 or (code == 2 and str(Path(tmp) / "d.jsonl") in err.getvalue()), (code, err.getvalue())

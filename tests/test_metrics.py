@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -321,3 +322,28 @@ class TestBiasReport:
         assert report.subgroups["only_toxic"].subgroup_auc is None
         assert report.subgroups["only_toxic"].n_pos == 1
         assert report.subgroups["only_toxic"].n_neg == 0
+
+
+# Few distinct scores, so ties occur, and now and then a NaN.
+_SCORES = st.sampled_from([0.1, 0.1, 0.5, 0.5, 0.5, 0.9, 0.9, 0.3, 0.7, float("nan")])
+_EXAMPLES = st.lists(
+    st.builds(ScoredExample, _SCORES, st.integers(0, 1), st.frozensets(st.sampled_from(["a", "b", "c"]))),
+    max_size=12,
+)
+
+
+@given(examples=_EXAMPLES, names=st.lists(st.sampled_from(["a", "b", "absent"]), max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_bias_report_subgroups_match_the_public_functions_bit_for_bit(examples, names):
+    """The report's Subgroup AUC, BPSN AUC and counts are the public functions' own values,
+    for a name given twice and a name no example has too."""
+    report = bias_report(examples, names)
+    for name in names:
+        members = [e for e in examples if name in e.subgroups]
+        expected = {
+            "subgroup_auc": subgroup_auc(examples, name),
+            "bpsn_auc": bpsn_auc(examples, name),
+            "n_pos": sum(e.label == 1 for e in members),
+            "n_neg": sum(e.label == 0 for e in members),
+        }
+        assert json.dumps(report.to_dict()["subgroups"][name]) == json.dumps(expected)
