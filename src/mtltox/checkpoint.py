@@ -28,7 +28,7 @@ import numpy as np
 
 from mtltox.corpus import from_json
 from mtltox.embeddings import EmbeddingTable
-from mtltox.network import Hyper, ModelParams, param_shapes
+from mtltox.network import Hyper, ModelParams, Tensors, param_shapes
 
 FORMAT_VERSION = 2
 DTYPE = "<f8"
@@ -157,9 +157,12 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
             except ValueError as exc:
                 raise CheckpointError(f"{path}: checkpoint header is not JSON: {exc}") from exc
             hyper = _check_header(path, header, os.fstat(fh.fileno()).st_size - len(line))
-            sha, arrays = hashlib.sha256(), {}
-            for name, entry in header["tensors"].items():
-                a = arrays[name] = np.empty(entry["shape"], DTYPE)
+            matrix = np.empty(header["tensors"][EMBEDDING]["shape"], DTYPE)
+            tensors = Tensors(param_shapes(hyper), np.empty(header["payload_bytes"] // 8 - matrix.size, DTYPE))
+            arrays = {EMBEDDING: matrix, **tensors}
+            sha = hashlib.sha256()
+            for name in header["tensors"]:  # each read lands in its array, or its view of the parameter vector
+                a = arrays[name]
                 if fh.readinto(_bytes(a)) != a.nbytes:
                     raise CheckpointError(f"{path}: payload ends inside tensor '{name}'")
                 sha.update(_bytes(a))
@@ -169,10 +172,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if sha.hexdigest() != header["sha256"]:
         raise CheckpointError(f"{path}: payload SHA-256 does not match the header")
-    bad = next((name for name, a in arrays.items() if not np.isfinite(a).all()), None)
-    if bad is not None:
+    if not (np.isfinite(matrix).all() and np.isfinite(tensors.vector).all()):
+        bad = next(name for name in header["tensors"] if not np.isfinite(arrays[name]).all())
         raise CheckpointError(f"{path}: tensor '{bad}' holds a non-finite value")
     emb = header["embedding"]
-    table = EmbeddingTable(matrix=arrays.pop(EMBEDDING), dim1=emb["dim1"], dim2=emb["dim2"])
-    params = ModelParams(hyper=hyper, tensors=arrays)
-    return params, table, header["vocab_checksum"], header["meta"]
+    table = EmbeddingTable(matrix=matrix, dim1=emb["dim1"], dim2=emb["dim2"])
+    return ModelParams(hyper, tensors), table, header["vocab_checksum"], header["meta"]

@@ -35,24 +35,25 @@ accepted key is shown; any other key is refused with exit code 2:
     }
 
 Each value must have the type of the field's annotation (an integer serves as
-a number; ``grad_clip_norm`` may be null), and an integer must be one a float
+a number; ``grad_clip_norm`` may be null), an integer must be one a float
 can hold (``<config>: 'train.learning_rate' is an integer too large for a
-float``, and exit 4 in a checkpoint's ``hyper``); any other value is refused
-with exit code 2. ``subgroups`` (train only), a list of strings, names the
-subgroups of the per-fold bias metrics; the k-th name labels the k-th
-identity column, and the default is all nine identity column names. Omitted
-embedding sources fall back to seeded random vectors of the configured
-dimensions.
+float``, and exit 4 in a checkpoint's ``hyper``), and an integer field's
+value must be at most ``sys.maxsize`` (``'hyper.hidden' must be at most
+...``); any other value is refused with exit code 2. ``subgroups`` (train
+only), a list of strings, names the subgroups of the per-fold bias
+metrics; the k-th name labels the k-th identity column, and the default is
+all nine identity column names. Omitted embedding sources fall back to
+seeded random vectors of the configured dimensions.
 
 Every line-based input (the corpus, prepared JSONL, the vocabulary,
 embedding text, templates and predictions) is read by ``corpus.read_rows``:
 an error exits 2 with ``<file>: row <n>: <what>``, rows of a CSV file
 numbered by data row and of the others by line, and a byte that is not
-UTF-8 with ``<file>: line <n>: not UTF-8: ...``. ``prep`` refuses a ``--c``
-that is not a finite number above 0, an input with no records or a row
-whose text has no tokens; propagate, train and evaluate refuse a prepared
-line with no tokens, a token id that is not a non-negative integer, or a
-``true_length`` (older, padded lines) outside [0, len(token_ids)];
+UTF-8 with ``<file>: line <n>: not UTF-8: ...``. ``prep`` refuses an input
+with no records or a row whose text has no tokens; propagate, train and
+evaluate refuse a prepared line with no tokens, a token id that is not a
+non-negative integer, or a ``true_length`` (older, padded lines) outside
+[0, len(token_ids)];
 ``propagate`` and ``train`` refuse a corpus weighted with a ``c`` other
 than ``train.c``; ``bias-report`` reads a ``.jsonl`` or ``.json`` file (in
 any letter case) as JSONL and refuses a predictions file with no rows, a
@@ -63,11 +64,12 @@ refuses a ``run_fold*.json`` that is not a JSON object with a ``metrics``
 object, or whose metric is missing, null or not a finite number, naming
 the file and the key (``<file>: 'metrics.f1' must be a finite number, got
 'NaN'``). Each of these exits 2. ``--alpha`` and ``--p`` must be finite
-numbers (``--alpha`` may be ``grid:`` and a list of them) when the
-arguments are parsed. An alpha outside [0, 1], a ``batch_size`` below 1, a
-``k_folds`` below 2 or an ``aux_source`` other than "identities" or
-"subtypes" exits 2 before any training; ``--out-dir`` is made where the
-first file is written. So does, naming the config file and
+numbers (``--alpha`` may be ``grid:`` and a list of them), ``prep``'s
+``--c`` a finite number above 0 and its ``--max-len`` an integer of at
+least 1, when the arguments are parsed. An alpha outside [0, 1], a
+``batch_size`` below 1, a ``k_folds`` below 2 or an ``aux_source`` other
+than "identities" or "subtypes" exits 2 before any training; ``--out-dir``
+is made where the first file is written. So does, naming the config file and
 ``<section>.<key>``, a ``hyper`` size (``hidden``, ``dense1``, ``dense2``,
 ``max_len``) below 1, an ``n_aux`` below 0, a ``dropout_rate`` outside
 [0, 1), a ``learning_rate`` or ``c`` that is not a finite number above 0, a
@@ -354,14 +356,38 @@ def cmd_ks_compare(args) -> int:
     return 0
 
 
+def _float(text: str) -> float:
+    """``float(text)``, or NaN for text that is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _finite_float(text: str) -> float:
     """argparse type of ``--p``: a report cannot hold NaN or an infinity."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _c(text: str) -> float:
+    """argparse type of ``--c``: the weight ``make_comment`` takes, a finite number above 0."""
+    value = _float(text)
+    if not 0.0 < value < math.inf:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _max_len(text: str) -> int:
+    """argparse type of ``--max-len``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -380,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--vocab-out", required=True)
-    p.add_argument("--max-len", type=int, default=220)
-    p.add_argument("--c", type=float, default=3.0)
+    p.add_argument("--max-len", type=_max_len, default=220)
+    p.add_argument("--c", type=_c, default=3.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prep)
 

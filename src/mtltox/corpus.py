@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -210,7 +211,8 @@ def from_json(cls, obj, path, section: str, error: type[Exception] = CorpusError
     ``error`` names the file and the section, or ``<section>.<key>``, when ``obj``
     is not an object, a key is not a field of the dataclass ``cls`` or is one of
     ``given``'s, a value's JSON type does not fit its field, an integer is too
-    large for a float, or ``cls`` refuses a value with a ValueError.
+    large for a float, an integer field is above ``sys.maxsize`` (numpy takes
+    no larger size), or ``cls`` refuses a value with a ValueError.
     """
     if not isinstance(obj, dict):
         raise error(f"{path}: '{section}' must be a JSON object")
@@ -230,6 +232,8 @@ def from_json(cls, obj, path, section: str, error: type[Exception] = CorpusError
                 float(value)
             except OverflowError:
                 raise error(f"{path}: '{section}.{key}' is an integer too large for a float") from None
+            if kinds[0] is int and value > sys.maxsize:
+                raise error(f"{path}: '{section}.{key}' must be at most {sys.maxsize}")
     try:
         return cls(**given, **obj)
     except ValueError as exc:  # the dataclasses' checks read "<field> must be ..."

@@ -20,6 +20,7 @@ output, in that order.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -33,7 +34,10 @@ from mtltox.embeddings import EmbeddingTable, lookup
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-PREDICT_BATCH = 64  # comments per forward pass inside predict()
+# Real tokens per forward pass inside predict(); a longer comment runs alone.
+# At hidden 256 and embed 600 a pass allocates about 38 KB per token beside
+# its input (tracemalloc peak: 155 MB at 4,096 tokens).
+PREDICT_TOKENS = 4096
 # Rows per product for the input projections and the dense layers. Every
 # such product has this one shape, because OpenBLAS picks its kernel by shape
 # and two kernels can round a row differently (batch-composition rule).
@@ -78,16 +82,53 @@ class Hyper:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
+class Tensors(dict):
+    """Name-keyed float64 arrays that are views of one vector, ``vector``, which
+    holds them one after another in the dict's order. Write through the views
+    or the vector: a name rebound to another array would leave the vector."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], vector: np.ndarray | None = None):
+        """Views of ``vector``, or of a new uninitialised one, with these names and shapes."""
+        blocks, size = [], 0
+        for name, shape in shapes.items():
+            blocks.append((name, size, size + math.prod(shape), shape))
+            size = blocks[-1][2]
+        if vector is None and size > np.iinfo(np.intp).max // 8:  # numpy would call it a ValueError
+            raise MemoryError(f"cannot allocate {size} float64 values")
+        self.vector = np.empty(size) if vector is None else vector
+        if self.vector.shape != (size,):
+            raise ValueError(f"a vector of shape {self.vector.shape} cannot hold {size} values")
+        super().__init__((name, self.vector[start:end].reshape(shape)) for name, start, end, shape in blocks)
+
+    @classmethod
+    def pack(cls, arrays: dict[str, np.ndarray]) -> "Tensors":
+        """``arrays`` itself when it is a Tensors, else its values copied, in its order, into a new one."""
+        if isinstance(arrays, cls):
+            return arrays
+        packed = cls({name: np.shape(a) for name, a in arrays.items()})
+        for name, a in arrays.items():
+            packed[name][...] = a
+        return packed
+
+    def like(self, vector: np.ndarray | None = None) -> "Tensors":
+        """This dict's names and shapes over ``vector``, or over a new uninitialised one."""
+        return Tensors({name: a.shape for name, a in self.items()}, vector)
+
+
 @dataclass
 class ModelParams:
-    """All learnable tensors, keyed by name. Embeddings live outside and are
-    frozen."""
+    """All learnable tensors, keyed by name, as views of one vector
+    (``tensors.vector``) in ``param_shapes`` order; a dict that is not a
+    Tensors is copied into one. Embeddings live outside and are frozen."""
 
     hyper: Hyper
     tensors: dict[str, np.ndarray]
 
+    def __post_init__(self):
+        self.tensors = Tensors.pack(self.tensors)
+
     def copy(self) -> "ModelParams":
-        return ModelParams(self.hyper, {k: v.copy() for k, v in self.tensors.items()})
+        return ModelParams(self.hyper, self.tensors.like(self.tensors.vector.copy()))
 
 
 @dataclass
@@ -170,16 +211,16 @@ def init_params(hyper: Hyper, seed: int = 0) -> ModelParams:
     biases zero except the LSTM forget gate at 1."""
     rng = np.random.default_rng(seed)
     h = hyper.hidden
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(hyper).items():
+    tensors = Tensors(param_shapes(hyper))
+    for name, a in tensors.items():
         if name.endswith("_b"):
-            tensors[name] = np.zeros(shape)
+            a[...] = 0.0
             if name.startswith("lstm"):
-                tensors[name][h : 2 * h] = 1.0  # forget-gate bias
+                a[h : 2 * h] = 1.0  # forget-gate bias
         else:
-            fan_in, fan_out = shape if len(shape) == 2 else (shape[0], 1)
+            fan_in, fan_out = a.shape if a.ndim == 2 else (a.shape[0], 1)
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            tensors[name] = rng.uniform(-limit, limit, shape)
+            a[...] = rng.uniform(-limit, limit, a.shape)
     return ModelParams(hyper=hyper, tensors=tensors)
 
 
@@ -261,22 +302,28 @@ def _recurrence(zx: np.ndarray, pack: _Packing, wh: np.ndarray, h: np.ndarray, c
     s, hdim = wh.shape[:2]
     # At least two state rows per direction: a one-row product takes numpy's
     # GEMV path, which rounds differently from GEMM (batch-composition rule).
-    # Rows past the active ones hold finished comments' states; their
-    # products are discarded.
-    h_state = np.zeros((s, max(pack.steps[0], 2), hdim))
-    c_state = np.zeros_like(h_state)
+    # A step of one active row reads its state from `pair`, whose second row's
+    # product is discarded. Otherwise the state is the last step's own
+    # arrays, and each output row is written once. (Collecting each step's h
+    # for one concatenate per layer instead raised paper-train's peak RSS
+    # from 278 to 311 MB, and to 329 MB with its gates and c.)
+    h_t = c_t = np.zeros((s, max(pack.steps[0], 2), hdim))  # the state before step 0
+    pair = np.zeros((s, 2, hdim))
     for off, n in zip(pack.offsets, pack.steps):
         rows = slice(off, off + n)
-        z = zx[:, rows] + (h_state[:, : max(n, 2)] @ wh)[:, :n]
+        z = zx[:, rows] + (h_t[:, : max(n, 2)] @ wh)[:, :n]
         gates = _sigmoid(z)
         gates[..., 2 * hdim : 3 * hdim] = np.tanh(z[..., 2 * hdim : 3 * hdim])
         i_g, f_g, g_g, o_g = (gates[..., k * hdim : (k + 1) * hdim] for k in range(4))
-        c_state[:, :n] = f_g * c_state[:, :n] + i_g * g_g
-        h_state[:, :n] = o_g * np.tanh(c_state[:, :n])
-        h[:, rows] = h_state[:, :n]
+        c_t = f_g * c_t[:, :n] + i_g * g_g
+        h_t = o_g * np.tanh(c_t)
+        h[:, rows] = h_t
         if cache:
             cache[0][:, rows] = gates
-            cache[1][:, rows] = c_state[:, :n]
+            cache[1][:, rows] = c_t
+        if n == 1:
+            pair[:, :1] = h_t
+            h_t = pair
 
 
 def _stack(arrays: list, dirs: slice) -> np.ndarray:
@@ -338,8 +385,8 @@ def forward(
         lstm[layer] = cache
         # One finiteness check per layer, forward direction first. Packed rows
         # are time-major: a direction's first bad row is its first bad timestep.
-        bad = np.argwhere(~np.isfinite(h).all(axis=2))
-        if bad.size:
+        if not np.isfinite(h).all():
+            bad = np.argwhere(~np.isfinite(h).all(axis=2))
             row = pack.order[tuple(bad[0])]
             comment = int(np.searchsorted(pack.starts, row, side="right")) - 1
             raise NetworkError(
@@ -400,7 +447,7 @@ def _bptt(dirs: slice, cache: tuple, d_h_out: np.ndarray, pack: _Packing, whs: l
 
 def _weight_grads(dirs: slice, h, pack: _Packing, x, wxs, d_z, grads, h_prev, x_packed) -> None:
     """For each direction d in dirs of a layer, from its d_z[d]: the gradients of Wh, Wx and b into grads[d]'s
-    arrays, then, unless wxs is None, the input gradient d_z·Wxᵀ into x_packed[d], once dWx is done with it."""
+    views, then, unless wxs is None, the input gradient d_z·Wxᵀ into x_packed[d], once dWx is done with it."""
     for d in range(2)[dirs]:
         g_wh, g_wx, g_b = grads[d].values()
         h[d].take(pack.prev, axis=0, out=h_prev[d], mode="clip")
@@ -412,12 +459,11 @@ def _weight_grads(dirs: slice, h, pack: _Packing, x, wxs, d_z, grads, h_prev, x_
             np.matmul(d_z[d], wxs[d].T, out=x_packed[d])
 
 
-def backward(
-    params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_hat: np.ndarray
-) -> dict[str, np.ndarray]:
+def backward(params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_hat: np.ndarray) -> Tensors:
     """Gradient of the loss w.r.t. every parameter tensor, summed over the
-    batch. ``d_y_hat`` (B,) and ``d_aux_hat`` (B, K) are the loss gradients at
-    the sigmoid head outputs (as produced by losses.loss_grad_heads).
+    batch, as views of one new vector laid out like ``params.tensors``.
+    ``d_y_hat`` (B,) and ``d_aux_hat`` (B, K) are the loss gradients at the
+    sigmoid head outputs (as produced by losses.loss_grad_heads).
     """
     hyper, t, pack = params.hyper, params.tensors, trace.pack
     if not trace.lstm:
@@ -427,24 +473,24 @@ def backward(
     want = (len(pack.lengths), hyper.n_aux)
     if d_y_hat.shape != want[:1] or d_aux_hat.shape != want:
         raise NetworkError(f"gradient shapes {d_y_hat.shape}, {d_aux_hat.shape} != {want[:1]}, {want}")
-    grads: dict[str, np.ndarray] = {}
+    grads = t.like()  # every view is written below
 
     # Heads: sigmoid backward to the logits, then linear layers.
     d_logits = np.concatenate([d_y_hat[:, None], d_aux_hat], axis=1) * trace.heads * (1.0 - trace.heads)
     a2 = np.maximum(trace.z2, 0.0)
-    grads["head_tox_w"] = a2.T @ d_logits[:, 0]
-    grads["head_tox_b"] = d_logits[:, :1].sum(axis=0)
+    np.matmul(a2.T, d_logits[:, 0], out=grads["head_tox_w"])
+    d_logits[:, :1].sum(axis=0, out=grads["head_tox_b"])
     if hyper.n_aux > 0:
-        grads["head_aux_W"] = a2.T @ d_logits[:, 1:]
-        grads["head_aux_b"] = d_logits[:, 1:].sum(axis=0)
+        np.matmul(a2.T, d_logits[:, 1:], out=grads["head_aux_W"])
+        d_logits[:, 1:].sum(axis=0, out=grads["head_aux_b"])
 
     # Dense stack (ReLU).
     d_z2 = (d_logits @ _heads(params)[0]) * (trace.z2 > 0)
-    grads["dense2_W"] = np.maximum(trace.z1, 0.0).T @ d_z2
-    grads["dense2_b"] = d_z2.sum(axis=0)
+    np.matmul(np.maximum(trace.z1, 0.0).T, d_z2, out=grads["dense2_W"])
+    d_z2.sum(axis=0, out=grads["dense2_b"])
     d_z1 = (d_z2 @ t["dense2_W"].T) * (trace.z1 > 0)
-    grads["dense1_W"] = trace.pooled.T @ d_z1
-    grads["dense1_b"] = d_z1.sum(axis=0)
+    np.matmul(trace.pooled.T, d_z1, out=grads["dense1_W"])
+    d_z1.sum(axis=0, out=grads["dense1_b"])
     d_pooled = np.repeat(d_z1 @ t["dense1_W"].T, pack.lengths, axis=0)
 
     # Pooling back to each token's hidden state.
@@ -454,7 +500,7 @@ def backward(
         d_a = (trace.h_seq * d_pooled).sum(axis=1)
         d_u = a * (d_a - np.repeat(np.add.reduceat(a * d_a, pack.starts), pack.lengths))
         d_u *= 1.0 - trace.attn_tanh**2
-        grads["attn_w"] = d_u @ trace.h_seq
+        np.matmul(d_u, trace.h_seq, out=grads["attn_w"])
         d_h_seq += d_u[:, None] * t["attn_w"][None, :]
     del d_pooled
 
@@ -473,27 +519,26 @@ def backward(
         del d_h_seq
         _each_direction(threaded, _bptt, cache, d_h_out, pack, [t[f"{p}_Wh"] for p in prefixes], d_z)
         del d_h_out
-        layer_grads = [{f"{p}_{w}": np.empty(t[f"{p}_{w}"].shape) for w in ("Wh", "Wx", "b")} for p in prefixes]
+        layer_grads = [{w: grads[f"{p}_{w}"] for w in ("Wh", "Wx", "b")} for p in prefixes]
         h_prev = np.empty((2, n_rows - pack.steps[0], hdim))
         x_packed = np.empty((2,) + x.shape)
         wxs = [t[f"{p}_Wx"] for p in prefixes] if layer == 1 else None
         _each_direction(threaded, _weight_grads, cache[2], pack, x, wxs, d_z, layer_grads, h_prev, x_packed)
-        grads |= layer_grads[0] | layer_grads[1]
         if layer == 1:
             d_h_seq = np.zeros_like(x)
             for d in (0, 1):  # forward direction first
                 d_h_seq[pack.order[d]] += x_packed[d]
         del h_prev, x_packed
-    return {name: grads[name] for name in t}
+    return grads
 
 
 def embed_batch(table: EmbeddingTable, comments: list[Comment]) -> tuple[np.ndarray, np.ndarray]:
     """The comments' tokens as one (T, D) array, and their lengths."""
-    for c in comments:
-        if c.true_length == 0:
-            raise NetworkError(f"comment {c.id!r} has no tokens")
-    ids = np.concatenate([c.token_ids for c in comments])
-    return lookup(table, ids), np.array([c.true_length for c in comments])
+    ids = [c.token_ids for c in comments]
+    lengths = np.array([len(a) for a in ids])
+    if not lengths.all():
+        raise NetworkError(f"comment {comments[int(np.argmin(lengths))].id!r} has no tokens")
+    return lookup(table, np.concatenate(ids)), lengths
 
 
 def predict(
@@ -501,10 +546,18 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inference over a batch (no dropout). Order is preserved.
 
+    Each forward pass takes the next comments in order while their tokens fit
+    in ``PREDICT_TOKENS``, and at least one comment.
+
     Returns (toxicity scores shape (N,), auxiliary scores shape (N, K)).
     """
     heads = np.zeros((len(comments), 1 + params.hyper.n_aux))
-    for start in range(0, len(comments), PREDICT_BATCH):
-        chunk = comments[start : start + PREDICT_BATCH]
-        heads[start : start + len(chunk)] = forward(params, *embed_batch(table, chunk), keep_caches=False).heads
+    start = 0
+    while start < len(comments):
+        stop, tokens = start + 1, comments[start].true_length
+        while stop < len(comments) and tokens + comments[stop].true_length <= PREDICT_TOKENS:
+            tokens += comments[stop].true_length
+            stop += 1
+        heads[start:stop] = forward(params, *embed_batch(table, comments[start:stop]), keep_caches=False).heads
+        start = stop
     return heads[:, 0].copy(), heads[:, 1:].copy()

@@ -87,10 +87,22 @@ class TestPrep:
     @pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
     def test_c_not_finite_and_above_0_exit_2(self, workdir, capsys, c):
         corpus, vocab, data = (str(workdir / name) for name in ("corpus.csv", "vocab.tsv", "data.jsonl"))
-        assert main(["prep", "--input", corpus, "--vocab-out", vocab, "--c", c, "--out", data]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["prep", "--input", corpus, "--vocab-out", vocab, f"--c={c}", "--out", data])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"c must be finite and > 0, got {float(c)}" in err and "Traceback" not in err
+        assert f"argument --c: must be finite and > 0, got '{c}'" in err and "Traceback" not in err
         assert not (workdir / "data.jsonl").exists() and not (workdir / "vocab.tsv").exists()
+
+    @pytest.mark.parametrize("max_len", ["0", "-3", "2.5", "x"])
+    def test_max_len_not_an_integer_of_at_least_1_exit_2_before_any_input_is_read(self, tmp_path, capsys, max_len):
+        corpus, vocab, data = (str(tmp_path / name) for name in ("nope.csv", "vocab.tsv", "data.jsonl"))
+        with pytest.raises(SystemExit) as exc:  # the input does not exist
+            main(["prep", "--input", corpus, "--vocab-out", vocab, f"--max-len={max_len}", "--out", data])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-len: must be an integer >= 1, got '{max_len}'" in err and "Traceback" not in err
+        assert not (tmp_path / "data.jsonl").exists() and not (tmp_path / "vocab.tsv").exists()
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code = main(
@@ -457,6 +469,27 @@ def test_config_integer_too_large_for_a_float_exit_2(workdir, capsys, command, o
     assert command(workdir) == 2
     err = capsys.readouterr().err
     assert f"{workdir / 'config.json'}: '{section}.{key}' is an integer too large for a float" in err
+    assert "Traceback" not in err
+    assert not (workdir / output).exists()
+
+
+@pytest.mark.parametrize(
+    "command, output", [(run_train, "run"), (run_propagate, "filled.jsonl")], ids=["train", "propagate"]
+)
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("hyper", "hidden", 2**64), ("embeddings", "dim1", 10**300), ("train", "seed", 2**63)],
+    ids=["hidden-2**64", "dim1-10**300", "seed-2**63"],
+)
+def test_config_integer_above_maxsize_exit_2(workdir, capsys, command, output, section, key, value):
+    assert run_prep(workdir) == 0
+    config = json.loads(json.dumps(CONFIG))
+    config[section][key] = value  # a float can hold it, numpy takes no such size
+    (workdir / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'config.json'}: '{section}.{key}' must be at most 9223372036854775807" in err
     assert "Traceback" not in err
     assert not (workdir / output).exists()
 
@@ -855,6 +888,7 @@ CORRUPTIONS = {
     "n_aux-3": (_with_hyper(n_aux=3), "'head_aux_W' [4, 9] (the model's [4, 3])"),
     "hidden-string": (_with_hyper(hidden="x"), "'hyper.hidden' must be an integer"),
     "hidden-10**400": (_with_hyper(hidden=10**400), "'hyper.hidden' is an integer too large for a float"),
+    "hidden-2**64": (_with_hyper(hidden=2**64), "'hyper.hidden' must be at most 9223372036854775807"),
     "embed_dim-7": (_with_hyper(embed_dim=7), "'hyper' embed_dim is 7, not dim1 + dim2 = 6"),
     "embedding-shape": (_edit_header(_embedding_shape), "tensor 'embedding' has shape [40, 3], not [rows, 6]"),
     "hidden-0": (_with_hyper(hidden=0), "hyper.hidden must be >= 1, got 0"),

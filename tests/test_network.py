@@ -511,3 +511,29 @@ class TestBatchComposition:
             traces = [forward(params, *embed_batch(self.table, cs[s : s + chunk])) for s in starts]
             assert np.array_equal(np.concatenate([tr.pooled for tr in traces]), whole.pooled), chunk
             assert np.array_equal(np.concatenate([tr.z2 for tr in traces]), whole.z2), chunk
+
+    def test_token_budget_cuts_batches_without_changing_a_score(self, monkeypatch):
+        h = tiny_hyper(n_aux=2, embed_dim=4, hidden=8, dense=2, max_len=9)
+        params = init_params(h, seed=6)
+        cs = self.comments(40, 9, seed=3)  # 1 to 9 tokens each, the one 9-token comment above the budget
+        alone = [predict(params, self.table, [c]) for c in cs]
+        passes = []
+        real_forward = network.forward
+        monkeypatch.setattr(network, "forward", lambda *a, **k: passes.append(len(a[2])) or real_forward(*a, **k))
+        monkeypatch.setattr(network, "PREDICT_TOKENS", 8)
+        y, aux = predict(params, self.table, cs)
+        assert passes == self.greedy_cuts([c.true_length for c in cs], 8) and max(passes) > 1
+        assert np.array_equal(y, np.concatenate([a[0] for a in alone]))
+        assert np.array_equal(aux, np.concatenate([a[1] for a in alone]))
+
+    @staticmethod
+    def greedy_cuts(lengths, budget):
+        """The comment count of each forward pass: the next comments while their tokens fit, at least one."""
+        counts, tokens = [], budget + 1
+        for length in lengths:
+            if tokens + length > budget:
+                counts.append(0)
+                tokens = 0
+            counts[-1] += 1
+            tokens += length
+        return counts

@@ -9,6 +9,9 @@ from mtltox.metrics import prf1, ScoredExample
 from mtltox.network import Hyper, ModelParams, NetworkError, init_params, predict
 from mtltox.synthetic import biased_corpus, separable_corpus
 from mtltox.training import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     AdamState,
     TrainConfig,
     _targets,
@@ -67,6 +70,53 @@ class TestAdamStep:
             params, state = adam_step(params, {"w": rng.normal(size=1)}, state, self.cfg)
             assert state.v["w"][0] >= 0.0
             assert np.isfinite(params.tensors["w"][0])
+
+
+def per_tensor_adam_step(tensors, grads, m, v, t, cfg):
+    """The Adam step as it ran before the vectors, tensor by tensor, on name-keyed dicts: the oracle."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NetworkError(f"non-finite gradient for {name}")
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if not (total <= cfg.grad_clip_norm or total == 0.0):
+        factor = cfg.grad_clip_norm / total
+        grads = {k: g * factor for k, g in grads.items()}
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    for name, g in grads.items():
+        m[name] = BETA1 * m[name] + (1.0 - BETA1) * g
+        v[name] = BETA2 * v[name] + (1.0 - BETA2) * g * g
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        tensors[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return total > cfg.grad_clip_norm
+
+
+@pytest.mark.parametrize(
+    "hyper, steps",
+    [
+        (Hyper(embed_dim=8, hidden=4, dense1=8, dense2=8, n_aux=6), 300),  # desk-bias's model
+        (Hyper(embed_dim=600, hidden=256, dense1=512, dense2=512, n_aux=9), 5),  # the paper's
+    ],
+    ids=["desk", "paper"],
+)
+def test_adam_step_equals_the_per_tensor_step_bitwise(hyper, steps):
+    cfg = TrainConfig(learning_rate=0.01, grad_clip_norm=5.0)
+    params = init_params(hyper, seed=1)
+    state = AdamState.init(params)
+    tensors = {name: a.copy() for name, a in params.tensors.items()}
+    m, v = ({name: np.zeros_like(a) for name, a in tensors.items()} for _ in range(2))
+    rng = np.random.default_rng(2)
+    fired = 0
+    for step in range(steps):
+        # Norms from about 0.3 to about 30 times the clip threshold, so clipping fires on some steps.
+        scale = 5.0 * 10.0 ** rng.uniform(-0.5, 1.5) / np.sqrt(params.tensors.vector.size)
+        grads = params.tensors.like(rng.normal(scale=scale, size=params.tensors.vector.size))
+        fired += per_tensor_adam_step(tensors, {k: g.copy() for k, g in grads.items()}, m, v, step + 1, cfg)
+        adam_step(params, grads, state, cfg)
+    assert 0 < fired < steps
+    for got, want in ((params.tensors, tensors), (state.m, m), (state.v, v)):
+        assert got.vector.tobytes() == np.concatenate([want[name].ravel() for name in got]).tobytes()
 
 
 def toy_hyper(vocab_dim=None, n_aux=0, attention=True):
@@ -326,7 +376,7 @@ def test_batch_pass_sums_single_example_gradients():
     hyper = Hyper(embed_dim=6, hidden=3, dense1=4, dense2=4, n_aux=6, dropout_rate=0.3, max_len=16)
     params = init_params(hyper, seed=2)
     cfg = TrainConfig(seed=0)
-    got, _ = _batch_pass(params, table, comments, cfg, np.random.default_rng(9))
+    got, _ = _batch_pass(params, table, comments, _targets(comments, hyper, cfg), cfg, np.random.default_rng(9))
 
     rng = np.random.default_rng(9)
     traces = [
