@@ -1,26 +1,11 @@
-"""Command-line entry point.
+"""Command-line entry point: the subcommands prep, propagate, train,
+evaluate, bias-report, templates and ks-compare.
 
-Subcommands: prep, propagate, train, evaluate, bias-report, templates,
-ks-compare. Exit codes: 0 success, 2 input error (a missing or unreadable
-input file, the checkpoint included), 3 numerical failure, 4
-checkpoint/vocabulary compatibility error (a corrupt, malformed or version 1
-checkpoint, one whose ``hyper`` breaks ``Hyper``'s checks, whose tensors
-do not fit it or hold a NaN or an infinity, a vocabulary that does not
-match it, or data prepared with another one, naming the checkpoint or the
-data file); ``hyper`` is read as a config section is, so a mistyped value
-reads ``<checkpoint>: 'hyper.<key>' must be ...``.
-
-``train`` writes ``checkpoint_fold<k>.json`` and ``run_fold<k>.json`` per
-fold; a run record's ``metrics`` is its validation split's
-``BiasReport.to_dict()``. With ``--alpha grid:...`` fold 0 trains one
-model per grid alpha and keeps the best as fold 0's model (see
-``run_experiment``), and ``alpha_grid.json`` is written before fold 0's
-files: ``chosen_alpha`` and, in ``results``, one run record per grid
-point. ``evaluate`` and ``bias-report`` write ``BiasReport.to_dict()`` to
-``--out`` and stdout, and its subgroup table as CSV beside ``--out``.
-
-Config file (JSON) for propagate/train. Every key is optional, and every
-accepted key is shown; any other key is refused with exit code 2:
+The command-line contract is stated once, in the "Command line" section of
+README.md: what each subcommand reads and writes, the config file, what each
+input check refuses and with which message, and the exit codes. The config
+file (JSON) for propagate/train, with every accepted key, each optional;
+any other key is refused with exit code 2:
 
     {
       "hyper":      {"hidden": 8, "dense1": 16, "dense2": 16, "n_aux": 9,
@@ -33,53 +18,6 @@ accepted key is shown; any other key is refused with exit code 2:
                      "power": -5.0},
       "subgroups":  ["male", "female"]
     }
-
-Each value must have the type of the field's annotation (an integer serves as
-a number; ``grad_clip_norm`` may be null), an integer must be one a float
-can hold (``<config>: 'train.learning_rate' is an integer too large for a
-float``, and exit 4 in a checkpoint's ``hyper``), and an integer field's
-value must be at most ``sys.maxsize`` (``'hyper.hidden' must be at most
-...``); any other value is refused with exit code 2. ``subgroups`` (train
-only), a list of strings, names the subgroups of the per-fold bias
-metrics; the k-th name labels the k-th identity column, and the default is
-all nine identity column names. Omitted embedding sources fall back to
-seeded random vectors of the configured dimensions.
-
-Every line-based input (the corpus, prepared JSONL, the vocabulary,
-embedding text, templates and predictions) is read by ``corpus.read_rows``:
-an error exits 2 with ``<file>: row <n>: <what>``, rows of a CSV file
-numbered by data row and of the others by line, and a byte that is not
-UTF-8 with ``<file>: line <n>: not UTF-8: ...``. ``prep`` refuses an input
-with no records or a row whose text has no tokens; propagate, train and
-evaluate refuse a prepared line with no tokens, a token id that is not a
-non-negative integer, or a ``true_length`` (older, padded lines) outside
-[0, len(token_ids)];
-``propagate`` and ``train`` refuse a corpus weighted with a ``c`` other
-than ``train.c``; ``bias-report`` reads a ``.jsonl`` or ``.json`` file (in
-any letter case) as JSONL and refuses a predictions file with no rows, a
-score that is not a finite number or a label that is not 0 or 1; an
-embedding value must be finite. ``train`` refuses a corpus with
-unannotated identity rows: run ``propagate`` on it first. ``ks-compare``
-refuses a ``run_fold*.json`` that is not a JSON object with a ``metrics``
-object, or whose metric is missing, null or not a finite number, naming
-the file and the key (``<file>: 'metrics.f1' must be a finite number, got
-'NaN'``). Each of these exits 2. ``--alpha`` and ``--p`` must be finite
-numbers (``--alpha`` may be ``grid:`` and a list of them), ``prep``'s
-``--c`` a finite number above 0 and its ``--max-len`` an integer of at
-least 1, when the arguments are parsed. An alpha outside [0, 1], a
-``batch_size`` below 1, a ``k_folds`` below 2 or an ``aux_source`` other
-than "identities" or "subtypes" exits 2 before any training; ``--out-dir``
-is made where the first file is written. So does, naming the config file and
-``<section>.<key>``, a ``hyper`` size (``hidden``, ``dense1``, ``dense2``,
-``max_len``) below 1, an ``n_aux`` below 0, a ``dropout_rate`` outside
-[0, 1), a ``learning_rate`` or ``c`` that is not a finite number above 0, a
-``grad_clip_norm`` that is neither null nor a finite number above 0, a
-``power`` that is not finite, an ``epochs`` or ``seed`` below 0 (``--seed``
-too, naming ``seed``), a ``patience`` below 1, or an ``embeddings``
-``dim1``, ``dim2`` or ``oov_seed`` below 0. Every config value, and
-``--seed`` and ``--folds``, is checked before any input file is read. A
-size too large to allocate (``embeddings.dim1``, ``hyper.hidden``, ...)
-exits 2 naming the config file.
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
 """The shared network: two stacked BiLSTMs, attention pooling, dense layers,
 and K+1 sigmoid heads, with forward and hand-derived backward passes in numpy.
 
-Sequence handling: a batch is one (T, D) array of its comments' real tokens,
-comment after comment. Padding is never gathered, so it cannot influence any
-output. Each LSTM layer-direction projects all T tokens (``X·Wx``) before the
-layer's recurrence, which runs both directions as one (2, n, H) state, time-major
-with the longest comment first: step t touches only the comments longer than t.
+Sequence handling: a batch is its comments' real tokens, comment after
+comment, given as distinct embedding rows and each token's index into them.
+Padding is never gathered, so it cannot influence any output. Each LSTM
+layer-direction projects its input (``X·Wx``) before the layer's recurrence:
+layer 0 each distinct row of the pass once (with dropout, each distinct
+(comment, token) pair, since the mask is per comment), gathering the products
+into packed order through the index; layer 1 all T tokens. The recurrence
+runs both directions as one (2, n, H) state, time-major with the longest
+comment first: step t touches only the comments longer than t.
 The reverse direction takes those steps over each comment's tokens reversed.
 A step is plain numpy expressions on that state, which lives only inside the
 recurrence's call. Attention and pooling reduce over each comment's own tokens.
@@ -24,7 +28,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -35,8 +39,9 @@ if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
 # Real tokens per forward pass inside predict(); a longer comment runs alone.
-# At hidden 256 and embed 600 a pass allocates about 38 KB per token beside
-# its input (tracemalloc peak: 155 MB at 4,096 tokens).
+# At hidden 256 and embed 600 a pass allocates about 35 KB per token, its
+# input included (tracemalloc peak of predict: 143 MB at 4,095 tokens, 784
+# of them distinct; the peak is layer 1's projection).
 PREDICT_TOKENS = 4096
 # Rows per product for the input projections and the dense layers. Every
 # such product has this one shape, because OpenBLAS picks its kernel by shape
@@ -156,13 +161,20 @@ def _pack(lengths: np.ndarray) -> _Packing:
     return _Packing(lengths, starts, steps.tolist(), offsets.tolist(), order, prev)
 
 
+class TokenRows(NamedTuple):
+    """A pass's token embeddings: its distinct rows, and for each token, comment after comment, its row's index."""
+
+    rows: np.ndarray  # (U, D)
+    index: np.ndarray  # (T,) into rows
+
+
 @dataclass
 class BatchTrace:
     """One forward pass. Token arrays hold the real tokens, comment after
     comment; per-comment arrays are in batch order."""
 
     pack: _Packing
-    layer_inputs: list[np.ndarray]  # input tokens of each LSTM layer (training only)
+    layer_inputs: list[tuple]  # per LSTM layer: its input rows, and the (2, T) row of each packed row; training only
     lstm: dict[int, tuple]  # layer -> packed gates, c, h of both directions; training only
     h_seq: np.ndarray  # (T, 2H) second-layer outputs
     attn_tanh: np.ndarray | None  # (T,) tanh scores
@@ -238,12 +250,21 @@ def spatial_dropout_mask(dim: int, rate: float, rng: np.random.Generator) -> np.
     return keep / (1.0 - rate)
 
 
+def _padded(x: np.ndarray) -> np.ndarray:
+    """x's rows, then zero rows up to a whole number of _ROW_BLOCK-row blocks."""
+    padded = np.zeros((-(-len(x) // _ROW_BLOCK) * _ROW_BLOCK, x.shape[1]))
+    padded[: len(x)] = x
+    return padded
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """A padded (n, k) array as its (n / _ROW_BLOCK, _ROW_BLOCK, k) stack of blocks."""
+    return a.reshape(-1, _ROW_BLOCK, a.shape[-1])
+
+
 def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w as a stack of _ROW_BLOCK-row products, the last one zero-padded."""
-    n, k = x.shape
-    padded = np.zeros((-(-n // _ROW_BLOCK), _ROW_BLOCK, k))
-    padded.reshape(-1, k)[:n] = x
-    return (padded @ w).reshape(-1, w.shape[1])[:n]
+    return (_blocks(_padded(x)) @ w).reshape(-1, w.shape[1])[: len(x)]
 
 
 def _rows_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -331,58 +352,77 @@ def _stack(arrays: list, dirs: slice) -> np.ndarray:
     return arrays[dirs.start][None] if dirs.stop - dirs.start == 1 else np.stack(arrays[dirs])
 
 
-def _layer_forward(dirs: slice, x: np.ndarray, pack: _Packing, weights, x_packed, zx, h, cache) -> None:
-    """The directions in dirs of one layer: the input projection X·Wx + b of each into its zx, in
-    _ROW_BLOCK-row products (x_packed's rows past x's are zero), then their recurrence."""
+def _layer_forward(dirs: slice, layer: int, x, order, pack: _Packing, weights, buf, zx, h, cache) -> None:
+    """The directions in dirs of one layer: the input projection X·Wx + b of each into its zx, in _ROW_BLOCK-row
+    products, then their recurrence. Row order[d, i] of x is direction d's packed row i. Layer 0's x holds
+    the pass's distinct rows, zero-padded to whole blocks: each direction projects them once into buf[d] and
+    gathers the products into zx. Layer 1 gathers x's rows into buf[d], whose rows past them are zero, and
+    projects those."""
     wx, b, whs = weights
-    n_rows, in_dim = x.shape
+    n_rows = order.shape[1]
     for d in range(2)[dirs]:
-        x.take(pack.order[d], axis=0, out=x_packed[d, :n_rows], mode="clip")
-        out = zx[d].reshape(-1, _ROW_BLOCK, zx.shape[2])
-        np.matmul(x_packed[d].reshape(-1, _ROW_BLOCK, in_dim), wx[d], out=out)
-        zx[d, :n_rows] += b[d]
+        if layer == 0:
+            np.matmul(_blocks(x), wx[d], out=_blocks(buf[d]))
+            buf[d] += b[d]
+            buf[d].take(order[d], axis=0, out=zx[d, :n_rows], mode="clip")
+        else:
+            x.take(order[d], axis=0, out=buf[d, :n_rows], mode="clip")
+            np.matmul(_blocks(buf[d]), wx[d], out=_blocks(zx[d]))
+            zx[d, :n_rows] += b[d]
     sliced_cache = cache and tuple(a[dirs] for a in cache)
     _recurrence(zx[dirs], pack, _stack(whs, dirs), h[dirs], sliced_cache)
 
 
 def forward(
-    params: ModelParams, tokens: np.ndarray, lengths, dropout_masks=None, keep_caches: bool = True
+    params: ModelParams, tokens: np.ndarray | TokenRows, lengths, dropout_masks=None, keep_caches: bool = True
 ) -> BatchTrace:
     """B comments through the whole network.
 
-    ``tokens`` is the (sum(lengths), D) array of the comments' real token
-    embeddings, comment after comment; ``dropout_masks`` is (B, D) or None.
+    ``tokens`` holds the comments' real token embeddings, comment after
+    comment: a TokenRows (as from ``embed_batch``), or a (sum(lengths), D)
+    array, each token its own row. ``dropout_masks`` is (B, D) or None.
     Without ``keep_caches`` the trace holds outputs only (inference).
     """
     t = params.tensors
+    rows, index = tokens if isinstance(tokens, TokenRows) else (tokens, np.arange(len(tokens)))
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != tokens.shape[0]:
-        raise NetworkError(f"lengths {lengths.tolist()} do not partition {tokens.shape[0]} token rows")
+    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(index):
+        raise NetworkError(f"lengths {lengths.tolist()} do not partition {len(index)} token rows")
+    if index.min() < 0 or index.max() >= len(rows):
+        raise NetworkError(f"token row index out of range [0, {len(rows)})")
     pack = _pack(lengths)
     row_comment = np.repeat(np.arange(len(lengths)), lengths)
-    x = tokens * dropout_masks[row_comment] if dropout_masks is not None else tokens
+    if dropout_masks is not None:  # the mask is per comment: layer 0's rows are the distinct (comment, row) pairs
+        pairs, index = np.unique(row_comment * len(rows) + index, return_inverse=True)
+        pair_comment, pair_row = np.divmod(pairs, len(rows))
+        rows = rows[pair_row] * dropout_masks[pair_comment]
 
     hdim, n_rows = params.hyper.hidden, len(row_comment)
     padded_rows = -(-n_rows // _ROW_BLOCK) * _ROW_BLOCK
     threaded = _threaded(hdim)
     # This thread makes every whole-layer array; each direction writes only its own slice.
     zx = np.empty((2, padded_rows, 4 * hdim))  # both layers project into it
+    x, order = _padded(rows), index[pack.order]  # layer 0's distinct rows, zero-padded to whole blocks
     layer_inputs, lstm = [], {}
     for layer in (0, 1):
-        layer_inputs.append(x)
         prefixes = [f"lstm{layer}_{direction}" for direction in ("fwd", "bwd")]  # in pack.order's order
         weights = (
             [t[f"{p}_Wx"] for p in prefixes],
             [t[f"{p}_b"] for p in prefixes],
             [t[f"{p}_Wh"] for p in prefixes],
         )
-        x_packed = np.empty((2, padded_rows, x.shape[1]))
-        x_packed[:, n_rows:] = 0.0
+        if layer == 0:  # each direction's products of the distinct rows
+            buf = np.empty((2, len(x), 4 * hdim))
+        else:  # each direction's input rows in packed order
+            buf = np.empty((2, padded_rows, x.shape[1]))
+            buf[:, n_rows:] = 0.0
         h = np.empty((2, n_rows, hdim))
         cache = (np.empty((2, n_rows, 4 * hdim)), np.empty((2, n_rows, hdim)), h) if keep_caches else None
-        _each_direction(threaded, _layer_forward, x, pack, weights, x_packed, zx, h, cache)
-        del x_packed
-        lstm[layer] = cache
+        _each_direction(threaded, _layer_forward, layer, x, order, pack, weights, buf, zx, h, cache)
+        del buf
+        if keep_caches:  # without, each layer's input is freed once the next one's is made
+            layer_inputs.append((x, order))
+            lstm[layer] = cache
         # One finiteness check per layer, forward direction first. Packed rows
         # are time-major: a direction's first bad row is its first bad timestep.
         if not np.isfinite(h).all():
@@ -393,7 +433,7 @@ def forward(
                 f"non-finite activation in {prefixes[bad[0, 0]]} at timestep {row - pack.starts[comment]} "
                 f"of batch row {comment}"
             )
-        x = np.empty((n_rows, 2 * hdim))  # the forward direction in the first H columns
+        x, order = np.empty((n_rows, 2 * hdim)), pack.order  # the forward direction in the first H columns
         x.reshape(-1, 2, hdim)[pack.order, [[0], [1]]] = h
         del h  # the next layer projects without it
 
@@ -414,8 +454,6 @@ def forward(
     heads = _sigmoid(_rows_dot(np.maximum(z2, 0.0), w_heads) + b_heads)
     if not np.all(np.isfinite(heads)):
         raise NetworkError("non-finite activation in output heads")
-    if not keep_caches:
-        layer_inputs, lstm = [], {}
     return BatchTrace(pack, layer_inputs, lstm, x, attn_tanh, attn_weights, pooled, z1, z2, heads)
 
 
@@ -445,14 +483,15 @@ def _bptt(dirs: slice, cache: tuple, d_h_out: np.ndarray, pack: _Packing, whs: l
         d_h_next[:, :n] = d_z[:, rows] @ wh_t
 
 
-def _weight_grads(dirs: slice, h, pack: _Packing, x, wxs, d_z, grads, h_prev, x_packed) -> None:
+def _weight_grads(dirs: slice, h, pack: _Packing, x, order, wxs, d_z, grads, h_prev, x_packed) -> None:
     """For each direction d in dirs of a layer, from its d_z[d]: the gradients of Wh, Wx and b into grads[d]'s
-    views, then, unless wxs is None, the input gradient d_z·Wxᵀ into x_packed[d], once dWx is done with it."""
+    views, with row order[d, i] of x as packed row i's input, then, unless wxs is None, the input gradient
+    d_z·Wxᵀ into x_packed[d], once dWx is done with it."""
     for d in range(2)[dirs]:
         g_wh, g_wx, g_b = grads[d].values()
         h[d].take(pack.prev, axis=0, out=h_prev[d], mode="clip")
         np.matmul(h_prev[d].T, d_z[d, pack.steps[0] :], out=g_wh)
-        x.take(pack.order[d], axis=0, out=x_packed[d], mode="clip")
+        x.take(order[d], axis=0, out=x_packed[d], mode="clip")
         np.matmul(x_packed[d].T, d_z[d], out=g_wx)
         d_z[d].sum(axis=0, out=g_b)
         if wxs is not None:
@@ -513,7 +552,7 @@ def backward(params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_
     threaded = _threaded(hdim)
     d_z = np.empty((2, n_rows, 4 * hdim))  # both layers backpropagate into it
     for layer in (1, 0):
-        x, cache = trace.layer_inputs[layer], trace.lstm[layer]
+        (x, order), cache = trace.layer_inputs[layer], trace.lstm[layer]
         prefixes = [f"lstm{layer}_{direction}" for direction in ("fwd", "bwd")]
         d_h_out = d_h_seq.reshape(-1, 2, hdim)[pack.order, [[0], [1]]]  # each direction's packed rows
         del d_h_seq
@@ -521,9 +560,9 @@ def backward(params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_
         del d_h_out
         layer_grads = [{w: grads[f"{p}_{w}"] for w in ("Wh", "Wx", "b")} for p in prefixes]
         h_prev = np.empty((2, n_rows - pack.steps[0], hdim))
-        x_packed = np.empty((2,) + x.shape)
+        x_packed = np.empty((2, n_rows, x.shape[1]))
         wxs = [t[f"{p}_Wx"] for p in prefixes] if layer == 1 else None
-        _each_direction(threaded, _weight_grads, cache[2], pack, x, wxs, d_z, layer_grads, h_prev, x_packed)
+        _each_direction(threaded, _weight_grads, cache[2], pack, x, order, wxs, d_z, layer_grads, h_prev, x_packed)
         if layer == 1:
             d_h_seq = np.zeros_like(x)
             for d in (0, 1):  # forward direction first
@@ -532,13 +571,15 @@ def backward(params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_
     return grads
 
 
-def embed_batch(table: EmbeddingTable, comments: list[Comment]) -> tuple[np.ndarray, np.ndarray]:
-    """The comments' tokens as one (T, D) array, and their lengths."""
+def embed_batch(table: EmbeddingTable, comments: list[Comment]) -> tuple[TokenRows, np.ndarray]:
+    """The comments' tokens as the embedding rows of their distinct ids, each looked up once, with each
+    token's index into them; and the comments' lengths."""
     ids = [c.token_ids for c in comments]
     lengths = np.array([len(a) for a in ids])
     if not lengths.all():
         raise NetworkError(f"comment {comments[int(np.argmin(lengths))].id!r} has no tokens")
-    return lookup(table, np.concatenate(ids)), lengths
+    distinct, index = np.unique(np.concatenate(ids), return_inverse=True)
+    return TokenRows(lookup(table, distinct), index), lengths
 
 
 def predict(

@@ -76,11 +76,6 @@ class AdamState:
     v: Tensors | None = None
     t: int = 0
 
-    @classmethod
-    def init(cls, params: ModelParams) -> "AdamState":
-        """The state before the first step of training ``params``."""
-        return cls()
-
 
 @dataclass
 class RunRecord:
@@ -235,13 +230,14 @@ def train_fold(
         )
     started = time.perf_counter()
     params = init_params(hyper, cfg.seed)
-    state = AdamState.init(params)
+    state = AdamState()
     rng = np.random.default_rng(cfg.seed + 1)
     record = RunRecord(seed=cfg.seed, alpha=cfg.alpha, config=dataclasses.asdict(cfg))
 
     train_targets, val_targets = (_targets(split, hyper, cfg) for split in (train_set, val_set))
-    best_params = params.copy()
-    best_val = np.inf
+    # Epoch 0's validation loss is finite (forward refuses non-finite heads, multitask_loss clamps its logs),
+    # so epoch 0 always takes the first copy; with no epoch the untouched initial parameters are the result.
+    best_params, best_val = params, np.inf
     stale = 0
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(train_set))

@@ -14,7 +14,7 @@ from conftest import (
 import mtltox.network as network
 import mtltox.training as training
 from mtltox.corpus import Comment
-from mtltox.embeddings import random_table
+from mtltox.embeddings import lookup, random_table
 from mtltox.corpus import Vocabulary
 from mtltox.network import (
     NetworkError,
@@ -537,3 +537,57 @@ class TestBatchComposition:
             counts[-1] += 1
             tokens += length
         return counts
+
+
+class TestDistinctRows:
+    """Layer 0 projects each distinct row of a pass once, then gathers the
+    products into packed order through the index. A row of a fixed-shape
+    _ROW_BLOCK-row product depends only on that row, so every output and
+    gradient must equal, byte for byte, those of the pass given one row per
+    token."""
+
+    vocab = Vocabulary.build([[f"w{i}" for i in range(300)]])
+    table = random_table(vocab, 3, 3, seed=2)
+
+    def comments(self, shared: bool) -> list[Comment]:
+        # About 200 tokens: two blocks of per-token rows, one of distinct rows.
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(1, 14, size=30)
+        ids = rng.integers(2, 12, size=lengths.sum()) if shared else rng.permutation(np.arange(2, 302))
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        return [comment(str(i), ids[starts[i] : starts[i + 1]], n_identity=2) for i in range(len(lengths))]
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-tokens", "all-distinct"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("hidden", [4, 23, 128])
+    def test_distinct_rows_equal_per_token_rows_bitwise(self, monkeypatch, hidden, masked, shared):
+        run_directions(monkeypatch, threaded=hidden >= 128)
+        params = init_params(tiny_hyper(n_aux=2, embed_dim=6, hidden=hidden, dense=5), seed=hidden)
+        cs = self.comments(shared)
+        ids = np.concatenate([c.token_ids for c in cs])
+        tokens, lengths = embed_batch(self.table, cs)
+        assert len(tokens.rows) == len(np.unique(ids)) and (len(tokens.rows) < len(ids)) == shared
+        rng = np.random.default_rng(hidden)
+        masks = rng.random((len(cs), 6)) + 0.5 if masked else None
+        d_y, d_aux = rng.normal(size=len(cs)), rng.normal(size=(len(cs), 2))
+        per_token = lookup(self.table, ids)
+        calls = [(tokens, masks), (per_token, masks)]
+        if masked:  # the masks applied by their definition, outside forward
+            calls.append((per_token * masks[np.repeat(np.arange(len(cs)), lengths)], None))
+        results = []
+        for given, given_masks in calls:
+            trace = forward(params, given, lengths, given_masks)
+            caches = {f"lstm{layer}_{i}": a for layer in (0, 1) for i, a in enumerate(trace.lstm[layer])}
+            grads = backward(params, trace, d_y, d_aux)
+            results.append({"heads": trace.heads, "h_seq": trace.h_seq} | caches | grads)
+        for other in results[1:]:
+            assert other.keys() == results[0].keys()
+            for name in other:
+                assert results[0][name].tobytes() == other[name].tobytes(), name
+
+    def test_index_out_of_range_refused(self):
+        params = init_params(tiny_hyper(n_aux=2, embed_dim=6, hidden=4, dense=5), seed=0)
+        tokens, lengths = embed_batch(self.table, self.comments(shared=True))
+        tokens.index[-1] = len(tokens.rows)
+        with pytest.raises(NetworkError, match=r"token row index out of range \[0, 10\)"):
+            forward(params, tokens, lengths)

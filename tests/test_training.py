@@ -34,7 +34,7 @@ class TestAdamStep:
 
     def test_zero_grads_leave_params_unchanged(self):
         params = scalar_params(1.5)
-        state = AdamState.init(params)
+        state = AdamState()
         params, state = adam_step(params, {"w": np.zeros(1)}, state, self.cfg)
         assert params.tensors["w"][0] == 1.5
         assert state.t == 1
@@ -42,7 +42,7 @@ class TestAdamStep:
     def test_first_step_hand_value(self):
         # g=1 at t=1: m_hat = v_hat = 1, update = -lr / (1 + eps) ~ -0.1
         params = scalar_params(0.0)
-        state = AdamState.init(params)
+        state = AdamState()
         params, _ = adam_step(params, {"w": np.ones(1)}, state, self.cfg)
         assert params.tensors["w"][0] == pytest.approx(-0.1, abs=1e-8)
 
@@ -58,13 +58,13 @@ class TestAdamStep:
 
     def test_nonfinite_grad_rejected(self):
         params = scalar_params()
-        state = AdamState.init(params)
+        state = AdamState()
         with pytest.raises(NetworkError, match="non-finite"):
             adam_step(params, {"w": np.array([np.nan])}, state, self.cfg)
 
     def test_second_moments_nonnegative(self):
         params = scalar_params()
-        state = AdamState.init(params)
+        state = AdamState()
         rng = np.random.default_rng(0)
         for _ in range(20):
             params, state = adam_step(params, {"w": rng.normal(size=1)}, state, self.cfg)
@@ -103,7 +103,7 @@ def per_tensor_adam_step(tensors, grads, m, v, t, cfg):
 def test_adam_step_equals_the_per_tensor_step_bitwise(hyper, steps):
     cfg = TrainConfig(learning_rate=0.01, grad_clip_norm=5.0)
     params = init_params(hyper, seed=1)
-    state = AdamState.init(params)
+    state = AdamState()
     tensors = {name: a.copy() for name, a in params.tensors.items()}
     m, v = ({name: np.zeros_like(a) for name, a in tensors.items()} for _ in range(2))
     rng = np.random.default_rng(2)
