@@ -30,6 +30,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from mtltox.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from mtltox.corpus import (
     IDENTITY_COLUMNS,
@@ -402,7 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow or a NaN that matters ends in a NetworkError, whose
+        # message is the report: numpy's warnings on the way add only noise.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

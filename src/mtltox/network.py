@@ -4,12 +4,15 @@ and K+1 sigmoid heads, with forward and hand-derived backward passes in numpy.
 Sequence handling: a batch is its comments' real tokens, comment after
 comment, given as distinct embedding rows and each token's index into them.
 Padding is never gathered, so it cannot influence any output. Each LSTM
-layer-direction projects its input (``X·Wx``) before the layer's recurrence:
-layer 0 each distinct row of the pass once (with dropout, each distinct
-(comment, token) pair, since the mask is per comment), gathering the products
-into packed order through the index; layer 1 all T tokens. The recurrence
-runs both directions as one (2, n, H) state, time-major with the longest
-comment first: step t touches only the comments longer than t.
+layer-direction's input projection (``X·Wx + b``) is made in _ROW_BLOCK-row
+blocks as its recurrence reaches them, into a window of rows that the steps
+read; no pass holds the projection of all its tokens. Layer 0 first
+projects each distinct row of the pass once (with dropout, each distinct
+(comment, token) pair, since the mask is per comment), and each block
+gathers the products into packed order through the index; layer 1 projects
+each block of its packed rows. The recurrence runs both directions as one
+(2, n, H) state, time-major with the longest comment first: step t touches
+only the comments longer than t.
 The reverse direction takes those steps over each comment's tokens reversed.
 A step is plain numpy expressions on that state, which lives only inside the
 recurrence's call. Attention and pooling reduce over each comment's own tokens.
@@ -39,14 +42,19 @@ if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
 # Real tokens per forward pass inside predict(); a longer comment runs alone.
-# At hidden 256 and embed 600 a pass allocates about 35 KB per token, its
-# input included (tracemalloc peak of predict: 143 MB at 4,095 tokens, 784
-# of them distinct; the peak is layer 1's projection).
+# At hidden 256 and embed 600 a pass allocates about 12 KB per token, its
+# input included (tracemalloc peak of predict: 48.6 MB at 4,062 tokens, 782
+# of them distinct). The peak is inside a layer's recurrence, beside the
+# 4 MB window: layer 1 holds its input and h, 8 KB per token, and layer 0
+# its h, 4 KB per token, and the products of its distinct rows, 16 KB each.
 PREDICT_TOKENS = 4096
 # Rows per product for the input projections and the dense layers. Every
 # such product has this one shape, because OpenBLAS picks its kernel by shape
 # and two kernels can round a row differently (batch-composition rule).
 _ROW_BLOCK = 128
+# Each direction's window on X·Wx + b (see _recurrence) holds as many blocks as
+# fit in about this many bytes, and never fewer than the widest step's and one.
+_WINDOW_BYTES = 1 << 20
 # From this hidden size, and when two CPUs are usable, each direction of a
 # layer runs on its own thread, from its input projection to its weight
 # gradients. One forward and backward pass of 16 comments at the paper's
@@ -316,11 +324,15 @@ def _each_direction(threaded: bool, run, *args) -> None:
         reverse.result()
 
 
-def _recurrence(zx: np.ndarray, pack: _Packing, wh: np.ndarray, h: np.ndarray, cache) -> None:
-    """A stack of S directions of an LSTM layer over packed rows: zx (S, T, 4H) holds X·Wx + b, wh (S, H, 4H)
-    the Wh. Writes h (S, T, H) and, unless cache is None, cache's (gates after their nonlinearities, c) of every
-    row."""
+def _recurrence(window: np.ndarray, fill, pack: _Packing, wh: np.ndarray, h: np.ndarray, cache) -> None:
+    """A stack of S directions of an LSTM layer over packed rows; wh (S, H, 4H) holds the Wh. X·Wx + b reaches
+    the steps through window (S, W, 4H): when a step needs rows it does not hold, the rows still to come move to
+    its front and fill(start, stop, out) writes packed rows start to stop, whole _ROW_BLOCK blocks, into the
+    rest. W holds the widest step's rows and one block more. Writes h (S, T, H) and, unless cache is None,
+    cache's (gates after their nonlinearities, c) of every row."""
     s, hdim = wh.shape[:2]
+    padded_rows = -(-pack.offsets[-1] // _ROW_BLOCK) * _ROW_BLOCK
+    base = made = 0  # window[:, i] holds packed row base + i, for the rows below made
     # At least two state rows per direction: a one-row product takes numpy's
     # GEMV path, which rounds differently from GEMM (batch-composition rule).
     # A step of one active row reads its state from `pair`, whose second row's
@@ -331,8 +343,15 @@ def _recurrence(zx: np.ndarray, pack: _Packing, wh: np.ndarray, h: np.ndarray, c
     h_t = c_t = np.zeros((s, max(pack.steps[0], 2), hdim))  # the state before step 0
     pair = np.zeros((s, 2, hdim))
     for off, n in zip(pack.offsets, pack.steps):
+        if off + n > made:
+            kept = made - off
+            window[:, :kept] = window[:, off - base : made - base]
+            base = off
+            stop = min(made + (window.shape[1] - kept) // _ROW_BLOCK * _ROW_BLOCK, padded_rows)
+            fill(made, stop, window[:, kept : stop - base])
+            made = stop
         rows = slice(off, off + n)
-        z = zx[:, rows] + (h_t[:, : max(n, 2)] @ wh)[:, :n]
+        z = window[:, off - base : off - base + n] + (h_t[:, : max(n, 2)] @ wh)[:, :n]
         gates = _sigmoid(z)
         gates[..., 2 * hdim : 3 * hdim] = np.tanh(z[..., 2 * hdim : 3 * hdim])
         i_g, f_g, g_g, o_g = (gates[..., k * hdim : (k + 1) * hdim] for k in range(4))
@@ -352,25 +371,32 @@ def _stack(arrays: list, dirs: slice) -> np.ndarray:
     return arrays[dirs.start][None] if dirs.stop - dirs.start == 1 else np.stack(arrays[dirs])
 
 
-def _layer_forward(dirs: slice, layer: int, x, order, pack: _Packing, weights, buf, zx, h, cache) -> None:
-    """The directions in dirs of one layer: the input projection X·Wx + b of each into its zx, in _ROW_BLOCK-row
-    products, then their recurrence. Row order[d, i] of x is direction d's packed row i. Layer 0's x holds
-    the pass's distinct rows, zero-padded to whole blocks: each direction projects them once into buf[d] and
-    gathers the products into zx. Layer 1 gathers x's rows into buf[d], whose rows past them are zero, and
-    projects those."""
+def _layer_forward(dirs: slice, layer: int, x, order, pack: _Packing, weights, buf, window, h, cache) -> None:
+    """The directions in dirs of one layer: their recurrence, fed the input projection X·Wx + b in _ROW_BLOCK-row
+    products as it reaches them. Row order[d, i] of x is direction d's packed row i. Layer 0's x holds the
+    pass's distinct rows, zero-padded to whole blocks: each direction projects them all into buf[d] first,
+    and each fill gathers the products of its rows. Layer 1's fill gathers its rows of x into buf[d], zeroes
+    the rest of the last block, and projects them."""
     wx, b, whs = weights
-    n_rows = order.shape[1]
-    for d in range(2)[dirs]:
-        if layer == 0:
+    ds = range(2)[dirs]
+    if layer == 0:
+        for d in ds:
             np.matmul(_blocks(x), wx[d], out=_blocks(buf[d]))
             buf[d] += b[d]
-            buf[d].take(order[d], axis=0, out=zx[d, :n_rows], mode="clip")
-        else:
-            x.take(order[d], axis=0, out=buf[d, :n_rows], mode="clip")
-            np.matmul(_blocks(buf[d]), wx[d], out=_blocks(zx[d]))
-            zx[d, :n_rows] += b[d]
+
+    def fill(start: int, stop: int, out: np.ndarray) -> None:
+        for d, out_d in zip(ds, out):
+            rows = order[d, start:stop]
+            if layer == 0:
+                buf[d].take(rows, axis=0, out=out_d[: len(rows)], mode="clip")
+            else:
+                x.take(rows, axis=0, out=buf[d, : len(rows)], mode="clip")
+                buf[d, len(rows) : stop - start] = 0.0
+                np.matmul(_blocks(buf[d, : stop - start]), wx[d], out=_blocks(out_d))
+                out_d[: len(rows)] += b[d]
+
     sliced_cache = cache and tuple(a[dirs] for a in cache)
-    _recurrence(zx[dirs], pack, _stack(whs, dirs), h[dirs], sliced_cache)
+    _recurrence(window[dirs], fill, pack, _stack(whs, dirs), h[dirs], sliced_cache)
 
 
 def forward(
@@ -398,10 +424,13 @@ def forward(
         rows = rows[pair_row] * dropout_masks[pair_comment]
 
     hdim, n_rows = params.hyper.hidden, len(row_comment)
-    padded_rows = -(-n_rows // _ROW_BLOCK) * _ROW_BLOCK
     threaded = _threaded(hdim)
+    # The recurrences' window on X·Wx + b: as many blocks as fit in _WINDOW_BYTES,
+    # at least the widest step's and one more, at most the whole pass.
+    blocks = max(-(-pack.steps[0] // _ROW_BLOCK) + 1, _WINDOW_BYTES // (_ROW_BLOCK * 4 * hdim * 8))
+    window_rows = min(blocks * _ROW_BLOCK, -(-n_rows // _ROW_BLOCK) * _ROW_BLOCK)
     # This thread makes every whole-layer array; each direction writes only its own slice.
-    zx = np.empty((2, padded_rows, 4 * hdim))  # both layers project into it
+    window = np.empty((2, window_rows, 4 * hdim))  # both layers' recurrences read through it
     x, order = _padded(rows), index[pack.order]  # layer 0's distinct rows, zero-padded to whole blocks
     layer_inputs, lstm = [], {}
     for layer in (0, 1):
@@ -413,16 +442,16 @@ def forward(
         )
         if layer == 0:  # each direction's products of the distinct rows
             buf = np.empty((2, len(x), 4 * hdim))
-        else:  # each direction's input rows in packed order
-            buf = np.empty((2, padded_rows, x.shape[1]))
-            buf[:, n_rows:] = 0.0
+        else:  # each direction's input rows of one fill, in packed order
+            buf = np.empty((2, window_rows, x.shape[1]))
         h = np.empty((2, n_rows, hdim))
         cache = (np.empty((2, n_rows, 4 * hdim)), np.empty((2, n_rows, hdim)), h) if keep_caches else None
-        _each_direction(threaded, _layer_forward, layer, x, order, pack, weights, buf, zx, h, cache)
+        _each_direction(threaded, _layer_forward, layer, x, order, pack, weights, buf, window, h, cache)
         del buf
-        if keep_caches:  # without, each layer's input is freed once the next one's is made
+        if keep_caches:  # without, each layer's input is freed before the next one's is made
             layer_inputs.append((x, order))
             lstm[layer] = cache
+        del x
         # One finiteness check per layer, forward direction first. Packed rows
         # are time-major: a direction's first bad row is its first bad timestep.
         if not np.isfinite(h).all():

@@ -628,6 +628,27 @@ def test_train_refuses_a_bad_setting_without_making_out_dir(workdir, capsys, ext
     assert not (workdir / "run").exists()
 
 
+def test_numerical_failure_prints_only_its_message(workdir):
+    # A step this large overflows the network on the first batch after it.
+    import os
+    import subprocess
+    import sys
+
+    import mtltox
+
+    assert run_prep(workdir) == 0
+    train = {**CONFIG["train"], "learning_rate": 1e300, "grad_clip_norm": None}
+    (workdir / "config.json").write_text(json.dumps({**CONFIG, "train": train}))
+    env = os.environ | {"PYTHONPATH": str(Path(mtltox.__file__).resolve().parents[1])}
+    argv = ["--data", "data.jsonl", "--vocab", "vocab.tsv", "--config", "config.json", "--seed", "5"]
+    run = subprocess.run(
+        [sys.executable, "-m", "mtltox.cli", "train", *argv, "--out-dir", "run"],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 3
+    assert run.stderr.splitlines() == ["numerical failure: non-finite activation in output heads"]
+
+
 @pytest.mark.parametrize("value, bad", [("abc", "'abc'"), ("grid:0.5,abc", "'abc'"), ("grid:", "''")])
 def test_alpha_that_is_not_a_number_refused_when_parsed(tmp_path, capsys, value, bad):
     # The data and vocabulary do not exist: the value is refused before any input is read.

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mtltox.corpus import Comment
 from mtltox.embeddings import lookup, random_table
 from mtltox.corpus import Vocabulary
 from mtltox.network import (
+    Hyper,
     NetworkError,
     backward,
     embed_batch,
@@ -391,9 +393,9 @@ class TestThreadedDirections:
         calls = []
         recurrence = network._recurrence
 
-        def spy(zx, *args):
-            calls.append((threading.current_thread().name, zx.shape[0]))
-            return recurrence(zx, *args)
+        def spy(window, fill, pack, wh, *args):
+            calls.append((threading.current_thread().name, wh.shape[0]))
+            return recurrence(window, fill, pack, wh, *args)
 
         monkeypatch.setattr(network, "_recurrence", spy)
         run_directions(monkeypatch, threaded=False)
@@ -591,3 +593,74 @@ class TestDistinctRows:
         tokens.index[-1] = len(tokens.rows)
         with pytest.raises(NetworkError, match=r"token row index out of range \[0, 10\)"):
             forward(params, tokens, lengths)
+
+
+class TestStreamedProjection:
+    """Each recurrence reads X·Wx + b through a window that its fill tops up
+    with whole _ROW_BLOCK-row blocks as the steps reach them. Every block is
+    the same product over the same packed rows, so a window at its floor,
+    which moves many times in a pass, must give the bytes of one that holds
+    the whole pass."""
+
+    vocab = Vocabulary.build([[f"w{i}" for i in range(100)]])
+    table = random_table(vocab, 3, 3, seed=4)
+
+    def run(self, monkeypatch, window_bytes, params, masked):
+        """Heads, h_seq, caches and gradients of one pass, and each recurrence's count of fills."""
+        monkeypatch.setattr(network, "_WINDOW_BYTES", window_bytes)
+        rng = np.random.default_rng(7)
+        lengths = rng.integers(1, 21, size=40)  # the widest step spans five 8-row blocks
+        cs = [comment(str(i), rng.integers(2, len(self.vocab), size=n), n_identity=2) for i, n in enumerate(lengths)]
+        tokens, lengths = embed_batch(self.table, cs)
+        masks = rng.random((len(cs), 6)) + 0.5 if masked else None
+        fills, recurrence = [], network._recurrence
+
+        def counting(window, fill, *args):
+            count = [0]  # this call's own: each direction may run on its own thread
+            fills.append(count)
+
+            def counted(*fill_args):
+                count[0] += 1
+                return fill(*fill_args)
+
+            return recurrence(window, counted, *args)
+
+        monkeypatch.setattr(network, "_recurrence", counting)
+        trace = forward(params, tokens, lengths, masks)
+        grads = backward(params, trace, rng.normal(size=len(cs)), rng.normal(size=(len(cs), 2)))
+        monkeypatch.setattr(network, "_recurrence", recurrence)
+        caches = {f"lstm{layer}_{i}": a for layer in (0, 1) for i, a in enumerate(trace.lstm[layer])}
+        return {"heads": trace.heads, "h_seq": trace.h_seq} | caches | grads, [count for count, in fills]
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("hidden", [4, 128])
+    def test_window_at_its_floor_equals_a_window_on_the_whole_pass_bitwise(self, monkeypatch, hidden, masked):
+        run_directions(monkeypatch, threaded=hidden >= 128)
+        monkeypatch.setattr(network, "_ROW_BLOCK", 8)
+        params = init_params(tiny_hyper(n_aux=2, embed_dim=6, hidden=hidden, dense=5), seed=hidden)
+        whole, whole_fills = self.run(monkeypatch, 2**40, params, masked)
+        floor, floor_fills = self.run(monkeypatch, 0, params, masked)
+        assert whole_fills == [1] * len(whole_fills) and len(floor_fills) == len(whole_fills)
+        assert min(floor_fills) >= 10, floor_fills
+        assert floor.keys() == whole.keys()
+        for name in whole:
+            assert floor[name].tobytes() == whole[name].tobytes(), name
+
+    def test_a_paper_size_pass_peaks_under_28_mb(self):
+        # 16 comments, 993 tokens (289 distinct), as in a paper-scale
+        # evaluation chunk. The bound sits between this pass's peak, 18.9 MB
+        # with a thread per direction and 23.2 MB without, and 35.7-36.4 MB,
+        # its peak when a pass held its whole (2, T, 4H) projection and a
+        # packed copy of layer 1's input (2 cores, numpy 2.4.6).
+        vocab = Vocabulary.build([[f"w{i}" for i in range(300)]])
+        table = random_table(vocab, 300, 300, seed=0)
+        params = init_params(Hyper(embed_dim=600), seed=0)
+        rng = np.random.default_rng(0)
+        cs = [comment(str(i), rng.integers(2, len(vocab), size=n), 2) for i, n in enumerate(rng.integers(1, 123, 16))]
+        tracemalloc.start()
+        try:
+            predict(params, table, cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 10**6, peak
