@@ -17,8 +17,9 @@ The reverse direction takes those steps over each comment's tokens reversed.
 A step is plain numpy expressions on that state, which lives only inside the
 recurrence's call. Attention and pooling reduce over each comment's own tokens.
 In BPTT only ``dh·Whᵀ`` stays per step. From hidden size ``_THREAD_MIN_HIDDEN``,
-with two usable CPUs, each direction runs on its own thread instead, with the
-same numpy calls on its (1, n, H) slice of the stack, so the bits do not change.
+with two usable CPUs, each direction runs on its own thread instead (the reverse
+one on a worker thread that the call starts and joins), with the same numpy
+calls on its (1, n, H) slice of the stack, so the bits do not change.
 
 Gate layout inside the fused 4H-wide LSTM weights: input, forget, candidate,
 output, in that order.
@@ -29,17 +30,13 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from mtltox.corpus import Comment
 from mtltox.embeddings import EmbeddingTable, lookup
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 # Real tokens per forward pass inside predict(); a longer comment runs alone.
 # At hidden 256 and embed 600 a pass allocates about 12 KB per token, its
@@ -62,8 +59,6 @@ _WINDOW_BYTES = 1 << 20
 # stacked loop on one thread, two runs: hidden 8 0.74-0.76x, 16 0.71-0.77x,
 # 32 0.82-0.87x, 64 0.96-0.99x, 128 1.10-1.27x, 256 1.48-1.66x.
 _THREAD_MIN_HIDDEN = 128
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid, executor), made on first use
-_pool_lock = threading.Lock()
 
 
 class NetworkError(RuntimeError):
@@ -297,31 +292,24 @@ def _threaded(hdim: int) -> bool:
     return cpus >= 2
 
 
-def _reverse_worker() -> ThreadPoolExecutor:
-    """The one long-lived thread that runs reverse directions, made on first use in this process."""
-    # Imported here: it costs 0.6 MB and 8 ms, which runs below _THREAD_MIN_HIDDEN never need.
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():  # a forked child has no copy of the thread
-            _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="mtltox-reverse"))
-        return _pool[1]
-
-
 def _each_direction(threaded: bool, run, *args) -> None:
     """run(dirs, *args) over both directions of a layer: once over the stack
-    slice(0, 2), or the forward direction here and the reverse one on the
-    worker thread. Either way returns only when both are done."""
+    slice(0, 2), or the forward direction here and the reverse one on a worker
+    thread that this call starts and joins. Either way returns only when both
+    are done, and the reverse direction's error, if any, is the one raised."""
     if not threaded:
         run(slice(0, 2), *args)
         return
-    # The copied context carries the caller's numpy error state (np.errstate) to the worker.
-    reverse = _reverse_worker().submit(contextvars.copy_context().run, run, slice(1, 2), *args)
-    try:
-        run(slice(0, 1), *args)
-    finally:
-        reverse.result()
+    # Imported here: it costs 0.6 MB and 8 ms, which runs below _THREAD_MIN_HIDDEN never need.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mtltox-reverse") as worker:
+        # The copied context carries the caller's numpy error state (np.errstate) to the worker.
+        reverse = worker.submit(contextvars.copy_context().run, run, slice(1, 2), *args)
+        try:
+            run(slice(0, 1), *args)
+        finally:
+            reverse.result()
 
 
 def _recurrence(window: np.ndarray, fill, pack: _Packing, wh: np.ndarray, h: np.ndarray, cache) -> None:

@@ -775,6 +775,24 @@ def test_prepared_comment_without_tokens_exit_2(workdir, capsys, command, output
     assert not (workdir / output).exists()
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize(
+    "command, output",
+    [(run_train, "run"), (run_propagate, "filled.jsonl"), (run_evaluate, "report.json")],
+    ids=["train", "propagate", "evaluate"],
+)
+def test_prepared_file_without_comments_exit_2(workdir, capsys, command, output, text):
+    assert run_prep(workdir) == 0
+    if command is run_evaluate:
+        assert run_train(workdir, out_dir="trained") == 0
+    (workdir / "data.jsonl").write_text(text)
+    capsys.readouterr()
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'data.jsonl'}: no comments" in err and "Traceback" not in err
+    assert not (workdir / output).exists()
+
+
 def rewrite_third_comment(workdir, change):
     """Apply change(obj) to the third comment of data.jsonl."""
     lines = (workdir / "data.jsonl").read_text().splitlines()

@@ -161,7 +161,7 @@ class TestBinarizeAndWeight:
         c = binarize_and_weight(self.record(0.2, {"black": 0.8}), 3.0, self.vocab, 5)
         assert c.beta == 3.0
         assert c.y_bin == 0
-        assert c.identity_present
+        assert binarize_and_weight(self.record(0.2, {"black": 0.8}), 5.0, self.vocab, 5).beta == 5.0
 
     def test_toxic_identity_not_upweighted(self):
         c = binarize_and_weight(self.record(0.9, {"black": 0.8}), 3.0, self.vocab, 5)
@@ -171,7 +171,7 @@ class TestBinarizeAndWeight:
     def test_no_identity_not_upweighted(self):
         c = binarize_and_weight(self.record(0.2, {"black": 0.4}), 3.0, self.vocab, 5)
         assert c.beta == 1.0
-        assert not c.identity_present
+        assert binarize_and_weight(self.record(0.2, {"black": 0.4, "male": 0.5}), 3.0, self.vocab, 5).beta == 3.0
 
     def test_absent_identities_flagged_for_propagation(self):
         c = binarize_and_weight(self.record(0.2, None), 3.0, self.vocab, 5)
@@ -191,14 +191,14 @@ class TestMakeComment:
         c = make_comment("u", "some words", 0.2, None, self.vocab, 5, 3.0)
         assert c.identity_labels.tolist() == [0.0] * len(IDENTITY_COLUMNS)
         assert c.needs_propagation
-        assert not c.identity_present
         assert c.beta == 1.0
+        assert make_comment("u", "some words", 0.2, None, self.vocab, 5, 7.0).beta == 1.0
 
     def test_given_labels_set_flag_and_weight(self):
         c = make_comment("a", "some words", 0.2, np.array([0.0, 0.5]), self.vocab, 5, 3.0)
         assert not c.needs_propagation
-        assert c.identity_present
         assert c.beta == 3.0
+        assert make_comment("a", "some words", 0.7, np.array([0.0, 0.5]), self.vocab, 5, 3.0).beta == 1.0
         assert c.subtype_labels.tolist() == [0.0] * 5
         assert (c.true_length, c.y_bin) == (2, 0)
 

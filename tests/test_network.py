@@ -444,9 +444,14 @@ class TestThreadedDirections:
         for name in before:
             assert after[name].tobytes() == before[name].tobytes(), name
 
-    def test_callers_on_many_threads_share_the_worker(self, monkeypatch):
-        # Each call owns its buffers and waits for its own reverse direction,
-        # so callers that share the one worker thread still get their own bits.
+    def test_no_worker_thread_outlives_the_call(self, monkeypatch):
+        run_directions(monkeypatch, threaded=True)
+        self.run(128)  # a threaded forward and backward
+        assert [t.name for t in threading.enumerate() if t.name.startswith("mtltox-reverse")] == []
+
+    def test_callers_on_many_threads_each_get_their_own_worker(self, monkeypatch):
+        # Each call owns its buffers and starts and joins its own worker for
+        # its reverse direction, so concurrent callers get their own bits.
         run_directions(monkeypatch, threaded=True)
         params = init_params(tiny_hyper(n_aux=1, embed_dim=3, hidden=128, dense=4), seed=3)
         want = self.run(128, params)
