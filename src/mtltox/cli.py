@@ -35,6 +35,7 @@ import numpy as np
 from mtltox.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from mtltox.corpus import (
     IDENTITY_COLUMNS,
+    SUBTYPE_COLUMNS,
     Comment,
     CorpusError,
     Vocabulary,
@@ -71,6 +72,14 @@ class CompatibilityError(RuntimeError):
     pass
 
 
+def _subgroup_problem(names: list[str]) -> str | None:
+    """Why ``names`` cannot label the identity columns by position, or None: more names than columns, or one twice."""
+    if len(names) > len(IDENTITY_COLUMNS):
+        return f"gives {len(names)} names, but each comment has {len(IDENTITY_COLUMNS)} identity columns"
+    repeated = next((name for k, name in enumerate(names) if name in names[:k]), None)
+    return None if repeated is None else f"gives {repeated!r} twice"
+
+
 def _load_config(path: str | None, **flags) -> tuple[EmbeddingSources, Hyper, TrainConfig, list[str]]:
     """The config's sections and subgroups, the flags given (not None) set over ``train``'s."""
     config = {}
@@ -87,10 +96,17 @@ def _load_config(path: str | None, **flags) -> tuple[EmbeddingSources, Hyper, Tr
     subgroups = config.get("subgroups", list(IDENTITY_COLUMNS))
     if type(subgroups) is not list or not all(type(name) is str for name in subgroups):
         raise CorpusError(f"{path}: 'subgroups' must be a list of strings")
+    if problem := _subgroup_problem(subgroups):
+        raise CorpusError(f"{path}: 'subgroups' {problem}")
     sources = from_json(EmbeddingSources, config.get("embeddings", {}), path, "embeddings")
     hyper = from_json(Hyper, config.get("hyper", {}), path, "hyper", embed_dim=sources.dim1 + sources.dim2)
     cfg = from_json(TrainConfig, config.get("train", {}), path, "train")
     cfg = dataclasses.replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    labels = len(IDENTITY_COLUMNS if cfg.aux_source == "identities" else SUBTYPE_COLUMNS)
+    if hyper.n_aux not in (0, labels):
+        raise CorpusError(
+            f"{path}: 'hyper.n_aux' is {hyper.n_aux}, but each comment has {labels} {cfg.aux_source} labels"
+        )
     return sources, hyper, cfg, subgroups
 
 
@@ -156,6 +172,8 @@ def cmd_prep(args) -> int:
 
 def cmd_propagate(args) -> int:
     comments, _, table, hyper, cfg, _ = _training_inputs(args)
+    if cfg.aux_source != "identities":  # the predictor it trains fills identity labels
+        raise CorpusError(f"{args.config}: 'train.aux_source' is {cfg.aux_source!r}; propagate fills identity labels")
     filled = propagate_identities(comments, table, hyper, cfg)
     save_comments(args.out, filled)
     print(f"propagated identities for {sum(1 for c in filled if c.propagated)} comments")
@@ -211,8 +229,7 @@ def cmd_evaluate(args) -> int:
     params, table, _ = _load_paired_checkpoint(args.checkpoint, args.vocab)
     comments = load_comments(args.data)
     _check_token_ids(args.data, comments, table)
-    subgroups = [s for s in args.subgroups.split(",") if s] if args.subgroups else []
-    _write_report(evaluate_model(params, table, comments, subgroups, args.p), Path(args.out))
+    _write_report(evaluate_model(params, table, comments, args.subgroups, args.p), Path(args.out))
     return 0
 
 
@@ -331,6 +348,14 @@ def _max_len(text: str) -> int:
     return value
 
 
+def _subgroups(text: str) -> list[str]:
+    """argparse type of evaluate's ``--subgroups``: comma-separated names of the identity columns, by position."""
+    names = [name for name in text.split(",") if name]
+    if problem := _subgroup_problem(names):
+        raise argparse.ArgumentTypeError(problem)
+    return names
+
+
 def _alpha(text: str) -> float | list[float]:
     """argparse type of ``--alpha``: a finite number, or ``grid:`` and a comma-separated list of them."""
     if text.startswith("grid:"):
@@ -373,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--vocab")
-    p.add_argument("--subgroups", default=",".join(IDENTITY_COLUMNS))
+    p.add_argument("--subgroups", type=_subgroups, default=",".join(IDENTITY_COLUMNS))
     p.add_argument("--p", type=_finite_float, default=-5.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

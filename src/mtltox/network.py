@@ -148,7 +148,6 @@ class _Packing:
     steps: list[int]  # active comments at each step
     offsets: list[int]  # first packed row of each step, then the row count
     order: np.ndarray  # (2, T) token row of each packed row: forward, then reverse direction
-    prev: np.ndarray  # packed row one step earlier, for rows after step 0
 
 
 def _pack(lengths: np.ndarray) -> _Packing:
@@ -160,8 +159,7 @@ def _pack(lengths: np.ndarray) -> _Packing:
     rank = np.arange(offsets[-1]) - offsets[step]
     comment = by_length[rank]
     order = np.stack([starts[comment] + step, starts[comment] + lengths[comment] - 1 - step])
-    prev = offsets[step[steps[0] :] - 1] + rank[steps[0] :]  # rows of step 0 have none
-    return _Packing(lengths, starts, steps.tolist(), offsets.tolist(), order, prev)
+    return _Packing(lengths, starts, steps.tolist(), offsets.tolist(), order)
 
 
 class TokenRows(NamedTuple):
@@ -174,12 +172,13 @@ class TokenRows(NamedTuple):
 @dataclass
 class BatchTrace:
     """One forward pass. Token arrays hold the real tokens, comment after
-    comment; per-comment arrays are in batch order."""
+    comment; per-comment arrays are in batch order. Each LSTM value is held
+    once: a layer's h only in token order (layer 0's as layer 1's input)."""
 
     pack: _Packing
     layer_inputs: list[tuple]  # per LSTM layer: its input rows, and the (2, T) row of each packed row; training only
-    lstm: dict[int, tuple]  # layer -> packed gates, c, h of both directions; training only
-    h_seq: np.ndarray  # (T, 2H) second-layer outputs
+    lstm: dict[int, tuple]  # layer -> packed gates and c of both directions; training only, until backward
+    h_seq: np.ndarray  # (T, 2H) second-layer outputs, the forward direction in the first H columns
     attn_tanh: np.ndarray | None  # (T,) tanh scores
     attn_weights: np.ndarray  # (T,)
     pooled: np.ndarray  # (B, 2H)
@@ -433,7 +432,7 @@ def forward(
         else:  # each direction's input rows of one fill, in packed order
             buf = np.empty((2, window_rows, x.shape[1]))
         h = np.empty((2, n_rows, hdim))
-        cache = (np.empty((2, n_rows, 4 * hdim)), np.empty((2, n_rows, hdim)), h) if keep_caches else None
+        cache = (np.empty((2, n_rows, 4 * hdim)), np.empty((2, n_rows, hdim))) if keep_caches else None
         _each_direction(threaded, _layer_forward, layer, x, order, pack, weights, buf, window, h, cache)
         del buf
         if keep_caches:  # without, each layer's input is freed before the next one's is made
@@ -474,39 +473,38 @@ def forward(
     return BatchTrace(pack, layer_inputs, lstm, x, attn_tanh, attn_weights, pooled, z1, z2, heads)
 
 
-def _bptt(dirs: slice, cache: tuple, d_h_out: np.ndarray, pack: _Packing, whs: list, d_z: np.ndarray) -> None:
+def _bptt(dirs: slice, cache: tuple, d_h_out: np.ndarray, pack: _Packing, whs: list) -> None:
     """Backpropagation through time over the directions in dirs of a layer, from
     their packed output gradients d_h_out (2, T, H); whs holds the two Wh. Only
-    ``dh·Whᵀ`` runs per step. Fills d_z (2, T, 4H) with dZ of every row."""
-    gates, c, d_h_out, d_z = cache[0][dirs], cache[1][dirs], d_h_out[dirs], d_z[dirs]
+    ``dh·Whᵀ`` runs per step, and each step writes its rows' dZ over their cached gates."""
+    gates, c, d_h_out = cache[0][dirs], cache[1][dirs], d_h_out[dirs]
     wh_t = np.swapaxes(_stack(whs, dirs), 1, 2)  # slices keep Wh.T's layout
     s, hdim, steps, offsets = c.shape[0], c.shape[2], pack.steps, pack.offsets
     tanh_c = np.tanh(c)
-    # d_z starts as the slopes, and each step multiplies its products in (bit for bit commutative).
-    np.subtract(1.0, gates, out=d_z)
-    d_z *= gates  # sigmoid' for i, f, o
-    d_z[..., 2 * hdim : 3 * hdim] = 1.0 - gates[..., 2 * hdim : 3 * hdim] ** 2  # tanh' for g
-    d_h_next = np.zeros((s, steps[0], hdim))
-    d_c_next = np.zeros_like(d_h_next)
+    d_h_next, d_c_next = np.zeros((2, s, steps[0], hdim))
     for step in range(len(steps) - 1, -1, -1):
         n = steps[step]
         rows = slice(offsets[step], offsets[step + 1])
-        i_g, f_g, g_g, o_g = (gates[:, rows, k * hdim : (k + 1) * hdim] for k in range(4))
+        z = gates[:, rows]  # this step's gates, until dZ is written over them
+        i_g, f_g, g_g, o_g = (z[..., k * hdim : (k + 1) * hdim] for k in range(4))
         c_prev = c[:, offsets[step - 1] : offsets[step - 1] + n] if step > 0 else 0.0
         d_h = d_h_out[:, rows] + d_h_next[:, :n]
         d_c = d_h * o_g * (1.0 - tanh_c[:, rows] ** 2) + d_c_next[:, :n]
-        d_z[:, rows] *= np.concatenate([d_c * g_g, d_c * c_prev, d_c * i_g, d_h * tanh_c[:, rows]], axis=2)
-        d_c_next[:, :n] = d_c * f_g
-        d_h_next[:, :n] = d_z[:, rows] @ wh_t
+        slopes = (1.0 - z) * z  # sigmoid' for i, f, o
+        slopes[..., 2 * hdim : 3 * hdim] = 1.0 - g_g**2  # tanh' for g
+        products = np.concatenate([d_c * g_g, d_c * c_prev, d_c * i_g, d_h * tanh_c[:, rows]], axis=2)
+        np.multiply(d_c, f_g, out=d_c_next[:, :n])
+        np.multiply(slopes, products, out=z)
+        d_h_next[:, :n] = z @ wh_t
 
 
-def _weight_grads(dirs: slice, h, pack: _Packing, x, order, wxs, d_z, grads, h_prev, x_packed) -> None:
+def _weight_grads(dirs: slice, h, prev, pack: _Packing, x, order, wxs, d_z, grads, h_prev, x_packed) -> None:
     """For each direction d in dirs of a layer, from its d_z[d]: the gradients of Wh, Wx and b into grads[d]'s
-    views, with row order[d, i] of x as packed row i's input, then, unless wxs is None, the input gradient
-    d_z·Wxᵀ into x_packed[d], once dWx is done with it."""
+    views, with row order[d, i] of x as packed row i's input and row prev[d, i] of the layer's output h (T, 2H)
+    as the h before packed row steps[0] + i, then, unless wxs is None, the input gradient d_z·Wxᵀ in x_packed[d]."""
     for d in range(2)[dirs]:
         g_wh, g_wx, g_b = grads[d].values()
-        h[d].take(pack.prev, axis=0, out=h_prev[d], mode="clip")
+        h.reshape(len(h), 2, -1)[:, d].take(prev[d], axis=0, out=h_prev[d], mode="clip")
         np.matmul(h_prev[d].T, d_z[d, pack.steps[0] :], out=g_wh)
         x.take(order[d], axis=0, out=x_packed[d], mode="clip")
         np.matmul(x_packed[d].T, d_z[d], out=g_wx)
@@ -519,13 +517,14 @@ def backward(params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_
     """Gradient of the loss w.r.t. every parameter tensor, summed over the
     batch, as views of one new vector laid out like ``params.tensors``.
     ``d_y_hat`` (B,) and ``d_aux_hat`` (B, K) are the loss gradients at the
-    sigmoid head outputs (as produced by losses.loss_grad_heads).
+    sigmoid head outputs (as produced by losses.loss_grad_heads). It spends
+    the trace: each layer's dZ is written over its cached gates, and the cache
+    leaves ``trace.lstm``, so a second backward on the trace raises NetworkError.
     """
     hyper, t, pack = params.hyper, params.tensors, trace.pack
-    if not trace.lstm:
-        raise NetworkError("trace was built without caches; backward needs keep_caches=True")
-    d_y_hat = np.asarray(d_y_hat, dtype=float)
-    d_aux_hat = np.asarray(d_aux_hat, dtype=float)
+    if sorted(trace.lstm) != [0, 1]:
+        raise NetworkError("trace holds no caches: it was built without keep_caches or spent by a backward")
+    d_y_hat, d_aux_hat = np.asarray(d_y_hat, dtype=float), np.asarray(d_aux_hat, dtype=float)
     want = (len(pack.lengths), hyper.n_aux)
     if d_y_hat.shape != want[:1] or d_aux_hat.shape != want:
         raise NetworkError(f"gradient shapes {d_y_hat.shape}, {d_aux_hat.shape} != {want[:1]}, {want}")
@@ -567,24 +566,25 @@ def backward(params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_
     # freed before those of the other are made.
     hdim, n_rows = hyper.hidden, pack.order.shape[1]
     threaded = _threaded(hdim)
-    d_z = np.empty((2, n_rows, 4 * hdim))  # both layers backpropagate into it
-    for layer in (1, 0):
-        (x, order), cache = trace.layer_inputs[layer], trace.lstm[layer]
+    prev = pack.order[:, pack.steps[0] :] + [[-1], [1]]  # each packed row's token one step earlier
+    for layer, h in ((1, trace.h_seq), (0, trace.layer_inputs[1][0])):  # each layer's h in token order
+        (x, order), (d_z, c) = trace.layer_inputs[layer], trace.lstm.pop(layer)
         prefixes = [f"lstm{layer}_{direction}" for direction in ("fwd", "bwd")]
         d_h_out = d_h_seq.reshape(-1, 2, hdim)[pack.order, [[0], [1]]]  # each direction's packed rows
         del d_h_seq
-        _each_direction(threaded, _bptt, cache, d_h_out, pack, [t[f"{p}_Wh"] for p in prefixes], d_z)
-        del d_h_out
+        _each_direction(threaded, _bptt, (d_z, c), d_h_out, pack, [t[f"{p}_Wh"] for p in prefixes])
+        del d_h_out, c
         layer_grads = [{w: grads[f"{p}_{w}"] for w in ("Wh", "Wx", "b")} for p in prefixes]
         h_prev = np.empty((2, n_rows - pack.steps[0], hdim))
         x_packed = np.empty((2, n_rows, x.shape[1]))
         wxs = [t[f"{p}_Wx"] for p in prefixes] if layer == 1 else None
-        _each_direction(threaded, _weight_grads, cache[2], pack, x, order, wxs, d_z, layer_grads, h_prev, x_packed)
+        _each_direction(threaded, _weight_grads, h, prev, pack, x, order, wxs, d_z, layer_grads, h_prev, x_packed)
+        del h_prev, d_z
         if layer == 1:
             d_h_seq = np.zeros_like(x)
             for d in (0, 1):  # forward direction first
                 d_h_seq[pack.order[d]] += x_packed[d]
-        del h_prev, x_packed
+        del x_packed
     return grads
 
 

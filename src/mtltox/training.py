@@ -95,12 +95,15 @@ class RunRecord:
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
     """Scale all gradients down so their joint L2 norm is at most max_norm.
-    Returns ``grads`` itself when the norm already is, else a new Tensors."""
+    Returns ``grads`` itself when the norm already is, else a new Tensors over
+    the vector of ``grads`` (or of a copy, for a dict that is not a Tensors),
+    which is scaled in place."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total <= max_norm or total == 0.0:
         return grads
     packed = Tensors.pack(grads)
-    return packed.like(packed.vector * (max_norm / total))
+    packed.vector *= max_norm / total
+    return packed.like(packed.vector)
 
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's published defaults

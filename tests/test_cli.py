@@ -628,6 +628,76 @@ def test_train_refuses_a_bad_setting_without_making_out_dir(workdir, capsys, ext
     assert not (workdir / "run").exists()
 
 
+# Subgroup names that cannot label the identity columns by position, and what is wrong with them.
+BAD_SUBGROUPS = pytest.mark.parametrize(
+    "names, problem",
+    [
+        ([*IDENTITY_COLUMNS, "asian"], "gives 10 names, but each comment has 9 identity columns"),
+        (["male", "male"], "gives 'male' twice"),
+    ],
+    ids=["tenth-name", "repeated-name"],
+)
+
+
+@BAD_SUBGROUPS
+def test_evaluate_subgroups_that_label_no_column_or_one_twice_refused_when_parsed(tmp_path, capsys, names, problem):
+    # The checkpoint and data do not exist: the names are refused before any input is read.
+    inputs = ["--checkpoint", str(tmp_path / "ckpt.json"), "--data", str(tmp_path / "data.jsonl")]
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", *inputs, "--subgroups", ",".join(names), "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --subgroups: {problem}" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@BAD_SUBGROUPS
+def test_config_subgroups_that_label_no_column_or_one_twice_exit_2(workdir, capsys, names, problem):
+    assert run_prep(workdir) == 0
+    (workdir / "config.json").write_text(json.dumps({**CONFIG, "subgroups": names}))
+    capsys.readouterr()
+    assert run_train(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'config.json'}: 'subgroups' {problem}" in err and "Traceback" not in err
+    assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command, output", [(run_train, "run"), (run_propagate, "filled.jsonl")], ids=["train", "propagate"]
+)
+@pytest.mark.parametrize(
+    "n_aux, aux_source, labels", [(3, "identities", 9), (9, "subtypes", 5)], ids=["identities", "subtypes"]
+)
+def test_n_aux_other_than_the_label_count_exit_2_before_any_input_is_read(
+    workdir, capsys, command, output, n_aux, aux_source, labels
+):
+    # No prep: the data and vocabulary do not exist.
+    config = {**CONFIG, "hyper": {**CONFIG["hyper"], "n_aux": n_aux}}
+    config["train"] = {**CONFIG["train"], "aux_source": aux_source}
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    path = workdir / "config.json"
+    assert f"{path}: 'hyper.n_aux' is {n_aux}, but each comment has {labels} {aux_source} labels" in err
+    assert "Traceback" not in err and not (workdir / output).exists()
+    for n_aux in (0, labels):  # no heads, or one per label
+        path.write_text(json.dumps({**config, "hyper": {**config["hyper"], "n_aux": n_aux}}))
+        assert cli._load_config(str(path))[1].n_aux == n_aux
+
+
+def test_propagate_refuses_an_aux_source_other_than_identities(workdir, capsys):
+    unannotate_rows(workdir)
+    assert run_prep(workdir) == 0
+    config = {**CONFIG, "hyper": {**CONFIG["hyper"], "n_aux": 5}}
+    config["train"] = {**CONFIG["train"], "aux_source": "subtypes"}
+    (workdir / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_propagate(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'config.json'}: 'train.aux_source' is 'subtypes'; propagate fills identity labels" in err
+    assert "Traceback" not in err and not (workdir / "filled.jsonl").exists()
+
+
 def test_numerical_failure_prints_only_its_message(workdir):
     # A step this large overflows the network on the first batch after it.
     import os

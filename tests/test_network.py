@@ -192,11 +192,24 @@ class TestBackward:
     def test_linearity_in_grad_outputs(self):
         h = tiny_hyper(n_aux=1)
         params = init_params(h, seed=0)
-        trace = forward(params, np.random.default_rng(1).normal(size=(3, h.embed_dim)), [3])
-        g1 = backward(params, trace, [0.7], np.array([[0.3]]))
-        g2 = backward(params, trace, [1.4], np.array([[0.6]]))
+        tokens = np.random.default_rng(1).normal(size=(3, h.embed_dim))
+        g1 = backward(params, forward(params, tokens, [3]), [0.7], np.array([[0.3]]))
+        g2 = backward(params, forward(params, tokens, [3]), [1.4], np.array([[0.6]]))
         for name in g1:
             assert np.allclose(g2[name], 2.0 * g1[name], rtol=0, atol=1e-15)
+
+    def test_a_second_backward_on_one_trace_is_refused(self):
+        # backward writes each layer's dZ over its cached gates: the trace is spent.
+        h = tiny_hyper(n_aux=1)
+        params = init_params(h, seed=0)
+        trace = forward(params, np.random.default_rng(1).normal(size=(3, h.embed_dim)), [3])
+        backward(params, trace, [0.7], np.array([[0.3]]))
+        assert trace.lstm == {}
+        with pytest.raises(NetworkError, match="spent by a backward"):
+            backward(params, trace, [0.7], np.array([[0.3]]))
+        inference = forward(params, np.zeros((2, h.embed_dim)), [2], keep_caches=False)
+        with pytest.raises(NetworkError, match="built without keep_caches"):
+            backward(params, inference, [0.7], np.array([[0.3]]))
 
     def test_shape_mismatch(self):
         h = tiny_hyper(n_aux=2)
@@ -295,16 +308,14 @@ def per_timestep_packing(lengths):
     longest first (ties in batch order), one packed row each."""
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     by_length = sorted(range(len(lengths)), key=lambda c: -lengths[c])
-    steps, fwd, bwd, prev = [], [], [], []
+    steps, fwd, bwd = [], [], []
     for t in range(max(lengths)):
         active = [c for c in by_length if lengths[c] > t]
-        for k, c in enumerate(active):
+        for c in active:
             fwd.append(starts[c] + t)
             bwd.append(starts[c] + lengths[c] - 1 - t)
-            if t > 0:
-                prev.append(sum(steps[: t - 1]) + k)
         steps.append(len(active))
-    return steps, np.array([fwd, bwd]), np.array(prev, dtype=np.int64)
+    return steps, np.array([fwd, bwd])
 
 
 class TestPacking:
@@ -316,11 +327,22 @@ class TestPacking:
     )
     def test_pack_matches_per_timestep_definition(self, lengths):
         pack = network._pack(np.array(lengths, dtype=np.int64))
-        steps, order, prev = per_timestep_packing(lengths)
+        steps, order = per_timestep_packing(lengths)
         assert pack.steps == steps and all(type(n) is int for n in pack.steps)
         assert pack.offsets == [sum(steps[:t]) for t in range(len(steps) + 1)]
         assert np.array_equal(pack.order, order)
-        assert np.array_equal(pack.prev, prev)
+
+
+def lstm_output(trace, layer, direction):
+    """One direction's h of an LSTM layer, in token order: layer 0's is held as layer 1's input."""
+    h = trace.h_seq if layer == 1 else trace.layer_inputs[1][0]
+    return h.reshape(len(h), 2, -1)[:, direction]
+
+
+def pre_backward_arrays(trace):
+    """Copies of a training trace's LSTM caches, which backward spends, and its layers' token-order outputs."""
+    caches = {f"lstm{layer}_{i}": a.copy() for layer in (0, 1) for i, a in enumerate(trace.lstm[layer])}
+    return caches | {"lstm0_h": trace.layer_inputs[1][0], "lstm1_h": trace.h_seq}
 
 
 class TestStackedDirections:
@@ -353,8 +375,8 @@ class TestStackedDirections:
                 w = changed.tensors[f"lstm{layer}_{perturbed}_{suffix}"]
                 w += rng.normal(scale=0.5, size=w.shape)
             trace = forward(changed, tokens, self.lengths)
-            assert not np.array_equal(trace.lstm[layer][2][1 - kept], base.lstm[layer][2][1 - kept])
-            assert trace.lstm[layer][2][kept].tobytes() == base.lstm[layer][2][kept].tobytes()
+            assert not np.array_equal(lstm_output(trace, layer, 1 - kept), lstm_output(base, layer, 1 - kept))
+            assert lstm_output(trace, layer, kept).tobytes() == lstm_output(base, layer, kept).tobytes()
             if layer == 1:
                 grads = backward(changed, trace, d_y, d_aux)
                 for suffix in ("Wx", "Wh", "b"):
@@ -384,8 +406,8 @@ class TestThreadedDirections:
         tokens = rng.normal(size=(sum(self.lengths), 3))
         masks = rng.random((len(self.lengths), 3)) + 0.5
         trace = forward(params, tokens, self.lengths, masks)
+        arrays = pre_backward_arrays(trace)
         grads = backward(params, trace, rng.normal(size=len(self.lengths)), rng.normal(size=(len(self.lengths), 1)))
-        arrays = {f"lstm{layer}_{i}": a for layer in (0, 1) for i, a in enumerate(trace.lstm[layer])}
         return arrays | {"heads": trace.heads, "pooled": trace.pooled} | grads
 
     @pytest.mark.parametrize("hidden", [128, 256])
@@ -584,7 +606,7 @@ class TestDistinctRows:
         results = []
         for given, given_masks in calls:
             trace = forward(params, given, lengths, given_masks)
-            caches = {f"lstm{layer}_{i}": a for layer in (0, 1) for i, a in enumerate(trace.lstm[layer])}
+            caches = pre_backward_arrays(trace)
             grads = backward(params, trace, d_y, d_aux)
             results.append({"heads": trace.heads, "h_seq": trace.h_seq} | caches | grads)
         for other in results[1:]:
@@ -632,9 +654,9 @@ class TestStreamedProjection:
 
         monkeypatch.setattr(network, "_recurrence", counting)
         trace = forward(params, tokens, lengths, masks)
+        caches = pre_backward_arrays(trace)
         grads = backward(params, trace, rng.normal(size=len(cs)), rng.normal(size=(len(cs), 2)))
         monkeypatch.setattr(network, "_recurrence", recurrence)
-        caches = {f"lstm{layer}_{i}": a for layer in (0, 1) for i, a in enumerate(trace.lstm[layer])}
         return {"heads": trace.heads, "h_seq": trace.h_seq} | caches | grads, [count for count, in fills]
 
     @pytest.mark.parametrize("masked", [False, True], ids=["no-dropout", "dropout"])
@@ -669,3 +691,27 @@ class TestStreamedProjection:
         finally:
             tracemalloc.stop()
         assert peak < 28 * 10**6, peak
+
+    def test_a_paper_size_training_step_peaks_under_112_mb(self):
+        # One forward and backward of 16 comments, 976 tokens, with dropout
+        # masks, as in a paper-scale training batch. The bound sits between
+        # this step's peak, 95.8-96.9 MB with a thread per direction or
+        # without, and 127.6-128.2 MB, its peak when each layer's cache also
+        # held its h and backward made its own (2, T, 4H) dZ array (2 cores,
+        # numpy 2.4.6). The parameters' 31 MB gradient vector is in both.
+        vocab = Vocabulary.build([[f"w{i}" for i in range(300)]])
+        table = random_table(vocab, 300, 300, seed=0)
+        hyper = Hyper(embed_dim=600)
+        params = init_params(hyper, seed=0)
+        rng = np.random.default_rng(0)
+        cs = [comment(str(i), rng.integers(2, len(vocab), size=n), 9) for i, n in enumerate(rng.integers(1, 121, 16))]
+        masks = np.array([spatial_dropout_mask(600, hyper.dropout_rate, rng) for _ in cs])
+        d_y, d_aux = rng.normal(size=len(cs)), rng.normal(size=(len(cs), hyper.n_aux))
+        tracemalloc.start()
+        try:
+            backward(params, forward(params, *embed_batch(table, cs), masks), d_y, d_aux)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(c.true_length for c in cs) == 976
+        assert peak < 112 * 10**6, peak
