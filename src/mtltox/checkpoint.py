@@ -4,9 +4,11 @@ A checkpoint (format version 2, laid out like safetensors) is one line of
 JSON, a newline, and then a raw payload. The header line holds ``version``,
 ``hyper``, ``vocab_checksum``, ``embedding`` (``dim1``, ``dim2``), ``meta``,
 ``tensors`` (each tensor's ``shape`` and byte ``offset`` in the payload, the
-embedding matrix first), ``payload_bytes`` and the payload's ``sha256``. The
-payload is each tensor's little-endian float64 bytes, one after another, so
-values come back bit for bit and save/load/save is byte-identical.
+embedding matrix first, then the model's tensors in ``param_shapes`` order),
+``payload_bytes`` and the payload's ``sha256``. The payload is each tensor's
+little-endian float64 bytes, one after another: the embedding matrix, then
+the parameter vector, so values come back bit for bit and save/load/save is
+byte-identical.
 
 A load reads at most HEADER_LIMIT bytes for the header line, checks the
 whole header against the file's size before it allocates anything, and the
@@ -62,14 +64,14 @@ def save_checkpoint(
     vocab_checksum: str,
     meta: dict | None = None,
 ) -> None:
-    """Atomic write: the header line, then tensor by tensor, to a temp file renamed into place."""
-    arrays = {EMBEDDING: table.matrix, **params.tensors}
-    arrays = {name: np.asarray(a, DTYPE, order="C") for name, a in arrays.items()}
+    """Atomic write: the header line, the embedding matrix and the parameter vector, to a temp file renamed."""
+    buffers = [np.asarray(a, DTYPE, order="C") for a in (table.matrix, params.tensors.vector)]
     sha, tensors, offset = hashlib.sha256(), {}, 0
-    for name, a in arrays.items():
-        sha.update(_bytes(a))
+    for name, a in {EMBEDDING: buffers[0], **params.tensors}.items():
         tensors[name] = {"shape": list(a.shape), "offset": offset}
         offset += a.nbytes
+    for a in buffers:
+        sha.update(_bytes(a))
     header = {
         "version": FORMAT_VERSION,
         "hyper": asdict(params.hyper),
@@ -85,7 +87,7 @@ def save_checkpoint(
     try:
         with open(tmp, "xb") as fh:  # a new file, with the mode that open(path, "wb") would give
             fh.write(json.dumps(header).encode("utf-8") + b"\n")
-            for a in arrays.values():
+            for a in buffers:
                 fh.write(_bytes(a))
         os.replace(tmp, path)
     except BaseException:
@@ -136,13 +138,17 @@ def _check_header(path, header, payload_size: int) -> Hyper:
         diff = [f"'{name}' {shapes.get(name)} (the model's {expected.get(name)})"
                 for name in sorted(shapes.keys() | expected.keys()) if shapes.get(name) != expected.get(name)]
         raise CheckpointError(f"{path}: tensors do not fit 'hyper': {'; '.join(diff)}")
+    if list(header["tensors"]) != [EMBEDDING, *expected]:  # a load reads the matrix, then one vector
+        raise CheckpointError(f"{path}: 'tensors' are not in the order {[EMBEDDING, *expected]}")
     return model
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str, dict]:
     """Returns (params, embedding table, vocab checksum, meta).
 
-    A missing file raises FileNotFoundError. A file that cannot be read, or
+    The payload is read in two pieces, the embedding matrix and then the
+    parameter vector, so a header must list the tensors in the order a save
+    writes them. A missing file raises FileNotFoundError. A file that cannot be read, or
     whose header or payload is malformed or corrupt, raises CheckpointError;
     so does a payload that holds a NaN or an infinity.
     """
@@ -159,12 +165,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
             hyper = _check_header(path, header, os.fstat(fh.fileno()).st_size - len(line))
             matrix = np.empty(header["tensors"][EMBEDDING]["shape"], DTYPE)
             tensors = Tensors(param_shapes(hyper), np.empty(header["payload_bytes"] // 8 - matrix.size, DTYPE))
-            arrays = {EMBEDDING: matrix, **tensors}
             sha = hashlib.sha256()
-            for name in header["tensors"]:  # each read lands in its array, or its view of the parameter vector
-                a = arrays[name]
+            for what, a in (("embedding matrix", matrix), ("parameter vector", tensors.vector)):
                 if fh.readinto(_bytes(a)) != a.nbytes:
-                    raise CheckpointError(f"{path}: payload ends inside tensor '{name}'")
+                    raise CheckpointError(f"{path}: payload ends inside the {what}")
                 sha.update(_bytes(a))
     except FileNotFoundError:
         raise
@@ -173,7 +177,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
     if sha.hexdigest() != header["sha256"]:
         raise CheckpointError(f"{path}: payload SHA-256 does not match the header")
     if not (np.isfinite(matrix).all() and np.isfinite(tensors.vector).all()):
-        bad = next(name for name in header["tensors"] if not np.isfinite(arrays[name]).all())
+        bad = next(name for name, a in {EMBEDDING: matrix, **tensors}.items() if not np.isfinite(a).all())
         raise CheckpointError(f"{path}: tensor '{bad}' holds a non-finite value")
     emb = header["embedding"]
     table = EmbeddingTable(matrix=matrix, dim1=emb["dim1"], dim2=emb["dim2"])

@@ -36,6 +36,7 @@ from mtltox.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from mtltox.corpus import (
     IDENTITY_COLUMNS,
     SUBTYPE_COLUMNS,
+    UNK_INDEX,
     Comment,
     CorpusError,
     Vocabulary,
@@ -261,11 +262,15 @@ def cmd_bias_report(args) -> int:
 
 def cmd_templates(args) -> int:
     params, table, vocab = _load_paired_checkpoint(args.checkpoint, args.vocab)
-    identities = (
-        tuple(s for s in args.identities.split(",") if s)
-        if args.identities
-        else DEFAULT_IDENTITY_KEYWORDS
-    )
+    identities = DEFAULT_IDENTITY_KEYWORDS
+    if args.identities:
+        identities = tuple(s for s in args.identities.split(",") if s)
+        for word in identities:  # a word the vocabulary cannot spell would probe <unk>, or an empty slot
+            tokens = tokenize(word)
+            outside = [token for token in tokens if vocab.index_of(token) == UNK_INDEX]
+            if outside or not tokens:
+                why = f"its token {outside[0]!r} is outside" if outside else "it has no token in"
+                raise ValueError(f"--identities: {word!r}: {why} the vocabulary {args.vocab}")
     templates = builtin_templates()
     if args.templates_file:
         templates = templates + load_templates(args.templates_file)

@@ -108,16 +108,6 @@ class Tensors(dict):
             raise ValueError(f"a vector of shape {self.vector.shape} cannot hold {size} values")
         super().__init__((name, self.vector[start:end].reshape(shape)) for name, start, end, shape in blocks)
 
-    @classmethod
-    def pack(cls, arrays: dict[str, np.ndarray]) -> "Tensors":
-        """``arrays`` itself when it is a Tensors, else its values copied, in its order, into a new one."""
-        if isinstance(arrays, cls):
-            return arrays
-        packed = cls({name: np.shape(a) for name, a in arrays.items()})
-        for name, a in arrays.items():
-            packed[name][...] = a
-        return packed
-
     def like(self, vector: np.ndarray | None = None) -> "Tensors":
         """This dict's names and shapes over ``vector``, or over a new uninitialised one."""
         return Tensors({name: a.shape for name, a in self.items()}, vector)
@@ -126,14 +116,15 @@ class Tensors(dict):
 @dataclass
 class ModelParams:
     """All learnable tensors, keyed by name, as views of one vector
-    (``tensors.vector``) in ``param_shapes`` order; a dict that is not a
-    Tensors is copied into one. Embeddings live outside and are frozen."""
+    (``tensors.vector``) in ``param_shapes`` order: a Tensors, and nothing
+    else. Embeddings live outside and are frozen."""
 
     hyper: Hyper
-    tensors: dict[str, np.ndarray]
+    tensors: Tensors
 
     def __post_init__(self):
-        self.tensors = Tensors.pack(self.tensors)
+        if not isinstance(self.tensors, Tensors):
+            raise TypeError(f"ModelParams holds a Tensors, not a {type(self.tensors).__name__}")
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.hyper, self.tensors.like(self.tensors.vector.copy()))

@@ -8,6 +8,7 @@ gradients are reduced in a fixed order.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from dataclasses import dataclass, field, replace
@@ -66,14 +67,14 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Adam's step count and moments, the moments laid out like the parameters'
-    tensors. ``adam_step`` makes them at the first step: by then the batch pass
-    has freed its arrays, and the moments take that memory. Made before the
-    pass, they were first written on top of what it left: paper-train's peak
-    RSS read 318 MB, against 278 MB made at the first step."""
+    """Adam's step count and moments, each moment a plain vector laid out like
+    the parameter vector. ``adam_step`` makes them at the first step: by then
+    the batch pass has freed its arrays, and the moments take that memory. Made
+    before the pass, they were first written on top of what it left:
+    paper-train's peak RSS read 318 MB, against 278 MB made at the first step."""
 
-    m: Tensors | None = None
-    v: Tensors | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
@@ -93,17 +94,15 @@ class RunRecord:
         return dataclasses.asdict(self)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
+def clip_global_norm(grads: Tensors, max_norm: float) -> Tensors:
     """Scale all gradients down so their joint L2 norm is at most max_norm.
     Returns ``grads`` itself when the norm already is, else a new Tensors over
-    the vector of ``grads`` (or of a copy, for a dict that is not a Tensors),
-    which is scaled in place."""
+    the vector of ``grads``, which is scaled in place."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total <= max_norm or total == 0.0:
         return grads
-    packed = Tensors.pack(grads)
-    packed.vector *= max_norm / total
-    return packed.like(packed.vector)
+    grads.vector *= max_norm / total
+    return grads.like(grads.vector)
 
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's published defaults
@@ -114,17 +113,16 @@ ADAM_BLOCK = 1 << 15
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: Tensors,
     state: AdamState,
     cfg: TrainConfig,
 ) -> tuple[ModelParams, AdamState]:
     """One Adam update with bias correction, in place, clipping first.
 
-    ``grads`` holds the parameters' names in their order (``backward``'s
-    Tensors, or any dict, which is copied into one). The update runs the
-    textbook expressions, operation for operation, over blocks of the vectors.
+    ``grads`` is the Tensors that ``backward`` returns, with the parameters'
+    names in their order. The update runs the textbook expressions, operation
+    for operation, over blocks of the parameter, gradient and moment vectors.
     """
-    grads = Tensors.pack(grads)
     if list(grads) != list(params.tensors):
         raise ValueError(f"gradients for {list(grads)}, not for the parameters {list(params.tensors)}")
     if not np.isfinite(grads.vector).all():
@@ -133,11 +131,11 @@ def adam_step(
     if cfg.grad_clip_norm is not None:
         grads = clip_global_norm(grads, cfg.grad_clip_norm)
     if state.m is None:
-        state.m, state.v = (params.tensors.like(np.zeros(params.tensors.vector.size)) for _ in range(2))
+        state.m, state.v = (np.zeros(params.tensors.vector.size) for _ in range(2))
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
-    vectors = params.tensors.vector, grads.vector, state.m.vector, state.v.vector
+    vectors = params.tensors.vector, grads.vector, state.m, state.v
     temps = np.empty((2, min(ADAM_BLOCK, vectors[0].size)))
     for start in range(0, vectors[0].size, ADAM_BLOCK):
         p, g, m, v = (vector[start : start + ADAM_BLOCK] for vector in vectors)
@@ -163,7 +161,7 @@ def _targets(comments: list[Comment], hyper: Hyper, cfg: TrainConfig):
         labels = comment.subtype_labels if cfg.aux_source == "subtypes" else comment.identity_labels
         if hyper.n_aux > 0 and len(labels) != hyper.n_aux:
             raise ValueError(
-                f"comment has {len(labels)} {cfg.aux_source} labels but the model has "
+                f"comment {comment.id!r} has {len(labels)} {cfg.aux_source} labels but the model has "
                 f"{hyper.n_aux} auxiliary heads"
             )
         aux_y[n] = labels[: hyper.n_aux]
@@ -205,6 +203,15 @@ def dataset_loss(
     return multitask_loss(y_hat, aux_hat, *targets, cfg.alpha).total
 
 
+@contextlib.contextmanager
+def _at(where: str):
+    """Prefix a NetworkError raised inside with ``where`` it happened."""
+    try:
+        yield
+    except NetworkError as exc:
+        raise NetworkError(f"{where}{exc}") from exc
+
+
 def _split(comments: list[Comment], fold: tuple) -> tuple[list[Comment], list[Comment]]:
     """The (train, validation) comments of one ``make_folds`` fold."""
     train_idx, val_idx = fold
@@ -223,6 +230,8 @@ def train_fold(
     Returns the checkpoint with the best validation loss and a per-epoch log.
     Early stopping after ``cfg.patience`` epochs without improvement.
     Comments whose identity labels are missing are refused: fill them first.
+    A NetworkError says where it happened: ``epoch <e>, step <s>: `` for a
+    training step (the batch counted from 0), ``epoch <e>, validation: ``.
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
@@ -246,15 +255,17 @@ def train_fold(
         perm = rng.permutation(len(train_set))
         order = perm.tolist()
         train_loss = 0.0
-        for start in range(0, len(perm), cfg.batch_size):
+        for step, start in enumerate(range(0, len(perm), cfg.batch_size)):
             rows = perm[start : start + cfg.batch_size]
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
             targets = tuple(a[rows] for a in train_targets)
-            grads, batch_loss = _batch_pass(params, table, batch, targets, cfg, rng)
-            params, state = adam_step(params, grads, state, cfg)
+            with _at(f"epoch {epoch}, step {step}: "):
+                grads, batch_loss = _batch_pass(params, table, batch, targets, cfg, rng)
+                params, state = adam_step(params, grads, state, cfg)
             train_loss += batch_loss * len(batch)
         train_loss /= len(train_set)
-        val_loss = dataset_loss(params, table, val_set, val_targets, cfg)
+        with _at(f"epoch {epoch}, validation: "):
+            val_loss = dataset_loss(params, table, val_set, val_targets, cfg)
         record.epochs.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss
@@ -374,7 +385,8 @@ def run_experiment(
     once per fold, after the record's fold and metrics are set; ``tried``
     holds the fold's records in training order, one per grid alpha on fold
     0 and ``[record]`` otherwise. The corpus must be fully annotated and
-    weighted with ``cfg.c`` (see ``propagate_identities``).
+    weighted with ``cfg.c`` (see ``propagate_identities``). A NetworkError
+    names its fold first: ``fold <k>, ``.
     """
     run_cfgs = [cfg] if grid is None else [replace(cfg, alpha=alpha) for alpha in grid]  # checked before any run
     if not run_cfgs:
@@ -386,9 +398,10 @@ def run_experiment(
         tried: list[RunRecord] = []
 
         def fit(run_cfg: TrainConfig) -> tuple[ModelParams, RunRecord]:
-            params, record = train_fold(train_set, val_set, table, hyper, replace(run_cfg, seed=cfg.seed + fold))
-            record.fold = fold
-            record.metrics = evaluate_model(params, table, val_set, subgroup_names, cfg.power).to_dict()
+            with _at(f"fold {fold}, "):
+                params, record = train_fold(train_set, val_set, table, hyper, replace(run_cfg, seed=cfg.seed + fold))
+                record.fold = fold
+                record.metrics = evaluate_model(params, table, val_set, subgroup_names, cfg.power).to_dict()
             tried.append(record)
             return params, record
 

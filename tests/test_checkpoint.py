@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import stat
 import tracemalloc
@@ -168,6 +169,29 @@ def test_malformed_header_refused_before_allocating(tmp_path, monkeypatch, mutat
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
+def test_parameter_tensors_in_another_order_refused(tmp_path):
+    """The model's tensors must follow the embedding in ``param_shapes`` order,
+    as a save writes them, because a load reads them as one vector: a header
+    that lists them last to first is refused, though its offsets, length and
+    hash describe the reordered payload."""
+    header, payload = _header_and_payload(tmp_path)
+    embedding, *names = header["tensors"]
+    tensors, chunks, offset = {}, [], 0
+    for name in [embedding, *reversed(names)]:
+        entry = header["tensors"][name]
+        size = 8 * math.prod(entry["shape"])
+        chunks.append(payload[entry["offset"] : entry["offset"] + size])
+        tensors[name] = {"shape": entry["shape"], "offset": offset}
+        offset += size
+    payload = b"".join(chunks)
+    header |= {"tensors": tensors, "payload_bytes": offset, "sha256": hashlib.sha256(payload).hexdigest()}
+    path = tmp_path / "reordered.json"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match="'tensors' are not in the order") as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_missing_checkpoint_is_file_not_found(tmp_path):

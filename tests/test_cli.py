@@ -698,8 +698,8 @@ def test_propagate_refuses_an_aux_source_other_than_identities(workdir, capsys):
     assert "Traceback" not in err and not (workdir / "filled.jsonl").exists()
 
 
-def test_numerical_failure_prints_only_its_message(workdir):
-    # A step this large overflows the network on the first batch after it.
+def train_with_overflowing_steps(workdir, batch_size):
+    """``mtltox train`` in a subprocess with a step so large that it overflows the network on the next pass."""
     import os
     import subprocess
     import sys
@@ -707,16 +707,30 @@ def test_numerical_failure_prints_only_its_message(workdir):
     import mtltox
 
     assert run_prep(workdir) == 0
-    train = {**CONFIG["train"], "learning_rate": 1e300, "grad_clip_norm": None}
+    train = {**CONFIG["train"], "learning_rate": 1e300, "grad_clip_norm": None, "batch_size": batch_size}
     (workdir / "config.json").write_text(json.dumps({**CONFIG, "train": train}))
     env = os.environ | {"PYTHONPATH": str(Path(mtltox.__file__).resolve().parents[1])}
     argv = ["--data", "data.jsonl", "--vocab", "vocab.tsv", "--config", "config.json", "--seed", "5"]
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "mtltox.cli", "train", *argv, "--out-dir", "run"],
         cwd=workdir, env=env, capture_output=True, text=True,
     )
+
+
+def test_numerical_failure_prints_only_its_message(workdir):
+    # One batch per epoch: the first pass after the step is fold 0's validation pass.
+    run = train_with_overflowing_steps(workdir, batch_size=16)
     assert run.returncode == 3
-    assert run.stderr.splitlines() == ["numerical failure: non-finite activation in output heads"]
+    assert run.stderr.splitlines() == [
+        "numerical failure: fold 0, epoch 0, validation: non-finite activation in output heads"
+    ]
+
+
+def test_numerical_failure_in_a_training_step_names_the_step(workdir):
+    # Batches of 2: the second step's gradients are not finite, which adam_step refuses.
+    run = train_with_overflowing_steps(workdir, batch_size=2)
+    assert run.returncode == 3
+    assert run.stderr.splitlines() == ["numerical failure: fold 0, epoch 0, step 1: non-finite gradient for head_tox_w"]
 
 
 @pytest.mark.parametrize("value, bad", [("abc", "'abc'"), ("grid:0.5,abc", "'abc'"), ("grid:", "''")])
@@ -1324,6 +1338,26 @@ class TestTemplatesCommand:
         )
         assert code == 2
         assert f"{templates_file}: row 3: {cause}" in capsys.readouterr().err
+
+    def test_identity_the_vocabulary_cannot_spell_exit_2(self, workdir, capsys):
+        # "zzzunknown" would probe the <unk> row, and "!!" (no token) the template with its slot emptied.
+        TestTrainEvaluate().train(workdir)
+        vocab = workdir / "vocab.tsv"
+        argv = ["templates", "--checkpoint", str(workdir / "run" / "checkpoint_fold0.json"), "--vocab", str(vocab)]
+        capsys.readouterr()
+        for identities, message in (
+            (
+                "nice,zzzunknown",
+                f"--identities: 'zzzunknown': its token 'zzzunknown' is outside the vocabulary {vocab}",
+            ),
+            ("nice,!!", f"--identities: '!!': it has no token in the vocabulary {vocab}"),
+        ):
+            assert main([*argv, "--identities", identities, "--out", str(workdir / "probe.json")]) == 2
+            out, err = capsys.readouterr()
+            assert message in err and "Traceback" not in err and out == ""
+            assert not (workdir / "probe.json").exists()
+        assert main([*argv, "--identities", "nice,kind"]) == 0
+        assert capsys.readouterr().out.startswith("nice: mean nontoxic=")
 
 
 class TestKsCompare:

@@ -19,6 +19,7 @@ from mtltox.embeddings import lookup, random_table
 from mtltox.corpus import Vocabulary
 from mtltox.network import (
     Hyper,
+    ModelParams,
     NetworkError,
     backward,
     embed_batch,
@@ -69,6 +70,10 @@ class TestInitParams:
             params = init_params(h, seed=0)
             assert {name: a.shape for name, a in params.tensors.items()} == param_shapes(h)
             assert list(param_shapes(h)) == list(params.tensors)
+
+    def test_params_that_are_not_a_tensors_are_refused(self):
+        with pytest.raises(TypeError, match="ModelParams holds a Tensors, not a dict"):
+            ModelParams(tiny_hyper(), {"w": np.zeros(1)})
 
 
 class TestForward:

@@ -6,7 +6,7 @@ import pytest
 from mtltox.corpus import make_folds
 from mtltox.embeddings import checksum, random_table
 from mtltox.metrics import prf1, ScoredExample
-from mtltox.network import Hyper, ModelParams, NetworkError, init_params, predict
+from mtltox.network import Hyper, ModelParams, NetworkError, Tensors, init_params, predict
 from mtltox.synthetic import biased_corpus, separable_corpus
 from mtltox.training import (
     ADAM_EPS,
@@ -26,7 +26,7 @@ from mtltox.training import (
 
 def scalar_params(value=0.0):
     hyper = Hyper(embed_dim=1, hidden=1, dense1=1, dense2=1, n_aux=0)
-    return ModelParams(hyper=hyper, tensors={"w": np.array([value])})
+    return ModelParams(hyper=hyper, tensors=Tensors({"w": (1,)}, np.array([value])))
 
 
 class TestAdamStep:
@@ -35,7 +35,7 @@ class TestAdamStep:
     def test_zero_grads_leave_params_unchanged(self):
         params = scalar_params(1.5)
         state = AdamState()
-        params, state = adam_step(params, {"w": np.zeros(1)}, state, self.cfg)
+        params, state = adam_step(params, params.tensors.like(np.zeros(1)), state, self.cfg)
         assert params.tensors["w"][0] == 1.5
         assert state.t == 1
 
@@ -43,11 +43,11 @@ class TestAdamStep:
         # g=1 at t=1: m_hat = v_hat = 1, update = -lr / (1 + eps) ~ -0.1
         params = scalar_params(0.0)
         state = AdamState()
-        params, _ = adam_step(params, {"w": np.ones(1)}, state, self.cfg)
+        params, _ = adam_step(params, params.tensors.like(np.ones(1)), state, self.cfg)
         assert params.tensors["w"][0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_clipping_reduces_norm(self):
-        grads = {"a": np.full(25, 10.0)}  # norm 50
+        grads = Tensors({"a": (25,)}, np.full(25, 10.0))  # norm 50
         clipped = clip_global_norm(grads, 5.0)
         norm = np.sqrt(sum(np.sum(g * g) for g in clipped.values()))
         assert norm == pytest.approx(5.0, rel=1e-12)
@@ -60,15 +60,15 @@ class TestAdamStep:
         params = scalar_params()
         state = AdamState()
         with pytest.raises(NetworkError, match="non-finite"):
-            adam_step(params, {"w": np.array([np.nan])}, state, self.cfg)
+            adam_step(params, params.tensors.like(np.array([np.nan])), state, self.cfg)
 
     def test_second_moments_nonnegative(self):
         params = scalar_params()
         state = AdamState()
         rng = np.random.default_rng(0)
         for _ in range(20):
-            params, state = adam_step(params, {"w": rng.normal(size=1)}, state, self.cfg)
-            assert state.v["w"][0] >= 0.0
+            params, state = adam_step(params, params.tensors.like(rng.normal(size=1)), state, self.cfg)
+            assert state.v[0] >= 0.0
             assert np.isfinite(params.tensors["w"][0])
 
 
@@ -115,8 +115,8 @@ def test_adam_step_equals_the_per_tensor_step_bitwise(hyper, steps):
         fired += per_tensor_adam_step(tensors, {k: g.copy() for k, g in grads.items()}, m, v, step + 1, cfg)
         adam_step(params, grads, state, cfg)
     assert 0 < fired < steps
-    for got, want in ((params.tensors, tensors), (state.m, m), (state.v, v)):
-        assert got.vector.tobytes() == np.concatenate([want[name].ravel() for name in got]).tobytes()
+    for got, want in ((params.tensors.vector, tensors), (state.m, m), (state.v, v)):
+        assert got.tobytes() == np.concatenate([want[name].ravel() for name in params.tensors]).tobytes()
 
 
 def toy_hyper(vocab_dim=None, n_aux=0, attention=True):
@@ -190,8 +190,10 @@ class TestTrainFold:
 
     def test_subtype_head_count_mismatch_names_subtypes(self):
         comments, _ = separable_corpus(n=4, seed=0)
-        with pytest.raises(ValueError, match="subtypes"):
+        with pytest.raises(ValueError, match="subtypes") as info:
             _targets(comments, toy_hyper(n_aux=9), quick_cfg(aux_source="subtypes"))
+        message = f"comment {comments[0].id!r} has 5 subtypes labels but the model has 9 auxiliary heads"
+        assert message in str(info.value)
 
 
 def run_grid(comments, table, grid, subgroups=(), **cfg):
