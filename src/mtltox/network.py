@@ -1,9 +1,10 @@
 """The shared network: two stacked BiLSTMs, attention pooling, dense layers,
 and K+1 sigmoid heads, with forward and hand-derived backward passes in numpy.
 
-Sequence handling: a batch is its comments' real tokens, comment after
-comment, given as distinct embedding rows and each token's index into them.
-Padding is never gathered, so it cannot influence any output. Each LSTM
+Sequence handling: a batch is a list of comments. forward looks up their
+real tokens, comment after comment, in the frozen embedding table: each
+distinct token id once, keeping each token's index into those rows. Padding
+is never gathered, so it cannot influence any output. Each LSTM
 layer-direction's input projection (``X·Wx + b``) is made in _ROW_BLOCK-row
 blocks as its recurrence reaches them, into a window of rows that the steps
 read; no pass holds the projection of all its tokens. Layer 0 first
@@ -31,7 +32,6 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -151,13 +151,6 @@ def _pack(lengths: np.ndarray) -> _Packing:
     comment = by_length[rank]
     order = np.stack([starts[comment] + step, starts[comment] + lengths[comment] - 1 - step])
     return _Packing(lengths, starts, steps.tolist(), offsets.tolist(), order)
-
-
-class TokenRows(NamedTuple):
-    """A pass's token embeddings: its distinct rows, and for each token, comment after comment, its row's index."""
-
-    rows: np.ndarray  # (U, D)
-    index: np.ndarray  # (T,) into rows
 
 
 @dataclass
@@ -378,28 +371,34 @@ def _layer_forward(dirs: slice, layer: int, x, order, pack: _Packing, weights, b
 
 
 def forward(
-    params: ModelParams, tokens: np.ndarray | TokenRows, lengths, dropout_masks=None, keep_caches: bool = True
+    params: ModelParams, table: EmbeddingTable, comments: list[Comment], dropout_masks=None, keep_caches: bool = True
 ) -> BatchTrace:
     """B comments through the whole network.
 
-    ``tokens`` holds the comments' real token embeddings, comment after
-    comment: a TokenRows (as from ``embed_batch``), or a (sum(lengths), D)
-    array, each token its own row. ``dropout_masks`` is (B, D) or None.
-    Without ``keep_caches`` the trace holds outputs only (inference).
+    Each comment's tokens are looked up in the frozen ``table``, each
+    distinct token id once. With ``dropout_masks`` (B, D), one mask per
+    comment, each distinct (comment, id) pair is looked up once instead and
+    multiplied by its comment's mask. Without ``keep_caches`` the trace holds
+    outputs only (inference).
     """
     t = params.tensors
-    rows, index = tokens if isinstance(tokens, TokenRows) else (tokens, np.arange(len(tokens)))
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(index):
-        raise NetworkError(f"lengths {lengths.tolist()} do not partition {len(index)} token rows")
-    if index.min() < 0 or index.max() >= len(rows):
-        raise NetworkError(f"token row index out of range [0, {len(rows)})")
+    if not comments:
+        raise NetworkError("a pass needs at least one comment")
+    lengths = np.array([c.true_length for c in comments])
+    if not lengths.all():
+        raise NetworkError(f"comment {comments[int(np.argmin(lengths))].id!r} has no tokens")
+    ids = np.concatenate([c.token_ids for c in comments])
     pack = _pack(lengths)
     row_comment = np.repeat(np.arange(len(lengths)), lengths)
-    if dropout_masks is not None:  # the mask is per comment: layer 0's rows are the distinct (comment, row) pairs
-        pairs, index = np.unique(row_comment * len(rows) + index, return_inverse=True)
-        pair_comment, pair_row = np.divmod(pairs, len(rows))
-        rows = rows[pair_row] * dropout_masks[pair_comment]
+    if dropout_masks is None:
+        distinct, index = np.unique(ids, return_inverse=True)
+        rows = lookup(table, distinct)
+    else:  # the mask is per comment: layer 0's rows are the distinct (comment, id) pairs, in that order
+        low = ids.min()
+        stride = ids.max() - low + 1  # so every id, in the table or not, comes back for lookup to check
+        pairs, index = np.unique(row_comment * stride + (ids - low), return_inverse=True)
+        pair_comment, pair_id = np.divmod(pairs, stride)
+        rows = lookup(table, pair_id + low) * dropout_masks[pair_comment]
 
     hdim, n_rows = params.hyper.hidden, len(row_comment)
     threaded = _threaded(hdim)
@@ -438,7 +437,7 @@ def forward(
             comment = int(np.searchsorted(pack.starts, row, side="right")) - 1
             raise NetworkError(
                 f"non-finite activation in {prefixes[bad[0, 0]]} at timestep {row - pack.starts[comment]} "
-                f"of batch row {comment}"
+                f"of comment {comments[comment].id!r}"
             )
         x, order = np.empty((n_rows, 2 * hdim)), pack.order  # the forward direction in the first H columns
         x.reshape(-1, 2, hdim)[pack.order, [[0], [1]]] = h
@@ -579,17 +578,6 @@ def backward(params: ModelParams, trace: BatchTrace, d_y_hat: np.ndarray, d_aux_
     return grads
 
 
-def embed_batch(table: EmbeddingTable, comments: list[Comment]) -> tuple[TokenRows, np.ndarray]:
-    """The comments' tokens as the embedding rows of their distinct ids, each looked up once, with each
-    token's index into them; and the comments' lengths."""
-    ids = [c.token_ids for c in comments]
-    lengths = np.array([len(a) for a in ids])
-    if not lengths.all():
-        raise NetworkError(f"comment {comments[int(np.argmin(lengths))].id!r} has no tokens")
-    distinct, index = np.unique(np.concatenate(ids), return_inverse=True)
-    return TokenRows(lookup(table, distinct), index), lengths
-
-
 def predict(
     params: ModelParams, table: EmbeddingTable, comments: list[Comment]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -607,6 +595,6 @@ def predict(
         while stop < len(comments) and tokens + comments[stop].true_length <= PREDICT_TOKENS:
             tokens += comments[stop].true_length
             stop += 1
-        heads[start:stop] = forward(params, *embed_batch(table, comments[start:stop]), keep_caches=False).heads
+        heads[start:stop] = forward(params, table, comments[start:stop], keep_caches=False).heads
         start = stop
     return heads[:, 0].copy(), heads[:, 1:].copy()

@@ -26,7 +26,6 @@ from mtltox.network import (
     NetworkError,
     Tensors,
     backward,
-    embed_batch,
     forward,
     init_params,
     predict,
@@ -98,6 +97,8 @@ def clip_global_norm(grads: Tensors, max_norm: float) -> Tensors:
     """Scale all gradients down so their joint L2 norm is at most max_norm.
     Returns ``grads`` itself when the norm already is, else a new Tensors over
     the vector of ``grads``, which is scaled in place."""
+    if not isinstance(grads, Tensors):
+        raise TypeError(f"gradients are a Tensors, not a {type(grads).__name__}")
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total <= max_norm or total == 0.0:
         return grads
@@ -123,6 +124,8 @@ def adam_step(
     names in their order. The update runs the textbook expressions, operation
     for operation, over blocks of the parameter, gradient and moment vectors.
     """
+    if not isinstance(grads, Tensors):
+        raise TypeError(f"gradients are a Tensors, not a {type(grads).__name__}")
     if list(grads) != list(params.tensors):
         raise ValueError(f"gradients for {list(grads)}, not for the parameters {list(params.tensors)}")
     if not np.isfinite(grads.vector).all():
@@ -184,7 +187,7 @@ def _batch_pass(
         # One mask per comment, in batch order: the generator stream is the
         # same as with one forward pass per comment.
         masks = np.array([spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng) for _ in comments])
-    trace = forward(params, *embed_batch(table, comments), masks)
+    trace = forward(params, table, comments, masks)
     y_hat, aux_hat = trace.heads[:, 0], trace.heads[:, 1:]
     breakdown = multitask_loss(y_hat, aux_hat, *targets, cfg.alpha)
     d_y, d_aux = loss_grad_heads(y_hat, aux_hat, *targets, cfg.alpha)

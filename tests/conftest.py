@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mtltox.corpus import Comment
+from mtltox.embeddings import EmbeddingTable
 from mtltox.losses import loss_grad_heads, multitask_loss
 from mtltox.network import Hyper, backward, forward
 
@@ -30,9 +32,19 @@ def random_example(hyper, seed, max_len=None):
     return embedded[:true_length], y, aux_y, beta
 
 
+def per_token_batch(tokens, lengths):
+    """A table whose rows are the given (T, D) tokens, and comments of the given lengths over it,
+    comment after comment: each token has its own id, so each is its own row of the pass."""
+    tokens = np.asarray(tokens, dtype=float)
+    table = EmbeddingTable(tokens, tokens.shape[1], 0)
+    starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    ids = [np.arange(starts[i], starts[i + 1]) for i in range(len(lengths))]
+    return table, [Comment(str(i), a, 0.0, 0, np.zeros(0), np.zeros(0)) for i, a in enumerate(ids)]
+
+
 def _heads_and_targets(params, tokens, y, aux_y, beta):
     """One comment's trace as a batch of one, and its loss inputs (y_hat, aux_hat, y, aux_y, beta)."""
-    tr = forward(params, tokens, [len(tokens)])
+    tr = forward(params, *per_token_batch(tokens, [len(tokens)]))
     targets = (np.array([y]), np.asarray(aux_y).reshape(1, -1), np.array([beta]))
     return tr, (tr.heads[:, 0], tr.heads[:, 1:], *targets)
 

@@ -1474,6 +1474,26 @@ def test_readme_command_lines_parse():
             assert flag[2:].replace("-", "_") in args, (command, flag)
 
 
+def test_readme_documents_every_option():
+    import argparse
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        (name, option)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert len(options) > 20
+    # `--c` must not pass as the start of `--checkpoint`.
+    missing = sorted(o for o in options if not re.search(re.escape(o[1]) + r"(?![\w-])", section))
+    assert missing == []
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -9,6 +9,7 @@ from conftest import (
     analytic_grads,
     finite_difference_grads,
     max_relative_error,
+    per_token_batch,
     random_example,
     tiny_hyper,
 )
@@ -22,7 +23,6 @@ from mtltox.network import (
     ModelParams,
     NetworkError,
     backward,
-    embed_batch,
     forward,
     init_params,
     param_shapes,
@@ -84,14 +84,14 @@ class TestForward:
         params = init_params(h, seed=2)
         params.tensors["attn_w"][:] = 0.0
         rng = np.random.default_rng(7)
-        trace = forward(params, rng.normal(size=(5, h.embed_dim)), [3, 2])
+        trace = forward(params, *per_token_batch(rng.normal(size=(5, h.embed_dim)), [3, 2]))
         assert trace.attn_weights == pytest.approx([1 / 3] * 3 + [1 / 2] * 2, abs=1e-12)
 
     def test_length_one_attention(self):
         h = tiny_hyper(max_len=4)
         params = init_params(h, seed=3)
         rng = np.random.default_rng(0)
-        trace = forward(params, rng.normal(size=(1, h.embed_dim)), [1])
+        trace = forward(params, *per_token_batch(rng.normal(size=(1, h.embed_dim)), [1]))
         assert trace.attn_weights[0] == pytest.approx(1.0, abs=1e-12)
         assert trace.pooled[0] == pytest.approx(trace.h_seq[0], abs=1e-12)
 
@@ -101,7 +101,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         for _ in range(20):
             length = int(rng.integers(1, 7))
-            trace = forward(params, rng.normal(size=(length, h.embed_dim)), [length])
+            trace = forward(params, *per_token_batch(rng.normal(size=(length, h.embed_dim)), [length]))
             assert trace.attn_weights.sum() == pytest.approx(1.0, abs=1e-6)
             assert np.all(trace.attn_weights >= 0.0)
 
@@ -109,7 +109,7 @@ class TestForward:
         h = tiny_hyper(n_aux=2)
         params = init_params(h, seed=5)
         rng = np.random.default_rng(2)
-        trace = forward(params, rng.normal(size=(3, h.embed_dim)), [3])
+        trace = forward(params, *per_token_batch(rng.normal(size=(3, h.embed_dim)), [3]))
         assert trace.heads.shape == (1, 3)
         assert np.all((trace.heads > 0.0) & (trace.heads < 1.0))
 
@@ -118,7 +118,7 @@ class TestForward:
         h = tiny_hyper(n_aux=1, max_len=5)
         params = init_params(h, seed=5)
         lengths = [4, 1, 5, 2]
-        trace = forward(params, np.random.default_rng(3).normal(size=(12, h.embed_dim)), lengths)
+        trace = forward(params, *per_token_batch(np.random.default_rng(3).normal(size=(12, h.embed_dim)), lengths))
         assert trace.true_length == sum(lengths)
         assert trace.true_length == 12 and type(trace.true_length) is int
 
@@ -164,24 +164,29 @@ class TestForward:
         expected_y = sig(a2 @ t["head_tox_w"] + t["head_tox_b"][0])
         expected_aux = sig(a2 @ t["head_aux_W"] + t["head_aux_b"])
 
-        trace = forward(params, x, [3])
+        trace = forward(params, *per_token_batch(x, [3]))
         assert trace.heads[0, 0] == pytest.approx(expected_y, abs=1e-10)
         assert trace.heads[0, 1:] == pytest.approx(expected_aux, abs=1e-10)
 
-    def test_bad_true_length(self):
-        # Every comment needs a token, and the lengths must cover the token rows exactly.
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-dropout", "dropout"])
+    def test_an_empty_batch_or_a_comment_without_tokens_is_refused(self, masked):
         h = tiny_hyper()
         params = init_params(h, seed=0)
-        for lengths in ([0, 3], [2], [4], []):
-            with pytest.raises(NetworkError, match="do not partition"):
-                forward(params, np.zeros((3, h.embed_dim)), lengths)
+        table, cs = per_token_batch(np.zeros((3, h.embed_dim)), [2, 1])
+        cs.insert(1, comment("empty", np.zeros(0, dtype=np.int64), n_identity=1))
+        masks = np.ones((len(cs), h.embed_dim)) if masked else None
+        with pytest.raises(NetworkError, match="comment 'empty' has no tokens"):
+            forward(params, table, cs, masks)
+        with pytest.raises(NetworkError, match="at least one comment"):
+            forward(params, table, [], masks[:0] if masked else None)
 
     def test_determinism_with_fixed_dropout_mask(self):
         h = tiny_hyper()
         params = init_params(h, seed=0)
         masks = spatial_dropout_mask(h.embed_dim, 0.5, np.random.default_rng(9))[None, :]
         x = np.random.default_rng(4).normal(size=(3, h.embed_dim))
-        t1, t2 = forward(params, x, [3], masks), forward(params, x, [3], masks)
+        batch = per_token_batch(x, [3])
+        t1, t2 = forward(params, *batch, masks), forward(params, *batch, masks)
         assert np.array_equal(t1.heads, t2.heads)
         assert np.array_equal(t1.pooled, t2.pooled)
 
@@ -190,7 +195,7 @@ class TestBackward:
     def test_zero_grad_outputs_give_zero_param_grads(self):
         h = tiny_hyper(n_aux=1)
         params = init_params(h, seed=0)
-        trace = forward(params, np.random.default_rng(0).normal(size=(3, h.embed_dim)), [3])
+        trace = forward(params, *per_token_batch(np.random.default_rng(0).normal(size=(3, h.embed_dim)), [3]))
         grads = backward(params, trace, np.zeros(1), np.zeros((1, 1)))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
@@ -198,8 +203,8 @@ class TestBackward:
         h = tiny_hyper(n_aux=1)
         params = init_params(h, seed=0)
         tokens = np.random.default_rng(1).normal(size=(3, h.embed_dim))
-        g1 = backward(params, forward(params, tokens, [3]), [0.7], np.array([[0.3]]))
-        g2 = backward(params, forward(params, tokens, [3]), [1.4], np.array([[0.6]]))
+        g1 = backward(params, forward(params, *per_token_batch(tokens, [3])), [0.7], np.array([[0.3]]))
+        g2 = backward(params, forward(params, *per_token_batch(tokens, [3])), [1.4], np.array([[0.6]]))
         for name in g1:
             assert np.allclose(g2[name], 2.0 * g1[name], rtol=0, atol=1e-15)
 
@@ -207,19 +212,19 @@ class TestBackward:
         # backward writes each layer's dZ over its cached gates: the trace is spent.
         h = tiny_hyper(n_aux=1)
         params = init_params(h, seed=0)
-        trace = forward(params, np.random.default_rng(1).normal(size=(3, h.embed_dim)), [3])
+        trace = forward(params, *per_token_batch(np.random.default_rng(1).normal(size=(3, h.embed_dim)), [3]))
         backward(params, trace, [0.7], np.array([[0.3]]))
         assert trace.lstm == {}
         with pytest.raises(NetworkError, match="spent by a backward"):
             backward(params, trace, [0.7], np.array([[0.3]]))
-        inference = forward(params, np.zeros((2, h.embed_dim)), [2], keep_caches=False)
+        inference = forward(params, *per_token_batch(np.zeros((2, h.embed_dim)), [2]), keep_caches=False)
         with pytest.raises(NetworkError, match="built without keep_caches"):
             backward(params, inference, [0.7], np.array([[0.3]]))
 
     def test_shape_mismatch(self):
         h = tiny_hyper(n_aux=2)
         params = init_params(h, seed=0)
-        trace = forward(params, np.zeros((2, h.embed_dim)), [2])
+        trace = forward(params, *per_token_batch(np.zeros((2, h.embed_dim)), [2]))
         with pytest.raises(NetworkError, match="shape"):
             backward(params, trace, [0.1], np.zeros((1, 3)))
 
@@ -305,7 +310,7 @@ class TestFiniteCheck:
         params.tensors["lstm1_bwd_Wh"][0, 0] = np.nan
         x = np.random.default_rng(0).normal(size=(3, h.embed_dim))
         with pytest.raises(NetworkError, match=r"lstm1_bwd at timestep \d+"):
-            forward(params, x, [3])
+            forward(params, *per_token_batch(x, [3]))
 
 
 def per_timestep_packing(lengths):
@@ -371,7 +376,7 @@ class TestStackedDirections:
         params.tensors["dense1_W"][other] = 0.0
         tokens = rng.normal(size=(sum(self.lengths), 3))
         d_y, d_aux = rng.normal(size=len(self.lengths)), rng.normal(size=(len(self.lengths), 1))
-        base = forward(params, tokens, self.lengths)
+        base = forward(params, *per_token_batch(tokens, self.lengths))
         base_grads = backward(params, base, d_y, d_aux)
         kept_name = "lstm1_" + ("fwd", "bwd")[kept]
         for layer in (0, 1):
@@ -379,7 +384,7 @@ class TestStackedDirections:
             for suffix in ("Wx", "Wh", "b"):
                 w = changed.tensors[f"lstm{layer}_{perturbed}_{suffix}"]
                 w += rng.normal(scale=0.5, size=w.shape)
-            trace = forward(changed, tokens, self.lengths)
+            trace = forward(changed, *per_token_batch(tokens, self.lengths))
             assert not np.array_equal(lstm_output(trace, layer, 1 - kept), lstm_output(base, layer, 1 - kept))
             assert lstm_output(trace, layer, kept).tobytes() == lstm_output(base, layer, kept).tobytes()
             if layer == 1:
@@ -410,7 +415,7 @@ class TestThreadedDirections:
         rng = np.random.default_rng(hidden)
         tokens = rng.normal(size=(sum(self.lengths), 3))
         masks = rng.random((len(self.lengths), 3)) + 0.5
-        trace = forward(params, tokens, self.lengths, masks)
+        trace = forward(params, *per_token_batch(tokens, self.lengths), masks)
         arrays = pre_backward_arrays(trace)
         grads = backward(params, trace, rng.normal(size=len(self.lengths)), rng.normal(size=(len(self.lengths), 1)))
         return arrays | {"heads": trace.heads, "pooled": trace.pooled} | grads
@@ -443,7 +448,7 @@ class TestThreadedDirections:
         messages = []
         for threaded in (False, True):
             run_directions(monkeypatch, threaded)
-            with pytest.raises(NetworkError, match=tensor[:-3] + r" at timestep \d+ of batch row \d+") as err:
+            with pytest.raises(NetworkError, match=tensor[:-3] + r" at timestep \d+ of comment '\d+'") as err:
                 self.run(128, params)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
@@ -535,14 +540,14 @@ class TestBatchComposition:
         params = init_params(h, seed=6)
         cs = self.comments(70, 9, seed=8)
         y, aux = predict(params, self.table, cs)
-        whole = forward(params, *embed_batch(self.table, cs), keep_caches=False)
+        whole = forward(params, self.table, cs, keep_caches=False)
         for chunk in (2, 3, 16):
             starts = range(0, len(cs), chunk)
             parts = [predict(params, self.table, cs[s : s + chunk]) for s in starts]
             assert np.array_equal(np.concatenate([p[0] for p in parts]), y), chunk
             assert np.array_equal(np.concatenate([p[1] for p in parts]), aux), chunk
             # Inner activations show a last-bit change that the sigmoid heads can round away.
-            traces = [forward(params, *embed_batch(self.table, cs[s : s + chunk])) for s in starts]
+            traces = [forward(params, self.table, cs[s : s + chunk]) for s in starts]
             assert np.array_equal(np.concatenate([tr.pooled for tr in traces]), whole.pooled), chunk
             assert np.array_equal(np.concatenate([tr.z2 for tr in traces]), whole.z2), chunk
 
@@ -599,32 +604,42 @@ class TestDistinctRows:
         params = init_params(tiny_hyper(n_aux=2, embed_dim=6, hidden=hidden, dense=5), seed=hidden)
         cs = self.comments(shared)
         ids = np.concatenate([c.token_ids for c in cs])
-        tokens, lengths = embed_batch(self.table, cs)
-        assert len(tokens.rows) == len(np.unique(ids)) and (len(tokens.rows) < len(ids)) == shared
+        lengths = [c.true_length for c in cs]
+        row_comment = np.repeat(np.arange(len(cs)), lengths)
         rng = np.random.default_rng(hidden)
         masks = rng.random((len(cs), 6)) + 0.5 if masked else None
         d_y, d_aux = rng.normal(size=len(cs)), rng.normal(size=(len(cs), 2))
         per_token = lookup(self.table, ids)
-        calls = [(tokens, masks), (per_token, masks)]
+        calls = [((self.table, cs), masks), (per_token_batch(per_token, lengths), masks)]
         if masked:  # the masks applied by their definition, outside forward
-            calls.append((per_token * masks[np.repeat(np.arange(len(cs)), lengths)], None))
+            calls.append((per_token_batch(per_token * masks[row_comment], lengths), None))
+        looked_up, real_lookup = [], network.lookup
+        monkeypatch.setattr(network, "lookup", lambda table, i: looked_up.append(len(i)) or real_lookup(table, i))
         results = []
-        for given, given_masks in calls:
-            trace = forward(params, given, lengths, given_masks)
+        for (table, given), given_masks in calls:
+            trace = forward(params, table, given, given_masks)
             caches = pre_backward_arrays(trace)
             grads = backward(params, trace, d_y, d_aux)
             results.append({"heads": trace.heads, "h_seq": trace.h_seq} | caches | grads)
+        pairs = row_comment * len(self.table.matrix) + ids
+        distinct = len(np.unique(pairs)) if masked else len(np.unique(ids))
+        assert looked_up[0] == distinct and (distinct < len(ids)) == shared
+        assert looked_up[1:] == [len(ids)] * (len(calls) - 1)
         for other in results[1:]:
             assert other.keys() == results[0].keys()
             for name in other:
                 assert results[0][name].tobytes() == other[name].tobytes(), name
 
-    def test_index_out_of_range_refused(self):
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("offset", [0, 7, -303], ids=["first-beyond", "further-beyond", "negative"])
+    def test_a_token_id_beyond_the_table_is_refused_by_lookup(self, masked, offset):
+        # The bad id sits in the first comment, where (comment, id) pairs could run into the next comment's.
         params = init_params(tiny_hyper(n_aux=2, embed_dim=6, hidden=4, dense=5), seed=0)
-        tokens, lengths = embed_batch(self.table, self.comments(shared=True))
-        tokens.index[-1] = len(tokens.rows)
-        with pytest.raises(NetworkError, match=r"token row index out of range \[0, 10\)"):
-            forward(params, tokens, lengths)
+        cs = self.comments(shared=True)
+        cs[0].token_ids[0] = len(self.table.matrix) + offset
+        masks = np.ones((len(cs), 6)) if masked else None
+        with pytest.raises(IndexError, match=r"token id out of range \[0, 302\)"):
+            forward(params, self.table, cs, masks)
 
 
 class TestStreamedProjection:
@@ -643,7 +658,6 @@ class TestStreamedProjection:
         rng = np.random.default_rng(7)
         lengths = rng.integers(1, 21, size=40)  # the widest step spans five 8-row blocks
         cs = [comment(str(i), rng.integers(2, len(self.vocab), size=n), n_identity=2) for i, n in enumerate(lengths)]
-        tokens, lengths = embed_batch(self.table, cs)
         masks = rng.random((len(cs), 6)) + 0.5 if masked else None
         fills, recurrence = [], network._recurrence
 
@@ -658,7 +672,7 @@ class TestStreamedProjection:
             return recurrence(window, counted, *args)
 
         monkeypatch.setattr(network, "_recurrence", counting)
-        trace = forward(params, tokens, lengths, masks)
+        trace = forward(params, self.table, cs, masks)
         caches = pre_backward_arrays(trace)
         grads = backward(params, trace, rng.normal(size=len(cs)), rng.normal(size=(len(cs), 2)))
         monkeypatch.setattr(network, "_recurrence", recurrence)
@@ -714,7 +728,7 @@ class TestStreamedProjection:
         d_y, d_aux = rng.normal(size=len(cs)), rng.normal(size=(len(cs), hyper.n_aux))
         tracemalloc.start()
         try:
-            backward(params, forward(params, *embed_batch(table, cs), masks), d_y, d_aux)
+            backward(params, forward(params, table, cs, masks), d_y, d_aux)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -53,8 +53,16 @@ class TestAdamStep:
         assert norm == pytest.approx(5.0, rel=1e-12)
 
     def test_clipping_noop_below_threshold(self):
-        grads = {"a": np.array([3.0, 4.0])}  # norm 5
+        grads = Tensors({"a": (2,)}, np.array([3.0, 4.0]))  # norm 5
         assert clip_global_norm(grads, 5.0) is grads
+
+    @pytest.mark.parametrize("norm", [5.0, 50.0], ids=["below-threshold", "above-threshold"])
+    def test_gradients_that_are_not_a_tensors_are_refused(self, norm):
+        grads = {"w": np.array([norm])}
+        with pytest.raises(TypeError, match="gradients are a Tensors, not a dict"):
+            clip_global_norm(grads, 5.0)
+        with pytest.raises(TypeError, match="gradients are a Tensors, not a dict"):
+            adam_step(scalar_params(), grads, AdamState(), self.cfg)
 
     def test_nonfinite_grad_rejected(self):
         params = scalar_params()
@@ -367,7 +375,6 @@ class TestRunExperiment:
 
 
 def test_batch_pass_sums_single_example_gradients():
-    from mtltox.embeddings import lookup
     from mtltox.losses import loss_grad_heads
     from mtltox.network import backward, forward, spatial_dropout_mask
     from mtltox.training import _batch_pass
@@ -382,12 +389,7 @@ def test_batch_pass_sums_single_example_gradients():
 
     rng = np.random.default_rng(9)
     traces = [
-        forward(
-            params,
-            lookup(table, c.token_ids),
-            [c.true_length],
-            spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng)[None, :],
-        )
+        forward(params, table, [c], spatial_dropout_mask(hyper.embed_dim, hyper.dropout_rate, rng)[None, :])
         for c in comments
     ]
     heads = np.concatenate([tr.heads for tr in traces])
