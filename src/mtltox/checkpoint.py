@@ -1,20 +1,16 @@
 """Model checkpoint serialization.
 
-A checkpoint (format version 2, laid out like safetensors) is one line of
-JSON, a newline, and then a raw payload. The header line holds ``version``,
-``hyper``, ``vocab_checksum``, ``embedding`` (``dim1``, ``dim2``), ``meta``,
-``tensors`` (each tensor's ``shape`` and byte ``offset`` in the payload, the
-embedding matrix first, then the model's tensors in ``param_shapes`` order),
-``payload_bytes`` and the payload's ``sha256``. The payload is each tensor's
-little-endian float64 bytes, one after another: the embedding matrix, then
-the parameter vector, so values come back bit for bit and save/load/save is
-byte-identical.
-
-A load reads at most HEADER_LIMIT bytes for the header line, checks the
-whole header against the file's size before it allocates anything, and the
-payload against the header's hash, then every payload value for
-finiteness. Version 1 checkpoints (the whole file one JSON text) are not
-read: retrain them with ``mtltox train``.
+A checkpoint (format version 3) is one line of JSON, a newline, and the
+little-endian float64 bytes of the embedding matrix, then of the parameter
+vector, so values come back bit for bit and save/load/save is
+byte-identical. The header holds ``version``, ``hyper``, ``vocab_checksum``,
+``embedding`` (``dim1``, ``dim2``), ``meta``, ``tensors`` (each tensor's
+``shape``, in payload order) and the payload's ``sha256``. The shapes give
+where each tensor starts and the payload's length. A load reads at most
+HEADER_LIMIT bytes for the header line and checks the whole header against
+the file's size before it allocates anything, then the payload against the
+hash and every value for finiteness. Version 2 checkpoints still load;
+version 1 (the whole file one JSON text) is not read: retrain with ``mtltox train``.
 """
 
 from __future__ import annotations
@@ -32,15 +28,16 @@ from mtltox.corpus import from_json
 from mtltox.embeddings import EmbeddingTable
 from mtltox.network import Hyper, ModelParams, Tensors, param_shapes
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# Versions a load reads. A version 2 header also gives each tensor's byte "offset" and the
+# payload's length, "payload_bytes"; both follow from the shapes, so neither is read.
+VERSIONS_READ = (2, 3)
 DTYPE = "<f8"
 EMBEDDING = "embedding"  # the embedding matrix's name in the header's "tensors"
 # The header's keys in file order, with the JSON type of each value.
-HEADER_TYPES = dict(
-    version=int, hyper=dict, vocab_checksum=str, embedding=dict, meta=dict, tensors=dict, payload_bytes=int, sha256=str
-)
+HEADER_TYPES = dict(version=int, hyper=dict, vocab_checksum=str, embedding=dict, meta=dict, tensors=dict, sha256=str)
 HYPER_FIELDS = sorted(f.name for f in fields(Hyper))
-HEADER_LIMIT = 1 << 20  # bytes; a longer first line is not a version 2 header
+HEADER_LIMIT = 1 << 20  # bytes; a longer first line is not a header
 VERSION_1 = "checkpoint version 1; re-run `mtltox train`"
 
 
@@ -57,6 +54,12 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _shape(entry) -> list[int] | None:
+    """A tensor entry's shape, or None unless it is a list of non-negative integers."""
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    return shape if isinstance(shape, list) and all(map(_is_count, shape)) else None
+
+
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
@@ -66,10 +69,7 @@ def save_checkpoint(
 ) -> None:
     """Atomic write: the header line, the embedding matrix and the parameter vector, to a temp file renamed."""
     buffers = [np.asarray(a, DTYPE, order="C") for a in (table.matrix, params.tensors.vector)]
-    sha, tensors, offset = hashlib.sha256(), {}, 0
-    for name, a in {EMBEDDING: buffers[0], **params.tensors}.items():
-        tensors[name] = {"shape": list(a.shape), "offset": offset}
-        offset += a.nbytes
+    sha = hashlib.sha256()
     for a in buffers:
         sha.update(_bytes(a))
     header = {
@@ -78,8 +78,7 @@ def save_checkpoint(
         "vocab_checksum": vocab_checksum,
         "embedding": {"dim1": table.dim1, "dim2": table.dim2},
         "meta": meta or {},
-        "tensors": tensors,
-        "payload_bytes": offset,
+        "tensors": {name: {"shape": list(a.shape)} for name, a in {EMBEDDING: table.matrix, **params.tensors}.items()},
         "sha256": sha.hexdigest(),
     }
     path = Path(path)
@@ -102,7 +101,7 @@ def _check_header(path, header, payload_size: int) -> Hyper:
     version = header.get("version")
     if version == 1:
         raise CheckpointError(f"{path}: {VERSION_1}")
-    if version != FORMAT_VERSION:
+    if version not in VERSIONS_READ:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
     wrong = [key for key, kind in HEADER_TYPES.items() if not isinstance(header.get(key), kind)]
     if wrong:
@@ -111,46 +110,32 @@ def _check_header(path, header, payload_size: int) -> Hyper:
         raise CheckpointError(f"{path}: 'hyper' has fields {sorted(header['hyper'])}, not {HYPER_FIELDS}")
     if not all(_is_count(header["embedding"].get(key)) for key in ("dim1", "dim2")):
         raise CheckpointError(f"{path}: 'embedding' must hold the integers dim1 and dim2")
-    if EMBEDDING not in header["tensors"]:
-        raise CheckpointError(f"{path}: 'tensors' lacks '{EMBEDDING}'")
-    offset = 0
-    for name, entry in header["tensors"].items():
-        shape = entry.get("shape") if isinstance(entry, dict) else None
-        if not isinstance(shape, list) or not all(map(_is_count, shape)):
-            raise CheckpointError(f"{path}: tensor '{name}': shape must be a list of non-negative integers")
-        if entry.get("offset") != offset:
-            raise CheckpointError(f"{path}: tensor '{name}': offset must be {offset}")
-        offset += 8 * math.prod(shape)
-    if header["payload_bytes"] != offset:
-        raise CheckpointError(f"{path}: 'payload_bytes' must be {offset}, the bytes its tensors take")
-    if payload_size != offset:
-        raise CheckpointError(f"{path}: payload holds {payload_size} bytes, the header declares {offset}")
     model = from_json(Hyper, header["hyper"], path, "hyper", CheckpointError)
     width = header["embedding"]["dim1"] + header["embedding"]["dim2"]
     if model.embed_dim != width:
         raise CheckpointError(f"{path}: 'hyper' embed_dim is {model.embed_dim}, not dim1 + dim2 = {width}")
-    shapes = {name: entry["shape"] for name, entry in header["tensors"].items()}
-    if len(shapes[EMBEDDING]) != 2 or shapes[EMBEDDING][1] != width:
-        raise CheckpointError(f"{path}: tensor '{EMBEDDING}' has shape {shapes[EMBEDDING]}, not [rows, {width}]")
-    del shapes[EMBEDDING]
-    expected = {name: list(shape) for name, shape in param_shapes(model).items()}
-    if shapes != expected:
-        diff = [f"'{name}' {shapes.get(name)} (the model's {expected.get(name)})"
-                for name in sorted(shapes.keys() | expected.keys()) if shapes.get(name) != expected.get(name)]
-        raise CheckpointError(f"{path}: tensors do not fit 'hyper': {'; '.join(diff)}")
-    if list(header["tensors"]) != [EMBEDDING, *expected]:  # a load reads the matrix, then one vector
-        raise CheckpointError(f"{path}: 'tensors' are not in the order {[EMBEDDING, *expected]}")
+    shapes = {name: _shape(entry) for name, entry in header["tensors"].items()}
+    matrix = shapes.get(EMBEDDING)
+    if matrix is None or len(matrix) != 2 or matrix[1] != width:
+        raise CheckpointError(f"{path}: tensor '{EMBEDDING}' has shape {matrix}, not [rows, {width}]")
+    expected = {EMBEDDING: matrix} | {name: list(shape) for name, shape in param_shapes(model).items()}
+    if list(shapes.items()) != list(expected.items()):  # a load reads the matrix, then one vector in this order
+        diff = [f"'{name}' {shapes.get(name)} (the model's {expected.get(name)})" for name in
+                sorted(shapes.keys() | expected.keys()) if shapes.get(name) != expected.get(name)]
+        raise CheckpointError(f"{path}: tensors do not fit 'hyper': {'; '.join(diff or [f'not in the order {list(expected)}'])}")
+    size = 8 * sum(map(math.prod, expected.values()))
+    if payload_size != size:
+        raise CheckpointError(f"{path}: payload holds {payload_size} bytes, the header declares {size}")
     return model
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str, dict]:
     """Returns (params, embedding table, vocab checksum, meta).
 
-    The payload is read in two pieces, the embedding matrix and then the
-    parameter vector, so a header must list the tensors in the order a save
-    writes them. A missing file raises FileNotFoundError. A file that cannot be read, or
-    whose header or payload is malformed or corrupt, raises CheckpointError;
-    so does a payload that holds a NaN or an infinity.
+    Reads format 3 or 2, the payload in two pieces sized from the header's
+    shapes: the embedding matrix, then the parameter vector. A missing file raises
+    FileNotFoundError. A file that cannot be read, whose header or payload is
+    malformed or corrupt, or whose payload holds a NaN or an infinity, raises CheckpointError.
     """
     try:
         with open(path, "rb") as fh:
@@ -162,9 +147,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, EmbeddingTable, str,
                 header = json.loads(line)
             except ValueError as exc:
                 raise CheckpointError(f"{path}: checkpoint header is not JSON: {exc}") from exc
-            hyper = _check_header(path, header, os.fstat(fh.fileno()).st_size - len(line))
+            size = os.fstat(fh.fileno()).st_size - len(line)
+            hyper = _check_header(path, header, size)
             matrix = np.empty(header["tensors"][EMBEDDING]["shape"], DTYPE)
-            tensors = Tensors(param_shapes(hyper), np.empty(header["payload_bytes"] // 8 - matrix.size, DTYPE))
+            tensors = Tensors(param_shapes(hyper), np.empty(size // 8 - matrix.size, DTYPE))
             sha = hashlib.sha256()
             for what, a in (("embedding matrix", matrix), ("parameter vector", tensors.vector)):
                 if fh.readinto(_bytes(a)) != a.nbytes:

@@ -145,6 +145,8 @@ def _load_paired_checkpoint(path: str, vocab_path: str | None):
 
 
 def cmd_prep(args) -> int:
+    if Path(args.out).resolve() == Path(args.vocab_out).resolve():
+        raise ValueError(f"--out and --vocab-out are both {args.out}: the comments would overwrite the vocabulary")
     records = load_corpus(args.input, schema=args.format)
     if not records:
         raise CorpusError(f"{args.input}: no records")
@@ -287,8 +289,9 @@ def cmd_templates(args) -> int:
 
 
 def _per_fold_metric(run_dir: Path, metric: str) -> list[float]:
+    """Each fold's metric, from the run records of one whole run: folds 0 to n-1, each of a run of n folds."""
     key = {"auc": "overall_auc", "f1": "f1"}[metric]
-    values = []
+    values, folds, k_folds = [], [], []
     for path in sorted(run_dir.glob("run_fold*.json")):
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
@@ -305,8 +308,17 @@ def _per_fold_metric(run_dir: Path, metric: str) -> list[float]:
         if type(value) not in (int, float) or not math.isfinite(value):
             raise CorpusError(f"{path}: 'metrics.{key}' must be a finite number, got {value!r}")
         values.append(float(value))
+        folds.append(record.get("fold"))
+        if isinstance(record.get("config"), dict) and "k_folds" in record["config"]:
+            k_folds.append(record["config"]["k_folds"])
     if len(values) < 2:
         raise CorpusError(f"{run_dir}: need at least two folds with metric {key!r}")
+    n = len(values)
+    if sorted(fold for fold in folds if type(fold) is int) != list(range(n)) or any(k != n for k in k_folds):
+        raise CorpusError(
+            f"{run_dir}: not one whole run: {n} run records give 'fold' {folds} and 'config.k_folds' {k_folds}, "
+            f"not folds 0 to {n - 1} of a {n}-fold run"
+        )
     return values
 
 
@@ -361,6 +373,13 @@ def _subgroups(text: str) -> list[str]:
     return names
 
 
+def _report_out(text: str) -> str:
+    """argparse type of evaluate's and bias-report's ``--out``: the subgroup CSV goes beside it, so no .csv name."""
+    if text.lower().endswith(".csv"):
+        raise argparse.ArgumentTypeError(f"{text!r} ends in .csv: the per-subgroup CSV written beside --out would replace it")
+    return text
+
+
 def _alpha(text: str) -> float | list[float]:
     """argparse type of ``--alpha``: a finite number, or ``grid:`` and a comma-separated list of them."""
     if text.startswith("grid:"):
@@ -405,14 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab")
     p.add_argument("--subgroups", type=_subgroups, default=",".join(IDENTITY_COLUMNS))
     p.add_argument("--p", type=_finite_float, default=-5.0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_report_out, required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bias-report", help="bias report from an offline predictions file")
     p.add_argument("--predictions", required=True)
     p.add_argument("--subgroups")
     p.add_argument("--p", type=_finite_float, default=-5.0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_report_out, required=True)
     p.set_defaults(func=cmd_bias_report)
 
     p = sub.add_parser("templates", help="score the identity probe templates")

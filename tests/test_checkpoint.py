@@ -48,10 +48,10 @@ def test_save_load_save_byte_identical(tmp_path):
 
 def test_file_is_a_header_line_then_the_float64_payload(tmp_path):
     """The first line is the JSON header; then come the <f8 bytes of the
-    embedding matrix and of each tensor in order, which the header's offsets,
-    length and SHA-256 describe. The largest and smallest floats, a
-    subnormal and -0.0 come back bit for bit, and meta keys that json turns
-    into strings read back as strings."""
+    embedding matrix and of each tensor in order, which the header's shapes
+    and SHA-256 describe. The largest and smallest floats, a subnormal and
+    -0.0 come back bit for bit, and meta keys that json turns into strings
+    read back as strings."""
     hyper = tiny_hyper(n_aux=2)
     params = init_params(hyper, seed=3)
     params.tensors["dense1_W"].flat[:4] = [np.finfo(float).max, -np.finfo(float).max, 5e-324, -0.0]
@@ -64,26 +64,51 @@ def test_file_is_a_header_line_then_the_float64_payload(tmp_path):
     line, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(line)
     assert list(header) == list(checkpoint.HEADER_TYPES)
-    assert header["version"] == 2
+    assert header["version"] == 3
     assert header["hyper"] == asdict(hyper)
     assert header["vocab_checksum"] == "abc"
     assert header["embedding"] == {"dim1": table.dim1, "dim2": table.dim2}
     assert header["meta"] == {"fold": 2, "alpha": 0.6, "nested": {"k": [1, 2.5, None]}, "7": True}
     arrays = [table.matrix, *params.tensors.values()]
     assert list(header["tensors"]) == ["embedding", *params.tensors]
-    offsets = np.cumsum([0] + [a.nbytes for a in arrays])[:-1].tolist()
-    assert header["tensors"] == {
-        name: {"shape": list(a.shape), "offset": offset}
-        for name, a, offset in zip(header["tensors"], arrays, offsets)
-    }
+    assert header["tensors"] == {name: {"shape": list(a.shape)} for name, a in zip(header["tensors"], arrays)}
     assert payload == b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)
-    assert header["payload_bytes"] == len(payload)
     assert header["sha256"] == hashlib.sha256(payload).hexdigest()
 
     loaded, _, _, loaded_meta = load_checkpoint(path)
     saved_bits = params.tensors["dense1_W"].view("<u8")
     assert np.array_equal(loaded.tensors["dense1_W"].view("<u8"), saved_bits)
     assert loaded_meta["7"] is True
+
+
+def test_format_2_loads_bit_for_bit_and_resaves_as_format_3(tmp_path):
+    """A version 2 header is a version 3 header plus each tensor's byte
+    ``offset`` and the ``payload_bytes``; it loads, and a save of what it
+    loaded writes the same payload under a version 3 header."""
+    params = init_params(tiny_hyper(n_aux=2), seed=4)
+    vocab = Vocabulary.build([["a", "b"]])
+    table = random_table(vocab, 1, 1, seed=0)
+    v3 = tmp_path / "v3.json"
+    save_checkpoint(v3, params, table, vocab.checksum(), meta={"fold": 1})
+    line, payload = v3.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["version"], offset = 2, 0
+    for entry in header["tensors"].values():
+        entry["offset"] = offset
+        offset += 8 * math.prod(entry["shape"])
+    header = {key: header[key] for key in ("version", "hyper", "vocab_checksum", "embedding", "meta", "tensors")} | {
+        "payload_bytes": offset, "sha256": header["sha256"]
+    }
+    v2 = tmp_path / "v2.json"
+    v2.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+    loaded, loaded_table, checksum, meta = load_checkpoint(v2)
+    assert loaded.hyper == params.hyper and checksum == vocab.checksum() and meta == {"fold": 1}
+    assert loaded.tensors.vector.view("<u8").tobytes() == params.tensors.vector.view("<u8").tobytes()
+    assert loaded_table.matrix.view("<u8").tobytes() == table.matrix.view("<u8").tobytes()
+    again = tmp_path / "again.json"
+    save_checkpoint(again, loaded, loaded_table, checksum, meta)
+    assert again.read_bytes() == v3.read_bytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -130,6 +155,7 @@ def _with_tensor(header, name, entry):
 
 
 HUGE = 2**31
+NO_MATRIX = "tensor 'embedding' has shape None, not [rows, 2]"
 MALFORMED_HEADERS = {
     "list": (lambda h: [1, 2], "not a JSON object"),
     "version-1": (lambda h: {"version": 1}, "checkpoint version 1; re-run `mtltox train`"),
@@ -141,18 +167,16 @@ MALFORMED_HEADERS = {
     "hyper-missing-field": (lambda h: h | {"hyper": _without(h["hyper"], "hidden")}, "'hyper' has fields"),
     "hyper-not-object": (lambda h: h | {"hyper": [1]}, "lacks or mistypes hyper"),
     "tensors-not-object": (lambda h: h | {"tensors": []}, "lacks or mistypes tensors"),
-    "no-embedding": (lambda h: h | {"tensors": _without(h["tensors"], "embedding")}, "lacks 'embedding'"),
-    "shape-not-list": (lambda h: _with_tensor(h, "embedding", {"shape": 4, "offset": 0}), "shape must be"),
-    "shape-negative": (lambda h: _with_tensor(h, "embedding", {"shape": [-2, 2], "offset": 0}), "shape must be"),
-    "shape-float": (lambda h: _with_tensor(h, "embedding", {"shape": [2.0, 2], "offset": 0}), "shape must be"),
-    "entry-not-object": (lambda h: _with_tensor(h, "embedding", [2, 2]), "shape must be"),
-    "offset-gap": (lambda h: _with_tensor(h, "dense1_b", h["tensors"]["dense1_b"] | {"offset": 8}), "offset must be"),
-    "payload-bytes-wrong": (lambda h: h | {"payload_bytes": h["payload_bytes"] + 8}, "'payload_bytes' must be"),
+    "no-embedding": (lambda h: h | {"tensors": _without(h["tensors"], "embedding")}, NO_MATRIX),
+    "shape-not-list": (lambda h: _with_tensor(h, "embedding", {"shape": 4}), NO_MATRIX),
+    "shape-negative": (lambda h: _with_tensor(h, "embedding", {"shape": [-2, 2]}), NO_MATRIX),
+    "shape-float": (lambda h: _with_tensor(h, "embedding", {"shape": [2.0, 2]}), NO_MATRIX),
+    "entry-not-object": (lambda h: _with_tensor(h, "embedding", [2, 2]), NO_MATRIX),
+    "model-shape-float": (lambda h: _with_tensor(h, "dense1_b", {"shape": [2.0]}), "'dense1_b' None (the model's [2])"),
+    "model-shape-bool": (lambda h: _with_tensor(h, "head_tox_b", {"shape": [True]}), "'head_tox_b' None (the model's [1])"),
+    "model-tensor-missing": (lambda h: h | {"tensors": _without(h["tensors"], "attn_w")}, "'attn_w' None (the model's [4])"),
     "sha256-not-string": (lambda h: h | {"sha256": 123}, "lacks or mistypes sha256"),
-    "larger-than-file": (
-        lambda h: h | {"tensors": {"embedding": {"shape": [HUGE, HUGE], "offset": 0}}, "payload_bytes": 8 * HUGE**2},
-        "the header declares",
-    ),
+    "larger-than-file": (lambda h: _with_tensor(h, "embedding", {"shape": [HUGE, 2]}), "the header declares"),
 }
 
 
@@ -174,22 +198,20 @@ def test_malformed_header_refused_before_allocating(tmp_path, monkeypatch, mutat
 def test_parameter_tensors_in_another_order_refused(tmp_path):
     """The model's tensors must follow the embedding in ``param_shapes`` order,
     as a save writes them, because a load reads them as one vector: a header
-    that lists them last to first is refused, though its offsets, length and
-    hash describe the reordered payload."""
+    that lists them last to first is refused, though its shapes and hash
+    describe the reordered payload."""
     header, payload = _header_and_payload(tmp_path)
-    embedding, *names = header["tensors"]
-    tensors, chunks, offset = {}, [], 0
-    for name in [embedding, *reversed(names)]:
-        entry = header["tensors"][name]
+    chunks, start = {}, 0
+    for name, entry in header["tensors"].items():
         size = 8 * math.prod(entry["shape"])
-        chunks.append(payload[entry["offset"] : entry["offset"] + size])
-        tensors[name] = {"shape": entry["shape"], "offset": offset}
-        offset += size
-    payload = b"".join(chunks)
-    header |= {"tensors": tensors, "payload_bytes": offset, "sha256": hashlib.sha256(payload).hexdigest()}
+        chunks[name], start = payload[start : start + size], start + size
+    embedding, *names = header["tensors"]
+    order = [embedding, *reversed(names)]
+    payload = b"".join(chunks[name] for name in order)
+    header |= {"tensors": {name: header["tensors"][name] for name in order}, "sha256": hashlib.sha256(payload).hexdigest()}
     path = tmp_path / "reordered.json"
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(CheckpointError, match="'tensors' are not in the order") as info:
+    with pytest.raises(CheckpointError, match="tensors do not fit 'hyper': not in the order") as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ")
 

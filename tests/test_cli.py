@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import tempfile
 import typing
 from pathlib import Path
@@ -763,6 +764,36 @@ def test_non_finite_p_refused_when_parsed(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["report.csv", "report.CSV"])
+@pytest.mark.parametrize("command", ["evaluate", "bias-report"])
+def test_a_csv_out_is_refused_before_any_input_is_read(tmp_path, capsys, command, name):
+    """The per-subgroup CSV is written beside --out with the suffix .csv, so it would replace a .csv --out."""
+    pred = tmp_path / "preds.jsonl"
+    pred.write_text('{"score": 0.9, "label": 1}\n{"score": 0.1, "label": 0}\n')
+    inputs = {  # evaluate's checkpoint does not exist: the refusal comes before it is read
+        "evaluate": ["--checkpoint", str(tmp_path / "ckpt.json"), "--data", str(tmp_path / "data.jsonl")],
+        "bias-report": ["--predictions", str(pred)],
+    }[command]
+    out = tmp_path / name
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --out: '{out}' ends in .csv" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [pred]
+
+
+@pytest.mark.parametrize("corpus", ["corpus.csv", "missing.csv"])  # refused before the input is read
+def test_prep_refuses_one_file_for_out_and_vocab_out(workdir, capsys, monkeypatch, corpus):
+    monkeypatch.chdir(workdir)
+    before = sorted(workdir.iterdir())
+    argv = ["prep", "--input", str(workdir / corpus), "--vocab-out", "same.txt", "--out", str(workdir / "same.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--out and --vocab-out are both " in err and "Traceback" not in err
+    assert sorted(workdir.iterdir()) == before
+
+
 def test_config_accepts_an_int_for_a_float_and_null_where_allowed(tmp_path):
     config = {
         "hyper": {"dropout_rate": 0, "attention": False},
@@ -987,7 +1018,8 @@ def _nan_in(tensor):
     def corrupt(data):
         line, payload = data.split(b"\n", 1)
         header = json.loads(line)
-        at = header["tensors"][tensor]["offset"]
+        names = list(header["tensors"])
+        at = 8 * sum(math.prod(header["tensors"][name]["shape"]) for name in names[: names.index(tensor)])
         payload = payload[:at] + np.array(NAN, "<f8").tobytes() + payload[at + 8 :]
         header["sha256"] = hashlib.sha256(payload).hexdigest()
         return json.dumps(header).encode() + b"\n" + payload
@@ -1365,7 +1397,7 @@ class TestKsCompare:
         path.mkdir(parents=True, exist_ok=True)
         for i, auc in enumerate(aucs):
             (path / f"run_fold{i}.json").write_text(
-                json.dumps({"metrics": {"overall_auc": auc, "f1": auc}})
+                json.dumps({"fold": i, "config": {"k_folds": len(aucs)}, "metrics": {"overall_auc": auc, "f1": auc}})
             )
 
     def test_identical_runs(self, tmp_path, capsys):
@@ -1450,6 +1482,32 @@ class TestKsCompare:
         assert code == 2
         assert f"{bad}: {message}" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [(0, 4), (3, 4)],  # two of a 4-fold run's records, the others gone
+            [(0, 4), (1, 4)],
+            [(0, 2), (2, 2)],
+            [(0, 3), (1, 3), (1, 3)],
+            [(0, 2), (None, 2)],
+            [(0, None), (1, 3)],
+        ],
+        ids=["folds-0-and-3-of-4", "folds-0-and-1-of-4", "fold-2-of-2", "fold-1-twice", "no-fold", "k_folds-3"],
+    )
+    def test_a_directory_that_is_not_one_whole_run_exit_2(self, tmp_path, capsys, records):
+        self.write_run(tmp_path / "a", [0.8, 0.9])
+        run = tmp_path / "b"
+        run.mkdir()
+        for i, (fold, k_folds) in enumerate(records):
+            record = {"fold": fold, "config": {} if k_folds is None else {"k_folds": k_folds},
+                      "metrics": {"overall_auc": 0.5, "f1": 0.5}}
+            (run / f"run_fold{i}.json").write_text(json.dumps(record))
+        code = main(["ks-compare", "--run-a", str(tmp_path / "a"), "--run-b", str(run)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{run}: not one whole run: " in err and "Traceback" not in err
 
 
 def test_readme_command_lines_parse():

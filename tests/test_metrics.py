@@ -212,6 +212,20 @@ class TestGeneralizedMean:
     def test_zero_with_negative_p_undefined(self):
         assert generalized_mean_bias([0.5, 0.0], -5) is None
 
+    def test_p_zero_is_the_geometric_mean(self):
+        # (0.25 * 1.0) ** (1/2) and (0.5 * 0.8 * 0.9) ** (1/3) = 0.36 ** (1/3)
+        assert generalized_mean_bias([0.25, 1.0], 0) == pytest.approx(0.5, abs=1e-12)
+        assert generalized_mean_bias([0.5, 0.8, 0.9], 0.0) == pytest.approx(0.7113786608980126, abs=1e-12)
+
+    def test_no_values_refused(self):
+        with pytest.raises(ValueError, match="need at least one AUC value"):
+            generalized_mean_bias([], -5)
+
+    @pytest.mark.parametrize("outside", [-0.1, 1.2])
+    def test_auc_outside_the_unit_interval_refused(self, outside):
+        with pytest.raises(ValueError, match=r"AUC values must lie in \[0, 1\]"):
+            generalized_mean_bias([0.5, outside], -5)
+
     @given(
         st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=9),
     )

@@ -64,6 +64,11 @@ class TestAdamStep:
         with pytest.raises(TypeError, match="gradients are a Tensors, not a dict"):
             adam_step(scalar_params(), grads, AdamState(), self.cfg)
 
+    def test_gradients_named_otherwise_are_refused(self):
+        grads = Tensors({"v": (1,)}, np.ones(1))
+        with pytest.raises(ValueError, match=r"gradients for \['v'\], not for the parameters \['w'\]"):
+            adam_step(scalar_params(), grads, AdamState(), self.cfg)
+
     def test_nonfinite_grad_rejected(self):
         params = scalar_params()
         state = AdamState()
@@ -149,6 +154,28 @@ class TestTrainFold:
         reference = init_params(hyper, 0)
         assert record.epochs == []
         assert all(np.array_equal(params.tensors[k], reference.tensors[k]) for k in params.tensors)
+
+    def test_early_stopping_returns_the_best_epoch_bitwise(self, monkeypatch):
+        """With patience 3, the scripted validation losses improve at epochs 0
+        and 1 and then not for three epochs (a tie is no improvement), so
+        training stops after epoch 4 of 10 and returns epoch 1's parameters."""
+        import mtltox.training as training
+
+        script = iter([3.0, 2.0, 2.5, 2.0, 2.1, 1.0, 0.5, 0.4, 0.3, 0.2])
+        seen = []
+
+        def scripted_loss(params, *args):
+            seen.append(params.tensors.vector.copy())
+            return next(script)
+
+        monkeypatch.setattr(training, "dataset_loss", scripted_loss)
+        comments, vocab = separable_corpus(n=20, seed=0)
+        table = random_table(vocab, 4, 4, seed=0)
+        params, record = train_fold(comments[:15], comments[15:], table, toy_hyper(), quick_cfg(epochs=10, patience=3))
+        assert [e["val_loss"] for e in record.epochs] == [3.0, 2.0, 2.5, 2.0, 2.1]
+        assert len(seen) == 5
+        assert params.tensors.vector.tobytes() == seen[1].tobytes()
+        assert all(seen[1].tobytes() != other.tobytes() for other in seen[2:])
 
     def test_empty_split_rejected(self):
         comments, vocab = separable_corpus(n=10, seed=0)
