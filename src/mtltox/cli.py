@@ -144,9 +144,25 @@ def _load_paired_checkpoint(path: str, vocab_path: str | None):
     return params, table, vocab
 
 
+def _refuse_overwrite(inputs: dict[str, str | None], outputs: dict[str, str | Path | None]) -> None:
+    """Refuse an output, in writing order, that resolves to an input file or to an earlier output: writing it would
+    replace that file. Keys are the options, values their paths; None is an option not given."""
+    files = {Path(path).resolve(): option for option, path in inputs.items() if path is not None}
+    for option, path in outputs.items():
+        if path is None:
+            continue
+        other = files.setdefault(Path(path).resolve(), option)
+        if other != option:
+            raise ValueError(f"{option} and {other} are both {path}: writing {option} would replace the {other} file")
+
+
+def _report_outputs(out: str) -> dict[str, Path]:
+    """The files ``_write_report`` writes, in order, keyed by what names them."""
+    return {"--out": Path(out), "--out's per-subgroup CSV": Path(out).with_suffix(".csv")}
+
+
 def cmd_prep(args) -> int:
-    if Path(args.out).resolve() == Path(args.vocab_out).resolve():
-        raise ValueError(f"--out and --vocab-out are both {args.out}: the comments would overwrite the vocabulary")
+    _refuse_overwrite({"--input": args.input}, {"--vocab-out": args.vocab_out, "--out": args.out})
     records = load_corpus(args.input, schema=args.format)
     if not records:
         raise CorpusError(f"{args.input}: no records")
@@ -174,6 +190,7 @@ def cmd_prep(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    _refuse_overwrite({"--config": args.config, "--data": args.data, "--vocab": args.vocab}, {"--out": args.out})
     comments, _, table, hyper, cfg, _ = _training_inputs(args)
     if cfg.aux_source != "identities":  # the predictor it trains fills identity labels
         raise CorpusError(f"{args.config}: 'train.aux_source' is {cfg.aux_source!r}; propagate fills identity labels")
@@ -216,11 +233,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_report(report: BiasReport, out: Path) -> None:
+def _write_report(report: BiasReport, out: str) -> None:
     """The report as JSON to ``out`` and stdout, and its subgroup table as CSV beside ``out``."""
     text = json.dumps(report.to_dict(), indent=2)
-    out.write_text(text)
-    with out.with_suffix(".csv").open("w", newline="", encoding="utf-8") as fh:
+    json_path, csv_path = _report_outputs(out).values()
+    json_path.write_text(text)
+    with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subgroup", "subgroup_auc", "bpsn_auc", "n_pos", "n_neg"])
         for name, stats in report.subgroups.items():
@@ -229,10 +247,12 @@ def _write_report(report: BiasReport, out: Path) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    inputs = {"--checkpoint": args.checkpoint, "--data": args.data, "--vocab": args.vocab}
+    _refuse_overwrite(inputs, _report_outputs(args.out))
     params, table, _ = _load_paired_checkpoint(args.checkpoint, args.vocab)
     comments = load_comments(args.data)
     _check_token_ids(args.data, comments, table)
-    _write_report(evaluate_model(params, table, comments, args.subgroups, args.p), Path(args.out))
+    _write_report(evaluate_model(params, table, comments, args.subgroups, args.p), args.out)
     return 0
 
 
@@ -256,13 +276,16 @@ def _predictions_to_examples(path: Path, subgroups: list[str]) -> list[ScoredExa
 
 
 def cmd_bias_report(args) -> int:
+    _refuse_overwrite({"--predictions": args.predictions}, _report_outputs(args.out))
     subgroups = [s for s in args.subgroups.split(",") if s] if args.subgroups else list(IDENTITY_COLUMNS)
     examples = _predictions_to_examples(Path(args.predictions), subgroups)
-    _write_report(bias_report(examples, subgroups, p=args.p), Path(args.out))
+    _write_report(bias_report(examples, subgroups, p=args.p), args.out)
     return 0
 
 
 def cmd_templates(args) -> int:
+    inputs = {"--checkpoint": args.checkpoint, "--vocab": args.vocab, "--templates-file": args.templates_file}
+    _refuse_overwrite(inputs, {"--out": args.out})
     params, table, vocab = _load_paired_checkpoint(args.checkpoint, args.vocab)
     identities = DEFAULT_IDENTITY_KEYWORDS
     if args.identities:

@@ -145,7 +145,7 @@ def generalized_mean_bias(auc_values, p: float = -5.0) -> float | None:
     values = np.asarray(list(auc_values), dtype=float)
     if values.size == 0:
         raise ValueError("need at least one AUC value")
-    if np.any(values < 0) or np.any(values > 1):
+    if not np.all((values >= 0) & (values <= 1)):  # NaN fails this too
         raise ValueError("AUC values must lie in [0, 1]")
     if p < 0 and np.any(values == 0):
         return None
@@ -193,7 +193,7 @@ def bias_report(examples: list[ScoredExample], subgroups, p: float = -5.0) -> Bi
     """Assemble overall metrics plus per-subgroup bias AUCs into one report.
 
     The generalized mean runs over the defined Subgroup AUCs only, with the
-    effective count recorded.
+    effective count recorded; it is NaN when one of them is.
     """
     overall = roc_auc(examples)
     scores = prf1(examples)
@@ -207,7 +207,10 @@ def bias_report(examples: list[ScoredExample], subgroups, p: float = -5.0) -> Bi
             n_neg=sum(1 for e in members if e.label == 0),
         )
     defined = [s.subgroup_auc for s in per_subgroup.values() if s.subgroup_auc is not None]
-    gmb = generalized_mean_bias(defined, p) if defined else None
+    if np.isnan(defined).any():  # a NaN score's AUCs are NaN (roc_auc), which generalized_mean_bias refuses
+        gmb = float("nan")
+    else:
+        gmb = generalized_mean_bias(defined, p) if defined else None
     return BiasReport(
         overall_auc=overall,
         precision=scores.precision,

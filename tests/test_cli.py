@@ -794,6 +794,45 @@ def test_prep_refuses_one_file_for_out_and_vocab_out(workdir, capsys, monkeypatc
     assert sorted(workdir.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "argv, output, refused",
+    [
+        (["prep", "--input", "{dir}/corpus.csv", "--vocab-out", "v.tsv", "--out", "corpus.csv"], "--out", "--input"),
+        (
+            ["propagate", "--data", "{dir}/data.jsonl", "--vocab", "{dir}/vocab.tsv", "--config", "{dir}/config.json"]
+            + ["--out", "vocab.tsv"],
+            "--out", "--vocab",
+        ),
+        (
+            ["evaluate", "--checkpoint", "{dir}/ckpt.json", "--data", "{dir}/data.jsonl", "--vocab", "{dir}/vocab.tsv"]
+            + ["--out", "ckpt.json"],
+            "--out", "--checkpoint",
+        ),
+        (["bias-report", "--predictions", "{dir}/p.csv", "--out", "p.json"], "--out's per-subgroup CSV", "--predictions"),
+        (
+            ["templates", "--checkpoint", "{dir}/ckpt.json", "--vocab", "{dir}/vocab.tsv", "--out", "vocab.tsv"],
+            "--out", "--vocab",
+        ),
+    ],
+    ids=["prep", "propagate", "evaluate", "bias-report", "templates"],
+)
+def test_an_output_that_is_an_input_is_refused_and_nothing_is_written(
+    trained, tmp_path, capsys, monkeypatch, argv, output, refused
+):
+    """Inputs are named by absolute path and outputs relative to the working directory: both name one file."""
+    workdir = trained[0]
+    for name in ("corpus.csv", "config.json", "data.jsonl", "vocab.tsv"):
+        (tmp_path / name).write_bytes((workdir / name).read_bytes())
+    (tmp_path / "ckpt.json").write_bytes(trained[1])
+    (tmp_path / "p.csv").write_text("score,label\n0.9,1\n0.1,0\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{output} and {refused} are both " in err and "Traceback" not in err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_config_accepts_an_int_for_a_float_and_null_where_allowed(tmp_path):
     config = {
         "hyper": {"dropout_rate": 0, "attention": False},

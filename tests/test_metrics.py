@@ -226,6 +226,17 @@ class TestGeneralizedMean:
         with pytest.raises(ValueError, match=r"AUC values must lie in \[0, 1\]"):
             generalized_mean_bias([0.5, outside], -5)
 
+    @pytest.mark.parametrize("p", [-5.0, 0.0])
+    def test_nan_auc_refused(self, p):
+        with pytest.raises(ValueError, match=r"AUC values must lie in \[0, 1\]"):
+            generalized_mean_bias([0.5, float("nan")], p)
+
+    @pytest.mark.parametrize("p", [-5.0, 0.0])
+    def test_a_report_over_a_nan_score_has_a_nan_mean(self, p):
+        examples = [ScoredExample(0.9, 1, frozenset({"g"})), ScoredExample(float("nan"), 0, frozenset({"g"}))]
+        report = bias_report(examples, ["g"], p=p)
+        assert np.isnan(report.subgroups["g"].subgroup_auc) and np.isnan(report.generalized_mean_bias_auc)
+
     @given(
         st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=9),
     )
