@@ -29,9 +29,7 @@ corpus = []
 for i, comment in enumerate(train):
     if i % 3 == 0:
         hidden_truth[comment.id] = comment.identity_labels.copy()
-        comment = dataclasses.replace(
-            comment, identity_labels=np.zeros(6), needs_propagation=True
-        )
+        comment = dataclasses.replace(comment, identity_labels=None)
     corpus.append(comment)
 
 hyper = Hyper(

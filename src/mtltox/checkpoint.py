@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mtltox.corpus import from_json
+from mtltox.corpus import atomic_write, from_json
 from mtltox.embeddings import EmbeddingTable
 from mtltox.network import Hyper, ModelParams, Tensors, param_shapes
 
@@ -67,7 +67,7 @@ def save_checkpoint(
     vocab_checksum: str,
     meta: dict | None = None,
 ) -> None:
-    """Atomic write: the header line, the embedding matrix and the parameter vector, to a temp file renamed."""
+    """The header line, the embedding matrix and the parameter vector, through ``atomic_write``."""
     buffers = [np.asarray(a, DTYPE, order="C") for a in (table.matrix, params.tensors.vector)]
     sha = hashlib.sha256()
     for a in buffers:
@@ -81,17 +81,10 @@ def save_checkpoint(
         "tensors": {name: {"shape": list(a.shape)} for name, a in {EMBEDDING: table.matrix, **params.tensors}.items()},
         "sha256": sha.hexdigest(),
     }
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as fh:  # a new file, with the mode that open(path, "wb") would give
-            fh.write(json.dumps(header).encode("utf-8") + b"\n")
-            for a in buffers:
-                fh.write(_bytes(a))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        for a in buffers:
+            fh.write(_bytes(a))
 
 
 def _check_header(path, header, payload_size: int) -> Hyper:

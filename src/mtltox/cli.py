@@ -40,6 +40,7 @@ from mtltox.corpus import (
     Comment,
     CorpusError,
     Vocabulary,
+    atomic_write,
     binarize_and_weight,
     from_json,
     load_comments,
@@ -183,9 +184,9 @@ def cmd_prep(args) -> int:
     print(f"weighted (beta={args.c:g}): {n_weighted}")
     print(f"needing identity propagation: {n_unannotated}")
     print(f"vocabulary size: {len(vocab)}")
-    for i, name in enumerate(IDENTITY_COLUMNS):
-        count = sum(1 for c in comments if c.identity_labels[i] >= 0.5)
-        print(f"identity {name}: {count}")
+    groups = [{name for name, present in zip(IDENTITY_COLUMNS, c.identities_present) if present} for c in comments]
+    for name in IDENTITY_COLUMNS:
+        print(f"identity {name}: {sum(name in g for g in groups)}")
     return 0
 
 
@@ -212,9 +213,7 @@ def cmd_train(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if grid is not None and fold == 0:
             results = [r.to_dict() for r in tried]
-            (out_dir / "alpha_grid.json").write_text(
-                json.dumps({"chosen_alpha": record.alpha, "results": results}, indent=2)
-            )
+            _write_json(out_dir / "alpha_grid.json", {"chosen_alpha": record.alpha, "results": results})
             print(f"alpha grid search: chose alpha={record.alpha}")
         save_checkpoint(
             out_dir / f"checkpoint_fold{fold}.json",
@@ -223,7 +222,7 @@ def cmd_train(args) -> int:
             vocab.checksum(),
             meta={"fold": fold, "alpha": record.alpha, "seed": record.seed},
         )
-        (out_dir / f"run_fold{fold}.json").write_text(json.dumps(record.to_dict(), indent=2))
+        _write_json(out_dir / f"run_fold{fold}.json", record.to_dict())
         print(
             f"fold {fold}: val AUC={metrics['overall_auc']}, F1={metrics['f1']:.4f}, "
             f"GMB AUC={metrics['generalized_mean_bias_auc']}"
@@ -233,12 +232,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _write_json(path: Path, obj) -> str:
+    """``obj`` as indented JSON to ``path``, through ``atomic_write``; returns the text."""
+    text = json.dumps(obj, indent=2)
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(text)
+    return text
+
+
 def _write_report(report: BiasReport, out: str) -> None:
     """The report as JSON to ``out`` and stdout, and its subgroup table as CSV beside ``out``."""
-    text = json.dumps(report.to_dict(), indent=2)
     json_path, csv_path = _report_outputs(out).values()
-    json_path.write_text(text)
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
+    text = _write_json(json_path, report.to_dict())
+    with atomic_write(csv_path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subgroup", "subgroup_auc", "bpsn_auc", "n_pos", "n_neg"])
         for name, stats in report.subgroups.items():
@@ -302,7 +308,7 @@ def cmd_templates(args) -> int:
     results = run_probe(params, table, vocab, identities, templates)
     payload = {identity: result.to_dict() for identity, result in results.items()}
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2))
+        _write_json(Path(args.out), payload)
     for identity, result in results.items():
         print(
             f"{identity}: mean nontoxic={result.mean_nontoxic:.4f} "

@@ -3,14 +3,18 @@
 Input follows the Civil Comments CSV/JSONL schema: a ``comment_text`` column,
 a fractional ``target`` toxicity score, nine identity columns and five
 toxicity-subtype columns, all in [0, 1]. Identity cells may be empty, in
-which case the record is treated as unannotated (distinct from zero) and
-flagged for identity propagation.
+which case the record is unannotated (distinct from zero): its comment's
+``identity_labels`` is None until identity propagation fills it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import math
+import os
+import stat
 import sys
 import typing
 from dataclasses import dataclass, field, fields
@@ -61,19 +65,31 @@ class RawRecord:
     subtype_scores: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Comment:
-    """One encoded training/evaluation example."""
+    """One encoded training/evaluation example. Its binary label and whether it
+    needs identity propagation follow from its fields, so they are properties."""
 
     id: str
     token_ids: np.ndarray  # the real tokens' ids, int64, at most max_len of them
-    y: float
-    y_bin: int
-    identity_labels: np.ndarray  # shape (9,), floats in [0, 1]
-    subtype_labels: np.ndarray  # shape (5,), floats in [0, 1]
+    y: float  # the toxicity score, in [0, 1]
+    identity_labels: np.ndarray | None  # (K,) scores in [0, 1], or None when unannotated
+    subtype_labels: np.ndarray  # (S,) scores in [0, 1]
     beta: float = 1.0  # set by reweight
-    needs_propagation: bool = False
-    propagated: bool = False
+    propagated: bool = False  # identity_labels filled by propagate_identities
+
+    @property
+    def y_bin(self) -> int:
+        return int(self.y >= 0.5)
+
+    @property
+    def needs_propagation(self) -> bool:
+        return self.identity_labels is None
+
+    @property
+    def identities_present(self):
+        """(K,) bools, identity label >= 0.5; empty when unannotated, so the comment is in no subgroup."""
+        return () if self.identity_labels is None else self.identity_labels >= 0.5
 
     @property
     def true_length(self) -> int:
@@ -133,7 +149,8 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         lines = self._lines()
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        with atomic_write(path, encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + ("\n" if lines else ""))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -193,6 +210,35 @@ def read_rows(path: str | Path, kind: str, parse: typing.Callable) -> list:
             error = type(exc) if isinstance(exc, CorpusError) else CorpusError
             raise error(f"{path}: row {n}: {exc}") from exc
     return out
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path, **text):
+    """A new temp file beside ``path``, opened "xb", or "x" with the text options
+    given (``encoding``, ``newline``), which replaces ``path`` when the block ends.
+    On any exception the temp file is removed and ``path`` is left as it was, so
+    no reader meets a partial output. A symlink's target is the file replaced.
+
+    Only a missing path or a regular file is replaced: any other existing
+    target (a device such as /dev/null, a FIFO, a pipe at /dev/stdout) is
+    opened "w" or "wb" and written in place, as no file can stand in for it."""
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)  # through any symlink
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w" if text else "wb", **text) as fh:
+            yield fh
+        return
+    path = Path(path).resolve()
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x" if text else "xb", **text) as fh:  # a new file, with the mode open(path, "w") would give
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # The JSON value types a field of each type accepts, and their name; a bool is not a number.
@@ -289,15 +335,14 @@ def make_comment(
     comment_id: str, text: str, y: float, identity_labels: np.ndarray | None, vocab: Vocabulary,
     max_len: int, c: float, subtype_labels: np.ndarray | None = None,
 ) -> Comment:
-    """Encode one comment and derive its binary label and weight.
+    """Encode one comment and derive its weight.
 
-    The comment keeps the ids of its first ``max_len`` tokens, unpadded. The
-    label is ``y >= 0.5``. Non-toxic comments that mention an identity (an
-    identity label >= 0.5) get weight c, the false positive penalty
-    multiplier; everything else gets weight 1. ``identity_labels=None`` means
-    unannotated: the labels are zero, so the comment is weighted as
-    identity-absent, and it is flagged ``needs_propagation``. Omitted subtype
-    labels are zero.
+    The comment keeps the ids of its first ``max_len`` tokens, unpadded. Its
+    label ``y_bin`` is ``y >= 0.5``. Non-toxic comments that mention an
+    identity (an identity label >= 0.5) get weight c, the false positive
+    penalty multiplier; everything else gets weight 1. ``identity_labels=None``
+    means unannotated: the comment keeps None, is weighted as identity-absent,
+    and ``needs_propagation`` reads true. Omitted subtype labels are zero.
     """
     if not 0.0 < c < np.inf:  # NaN fails this too
         raise ValueError(f"c must be finite and > 0, got {c}")
@@ -307,10 +352,8 @@ def make_comment(
         id=comment_id,
         token_ids=np.array([vocab.index_of(tok) for tok in tokenize(text)[:max_len]], dtype=np.int64),
         y=y,
-        y_bin=int(y >= 0.5),
-        identity_labels=np.zeros(len(IDENTITY_COLUMNS)) if identity_labels is None else identity_labels,
+        identity_labels=identity_labels,
         subtype_labels=np.zeros(len(SUBTYPE_COLUMNS)) if subtype_labels is None else subtype_labels,
-        needs_propagation=identity_labels is None,
     )
     reweight(comment, c)
     return comment
@@ -327,33 +370,89 @@ def binarize_and_weight(record: RawRecord, c: float, vocab: Vocabulary, max_len:
 def reweight(comment: Comment, c: float) -> None:
     """Recompute beta in place: c for a non-toxic comment with an identity label >= 0.5, else 1."""
     # Builtin any: a fifth of np.any's cost on 9 labels, once per comment.
-    comment.beta = c if comment.y_bin == 0 and any(comment.identity_labels >= 0.5) else 1.0
+    comment.beta = c if comment.y_bin == 0 and any(comment.identities_present) else 1.0
 
 
 def comment_to_dict(comment: Comment) -> dict:
-    """The fields by name; JSON holds the arrays as lists."""
+    """The fields by name; JSON holds the arrays as lists, and None as null."""
     values = {f.name: getattr(comment, f.name) for f in fields(Comment)}
     return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
 
 
-def comment_from_dict(obj: dict) -> Comment:
-    """Every field is required except ``propagated``, which older files lack.
-    Older files also pad ``token_ids``, giving the real count as ``true_length``."""
-    values = {f.name: obj[f.name] for f in fields(Comment) if f.name != "propagated" or f.name in obj}
-    values.update((name, np.array(values[name], dtype=float)) for name in ("identity_labels", "subtype_labels"))
-    ids = np.array(values["token_ids"])
-    if ids.ndim != 1 or ids.size and (ids.dtype.kind != "i" or ids.min() < 0):
-        raise ValueError("bad comment: token_ids must be a list of non-negative integers")
-    n = obj.get("true_length", ids.size)
-    if type(n) is not int or not 0 <= n <= ids.size:
-        raise ValueError(f"bad comment: true_length {n!r} is not an integer in [0, {ids.size}]")
-    values["token_ids"] = ids[:n].astype(np.int64)
-    return Comment(**values)
+def _json_score(value, name: str) -> float:
+    """A score of a prepared line: a JSON number (a string is not one here) that ``_parse_score`` takes."""
+    if type(value) not in JSON_TYPES[float][0]:
+        raise CorpusError(f"field {name!r} is not a number: {value!r}")
+    return _parse_score(value, name)
+
+
+def _json_scores(value, name: str) -> np.ndarray:
+    """A list of scores, checked in one pass; only a list that fails is read a score at a time, to name the fault."""
+    if type(value) is not list:
+        raise CorpusError(f"field {name!r} is not a list of numbers: {value!r}")
+    accepted = JSON_TYPES[float][0]
+    if all(type(v) in accepted and 0.0 <= v <= 1.0 for v in value):  # NaN fails this too
+        return np.array(value, dtype=float)
+    return np.array([_json_score(v, f"{name}[{k}]") for k, v in enumerate(value)], dtype=float)
+
+
+def comment_from_dict(obj) -> Comment:
+    """The comment of one prepared line, every field checked; a fault raises
+    CorpusError ``bad comment: <what>``, and a missing field KeyError.
+
+    ``id`` is a string, ``token_ids`` non-negative integers, ``y`` and each
+    label a JSON number in [0, 1], ``identity_labels`` a list or null (null is
+    unannotated), ``beta`` a finite number above 0, and ``propagated`` true or
+    false; older lines lack it. The label counts are not checked here. Older
+    lines also read: ``token_ids`` padded, with the real count as
+    ``true_length``; a ``y_bin``, which must be ``y >= 0.5``; and
+    ``needs_propagation``: true stands for null ``identity_labels`` (such a
+    line stores zeros, which are not read), false for the labels stored.
+    Other keys are ignored.
+    """
+    try:
+        if not isinstance(obj, dict):
+            raise CorpusError(f"a prepared line must be a JSON object, got {obj!r}")
+        ids = np.array(obj["token_ids"])
+        if ids.ndim != 1 or ids.size and (ids.dtype.kind != "i" or ids.min() < 0):
+            raise CorpusError("token_ids must be a list of non-negative integers")
+        n = obj.get("true_length", ids.size)
+        if type(n) is not int or not 0 <= n <= ids.size:
+            raise CorpusError(f"true_length {n!r} is not an integer in [0, {ids.size}]")
+        typed = {"id": obj["id"], "beta": obj["beta"], "propagated": obj.get("propagated", False)}
+        for (name, value), kind in zip(typed.items(), (str, float, bool)):
+            accepted, what = JSON_TYPES[kind]
+            if type(value) not in accepted:
+                raise CorpusError(f"field {name!r} must be {what}, got {value!r}")
+        beta = float(typed["beta"])
+        if not 0.0 < beta < math.inf:  # NaN fails this too
+            raise CorpusError(f"field 'beta' must be finite and > 0, got {beta}")
+        identity = obj["identity_labels"]
+        needs_propagation = obj.get("needs_propagation", identity is None)
+        if type(needs_propagation) is not bool:
+            raise CorpusError(f"field 'needs_propagation' must be true or false, got {needs_propagation!r}")
+        if identity is None and not needs_propagation:
+            raise CorpusError("field 'needs_propagation' is false, but 'identity_labels' is null")
+        comment = Comment(
+            id=typed["id"],
+            token_ids=ids[:n].astype(np.int64),
+            y=_json_score(obj["y"], "y"),
+            identity_labels=None if needs_propagation else _json_scores(identity, "identity_labels"),
+            subtype_labels=_json_scores(obj["subtype_labels"], "subtype_labels"),
+            beta=beta,
+            propagated=typed["propagated"],
+        )
+        y_bin = obj.get("y_bin", comment.y_bin)
+        if type(y_bin) is not int or y_bin != comment.y_bin:
+            raise CorpusError(f"field 'y_bin' is {y_bin!r}, but 'y' {comment.y} gives {comment.y_bin}")
+        return comment
+    except CorpusError as exc:
+        raise CorpusError(f"bad comment: {exc}") from None
 
 
 def save_comments(path: str | Path, comments: list[Comment]) -> None:
     """One JSON object per line, in order."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for comment in comments:
             fh.write(json.dumps(comment_to_dict(comment)) + "\n")
 

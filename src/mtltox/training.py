@@ -233,7 +233,8 @@ def train_fold(
 
     Returns the checkpoint with the best validation loss and a per-epoch log.
     Early stopping after ``cfg.patience`` epochs without improvement.
-    Comments whose identity labels are missing are refused: fill them first.
+    Comments whose identity labels are missing are refused, naming the first:
+    fill them first.
     A NetworkError says where it happened: ``epoch <e>, step <s>: `` for a
     training step (the batch counted from 0), ``epoch <e>, validation: ``.
 
@@ -246,10 +247,11 @@ def train_fold(
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be nonempty")
-    if any(c.needs_propagation for c in (*train_set, *val_set)):
+    unannotated = next((c for c in (*train_set, *val_set) if c.needs_propagation), None)
+    if unannotated is not None:
         raise ValueError(
-            "corpus has unannotated identity rows; fill them with propagate_identities "
-            "(mtltox propagate) first"
+            f"corpus has unannotated identity rows (comment {unannotated.id!r} is the first); fill them with "
+            "propagate_identities (mtltox propagate) first"
         )
     started = time.perf_counter()
     params = init_params(hyper, cfg.seed)
@@ -307,13 +309,13 @@ def evaluate_model(
     """Score a dataset and build the full bias report.
 
     Subgroup membership comes from the comments' identity labels (>= 0.5),
-    named positionally by ``subgroup_names``.
+    named positionally by ``subgroup_names``; an unannotated comment is in none.
     """
     y_hat, _ = predict(params, table, comments)
     names = list(subgroup_names)
     examples = []
     for score, comment in zip(y_hat, comments):
-        groups = frozenset(name for name, value in zip(names, comment.identity_labels) if value >= 0.5)
+        groups = frozenset(name for name, present in zip(names, comment.identities_present) if present)
         examples.append(ScoredExample(score=float(score), label=comment.y_bin, subgroups=groups))
     return bias_report(examples, names, p=power)
 
@@ -367,12 +369,7 @@ def propagate_identities(
         if not comment.needs_propagation:
             out.append(comment)
             continue
-        new = dataclasses.replace(
-            comment,
-            identity_labels=aux_hat[next(filled)].copy(),
-            needs_propagation=False,
-            propagated=True,
-        )
+        new = dataclasses.replace(comment, identity_labels=aux_hat[next(filled)].copy(), propagated=True)
         reweight(new, cfg.c)
         out.append(new)
     return out

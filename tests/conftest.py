@@ -39,7 +39,10 @@ def per_token_batch(tokens, lengths):
     table = EmbeddingTable(tokens, tokens.shape[1], 0)
     starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
     ids = [np.arange(starts[i], starts[i + 1]) for i in range(len(lengths))]
-    return table, [Comment(str(i), a, 0.0, 0, np.zeros(0), np.zeros(0)) for i, a in enumerate(ids)]
+    return table, [
+        Comment(id=str(i), token_ids=a, y=0.0, identity_labels=np.zeros(0), subtype_labels=np.zeros(0))
+        for i, a in enumerate(ids)
+    ]
 
 
 def _heads_and_targets(params, tokens, y, aux_y, beta):

@@ -206,7 +206,6 @@ def test_criterion_5_masking(tmp_path):
                 id=str(n),
                 token_ids=rng.integers(2, len(vocab), size=int(rng.integers(1, 8))),
                 y=0.0,
-                y_bin=0,
                 identity_labels=np.zeros(2),
                 subtype_labels=np.zeros(5),
             )

@@ -1,17 +1,19 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import tempfile
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mtltox.cli as cli
@@ -1023,6 +1025,231 @@ def test_evaluate_reads_padded_lines_as_the_same_comments(workdir):
     assert (workdir / "report.json").read_bytes() == report
 
 
+# One field of the fixture's third prepared line (comment '2': y 0.1) set to a value prep never writes,
+# and what the refusal says.
+BAD_PREPARED_FIELDS = {
+    "y-nan": ("y", math.nan, "field 'y' out of [0,1]: nan"),
+    "y-above-1": ("y", 2.0, "field 'y' out of [0,1]: 2.0"),
+    "y-string": ("y", "0.5", "field 'y' is not a number: '0.5'"),
+    "y-bin-contradicts-y": ("y_bin", 7, "field 'y_bin' is 7, but 'y' 0.1 gives 0"),
+    "id-list": ("id", [1], "field 'id' must be a string, got [1]"),
+    "propagated-string": ("propagated", "no", "field 'propagated' must be true or false, got 'no'"),
+    "beta-negative": ("beta", -1, "field 'beta' must be finite and > 0, got -1.0"),
+    "needs-propagation-string": (
+        "needs_propagation", "yes", "field 'needs_propagation' must be true or false, got 'yes'"
+    ),
+}
+
+
+@pytest.mark.parametrize("key, value, message", BAD_PREPARED_FIELDS.values(), ids=BAD_PREPARED_FIELDS.keys())
+def test_train_refuses_a_bad_prepared_field_naming_file_and_row(workdir, capsys, key, value, message):
+    assert run_prep(workdir) == 0
+    rewrite_third_comment(workdir, lambda obj: obj.update({key: value}))
+    capsys.readouterr()
+    assert run_train(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"error: {workdir / 'data.jsonl'}: row 3: bad comment: {message}\n" == err
+    assert not (workdir / "run").exists()
+
+
+def test_train_names_the_first_unannotated_comment(workdir, capsys):
+    """A line's null identity_labels is an unannotated comment: train refuses it by its id."""
+    assert run_prep(workdir) == 0
+    rewrite_third_comment(workdir, lambda obj: obj.update(identity_labels=None))
+    capsys.readouterr()
+    assert run_train(workdir) == 2
+    err = capsys.readouterr().err
+    assert "unannotated identity rows (comment '2' is the first)" in err and "mtltox propagate" in err
+    assert "Traceback" not in err
+    assert not (workdir / "run").exists()
+
+
+# Values of every JSON type; each field of a prepared line refuses those it does not accept.
+_PREPARED_POOL = [None, math.nan, math.inf, -math.inf, -1, 2, "x", "0.5", True, False, [0.5], ["x"], [], {"a": 1}]
+
+
+def _accepts(key, value, line) -> bool:
+    """Whether the prepared line ``line`` may hold ``value`` at ``key``; label counts are not checked there."""
+    def score(v):
+        return type(v) in (int, float) and 0 <= v <= 1
+
+    scores = type(value) is list and all(map(score, value))
+    return {
+        "id": type(value) is str,
+        "token_ids": type(value) is list and bool(value) and all(type(v) is int and v >= 0 for v in value),
+        "y": score(value),
+        "identity_labels": value is None or scores,
+        "subtype_labels": scores,
+        "beta": type(value) in (int, float) and 0 < value < math.inf,
+        "propagated": type(value) is bool,
+        "y_bin": type(value) is int and value == int(line["y"] >= 0.5),
+        "needs_propagation": type(value) is bool,
+        "true_length": type(value) is int and 1 <= value <= len(line["token_ids"]),
+    }[key]
+
+
+@given(
+    key=st.sampled_from(
+        ["id", "token_ids", "y", "identity_labels", "subtype_labels", "beta", "propagated"]
+        + ["y_bin", "needs_propagation", "true_length"]  # the keys older lines hold
+    ),
+    value=st.sampled_from(_PREPARED_POOL),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_bad_prepared_field_exits_2_naming_file_and_row(trained, key, value):
+    """train, propagate and evaluate each refuse the fixture's data with one field of its first line changed."""
+    workdir = trained[0]
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    assume(not _accepts(key, value, json.loads(lines[0])))
+    lines[0] = json.dumps(json.loads(lines[0]) | {key: value})  # json writes NaN and Infinity, and reads them back
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        inputs = ["--data", str(data), "--vocab", str(workdir / "vocab.tsv")]
+        config = ["--config", str(workdir / "config.json")]
+        for argv in (
+            ["train", *inputs, *config, "--folds", "2", "--out-dir", f"{tmp}/run"],
+            ["propagate", *inputs, *config, "--out", f"{tmp}/filled.jsonl"],
+            ["evaluate", "--checkpoint", str(workdir / "run" / "checkpoint_fold0.json"), *inputs, "--out", f"{tmp}/r.json"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 2 and err.getvalue().startswith(f"error: {data}: row 1: "), (argv[0], err.getvalue())
+            assert sorted(path.name for path in Path(tmp).iterdir()) == ["data.jsonl"]
+
+
+def _older_line(obj: dict) -> dict:
+    """A prepared line as written before y_bin and needs_propagation were worked out: both stored, and zeros
+    for the labels of an unannotated comment."""
+    labels = obj["identity_labels"]
+    return {
+        "id": obj["id"], "token_ids": obj["token_ids"], "y": obj["y"], "y_bin": int(obj["y"] >= 0.5),
+        "identity_labels": [0.0] * len(IDENTITY_COLUMNS) if labels is None else labels,
+        "subtype_labels": obj["subtype_labels"], "beta": obj["beta"], "needs_propagation": labels is None,
+        "propagated": obj["propagated"],
+    }
+
+
+def test_older_prepared_files_load_to_the_same_comments_and_predictions(workdir):
+    from mtltox.corpus import Vocabulary, comment_to_dict, load_comments
+    from mtltox.embeddings import random_table
+    from mtltox.network import init_params, predict
+
+    unannotate_rows(workdir)
+    assert run_prep(workdir) == 0 and run_propagate(workdir) == 0
+    params = init_params(Hyper(embed_dim=6, hidden=3, dense1=4, dense2=4, n_aux=9, max_len=12), seed=3)
+    table = random_table(Vocabulary.load(workdir / "vocab.tsv"), 3, 3, seed=1)
+    for name, unannotated in (("data.jsonl", 3), ("filled.jsonl", 0)):
+        older = workdir / f"older-{name}"
+        lines = (workdir / name).read_text().splitlines()
+        older.write_text("".join(json.dumps(_older_line(json.loads(line))) + "\n" for line in lines))
+        new, old = load_comments(workdir / name), load_comments(older)
+        assert sum(c.needs_propagation for c in old) == unannotated
+        for a, b in zip(new, old, strict=True):
+            assert comment_to_dict(a) == comment_to_dict(b)
+            assert (a.y_bin, a.needs_propagation, a.true_length) == (b.y_bin, b.needs_propagation, b.true_length)
+        for got, want in zip(predict(params, table, new), predict(params, table, old)):
+            assert got.tobytes() == want.tobytes()
+
+
+class _FullDisk:
+    """A file whose first write stops halfway, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def run_templates(workdir):
+    checkpoint = workdir / "trained" / "checkpoint_fold0.json"
+    return main(["templates", "--checkpoint", str(checkpoint), "--vocab", str(workdir / "vocab.tsv"),
+                 "--out", str(workdir / "probe.json")])
+
+
+# Each output the CLI writes, the command that writes it, and what it needs first.
+WRITERS = {
+    "prep-vocab": ("vocab.tsv", run_prep, ()),
+    "prep-data": ("data.jsonl", run_prep, ()),
+    "propagate": ("filled.jsonl", run_propagate, ("prep",)),
+    "checkpoint": ("run/checkpoint_fold0.json", run_train, ("prep",)),
+    "run-record": ("run/run_fold0.json", run_train, ("prep",)),
+    "alpha-grid": ("run/alpha_grid.json", lambda w: run_train(w, extra=("--alpha", "grid:0.4,0.8")), ("prep",)),
+    "report": ("report.json", run_evaluate, ("prep", "train")),
+    "report-csv": ("report.csv", run_evaluate, ("prep", "train")),
+    "templates": ("probe.json", run_templates, ("prep", "train")),
+}
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier output\n"], ids=["new", "replacing"])
+@pytest.mark.parametrize("target, command, needs", WRITERS.values(), ids=WRITERS.keys())
+def test_an_output_cut_short_leaves_the_target_as_it_was(workdir, capsys, monkeypatch, target, command, needs, earlier):
+    import mtltox.corpus as corpus
+
+    if "prep" in needs:
+        assert run_prep(workdir) == 0
+    if "train" in needs:
+        assert run_train(workdir, out_dir="trained") == 0
+    path = workdir / target
+    if earlier is not None:
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(earlier)
+
+    def open_cut_short(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _FullDisk(fh) if Path(file).name.startswith(f"{path.name}.") else fh
+
+    monkeypatch.setattr(corpus, "open", open_cut_short, raising=False)  # the open that atomic_write calls
+    capsys.readouterr()
+    assert command(workdir) == 2
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err
+    assert (path.read_bytes() == earlier) if earlier is not None else not path.exists()
+    assert list(workdir.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize(
+    "name, command, beside",
+    [("probe.json", run_templates, []), ("report.json", run_evaluate, ["report.csv"])],
+    ids=["templates", "evaluate"],
+)
+def test_an_output_that_is_a_fifo_is_written_in_place(workdir, capsys, name, command, beside):
+    """An --out that exists and is not a regular file (here a FIFO; /dev/null is
+    one too) is written through, not replaced, and no temp file is made beside it."""
+    assert run_prep(workdir) == 0
+    assert run_train(workdir, out_dir="trained") == 0
+    assert command(workdir) == 0
+    expected = (workdir / name).read_bytes()
+    assert len(expected) < 65536  # the pipe's buffer holds it, so the writer never waits for the read below
+    for path in [workdir / name, *(workdir / b for b in beside)]:
+        path.unlink()
+    fifo = workdir / name
+    os.mkfifo(fifo)
+    before = sorted(p.name for p in workdir.iterdir())
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # open before the command, so its open does not block
+    try:
+        code = command(workdir)
+        chunks = []
+        while chunk := os.read(reader, 65536):
+            chunks.append(chunk)
+    finally:
+        os.close(reader)
+    assert code == 0, capsys.readouterr().err
+    assert b"".join(chunks) == expected
+    assert fifo.is_fifo()
+    assert sorted(p.name for p in workdir.iterdir()) == sorted([*before, *beside])
+
+
 def run_on_checkpoint(workdir, command, checkpoint):
     """Run evaluate or templates on a checkpoint, writing to workdir/out.json."""
     args = ["--checkpoint", str(checkpoint), "--vocab", str(workdir / "vocab.tsv"), "--out", str(workdir / "out.json")]
@@ -1589,6 +1816,17 @@ def test_readme_documents_every_option():
     # `--c` must not pass as the start of `--checkpoint`.
     missing = sorted(o for o in options if not re.search(re.escape(o[1]) + r"(?![\w-])", section))
     assert missing == []
+
+
+def test_readme_lists_the_keys_of_a_prepared_line():
+    import re
+
+    from mtltox.corpus import Vocabulary, comment_to_dict, make_comment
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("A prepared file has one JSON object per line, with the keys", 1)[1].split(".", 1)[0]
+    comment = make_comment("a", "some words", 0.2, None, Vocabulary.build([["some"]]), 4, 3.0)
+    assert re.findall(r"`(\w+)`", sentence) == list(comment_to_dict(comment))
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

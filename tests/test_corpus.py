@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -187,16 +188,18 @@ class TestBinarizeAndWeight:
 class TestMakeComment:
     vocab = Vocabulary.build([["some", "words"]])
 
-    def test_unannotated_labels_are_zero_and_flagged(self):
+    def test_unannotated_labels_are_none(self):
         c = make_comment("u", "some words", 0.2, None, self.vocab, 5, 3.0)
-        assert c.identity_labels.tolist() == [0.0] * len(IDENTITY_COLUMNS)
+        assert c.identity_labels is None
         assert c.needs_propagation
+        assert c.identities_present == ()
         assert c.beta == 1.0
         assert make_comment("u", "some words", 0.2, None, self.vocab, 5, 7.0).beta == 1.0
 
     def test_given_labels_set_flag_and_weight(self):
         c = make_comment("a", "some words", 0.2, np.array([0.0, 0.5]), self.vocab, 5, 3.0)
         assert not c.needs_propagation
+        assert c.identities_present.tolist() == [False, True]
         assert c.beta == 3.0
         assert make_comment("a", "some words", 0.7, np.array([0.0, 0.5]), self.vocab, 5, 3.0).beta == 1.0
         assert c.subtype_labels.tolist() == [0.0] * 5
@@ -293,6 +296,7 @@ def test_padded_line_loads_to_the_same_comment_and_predictions(tmp_path):
     path.write_text(PADDED_LINE + "\n" + new_line)
     padded, new = load_comments(path)
     assert comment_to_dict(padded) == comment_to_dict(new) == comment_to_dict(comment)
+    assert (padded.y_bin, padded.needs_propagation) == (new.y_bin, new.needs_propagation) == (0, False)
     assert padded.token_ids.dtype == np.int64 and padded.true_length == 4
 
     params = init_params(tiny_hyper(n_aux=9, embed_dim=4, max_len=6), seed=3)
@@ -320,6 +324,85 @@ def test_load_comments_refuses_bad_token_ids_and_true_length(tmp_path, change, m
     path.write_text(PADDED_LINE + "\n" + json.dumps(json.loads(PADDED_LINE) | change) + "\n")
     with pytest.raises(CorpusError, match=rf"d\.jsonl: row 2: bad comment: .*{re.escape(message)}"):
         load_comments(path)
+
+
+def test_a_prepared_line_holds_no_derived_key_and_null_labels_when_unannotated(tmp_path):
+    vocab = Vocabulary.build([["some", "words"]])
+    comments = [
+        binarize_and_weight(RawRecord("a", "some words", 0.7, {"male": 0.7}), 3.0, vocab, 4),
+        binarize_and_weight(RawRecord("u", "some words", 0.2, None), 3.0, vocab, 4),
+    ]
+    path = tmp_path / "d.jsonl"
+    save_comments(path, comments)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [list(obj) for obj in lines] == [[f.name for f in fields(Comment)]] * 2
+    assert "y_bin" not in lines[0] and "needs_propagation" not in lines[0]
+    assert lines[1]["identity_labels"] is None
+    annotated, unannotated = load_comments(path)
+    assert (annotated.y_bin, annotated.needs_propagation) == (1, False)
+    assert (unannotated.y_bin, unannotated.needs_propagation, unannotated.identity_labels) == (0, True, None)
+
+
+def test_older_lines_read_y_bin_and_needs_propagation():
+    base = json.loads(PADDED_LINE)
+    assert comment_from_dict(base).identity_labels.tolist() == [0.7] + [0.0] * 8
+    flagged = comment_from_dict(base | {"identity_labels": [0.0] * 9, "needs_propagation": True})
+    assert flagged.identity_labels is None and flagged.needs_propagation and flagged.beta == 3.0
+    assert comment_from_dict(base | {"identity_labels": None, "needs_propagation": True}).identity_labels is None
+    without = {k: v for k, v in base.items() if k not in ("y_bin", "needs_propagation")}
+    assert comment_to_dict(comment_from_dict(without)) == comment_to_dict(comment_from_dict(base))
+
+
+# One field of PADDED_LINE changed, and the message that names the fault.
+BAD_FIELDS = {
+    "id-list": ({"id": [1]}, "field 'id' must be a string, got [1]"),
+    "id-number": ({"id": 7}, "field 'id' must be a string"),
+    "y-nan": ({"y": float("nan")}, "field 'y' out of [0,1]: nan"),
+    "y-above-1": ({"y": 2.0}, "field 'y' out of [0,1]: 2.0"),
+    "y-string": ({"y": "0.5"}, "field 'y' is not a number: '0.5'"),
+    "y-bool": ({"y": False}, "field 'y' is not a number: False"),
+    "y-null": ({"y": None}, "field 'y' is not a number: None"),
+    "y-int-too-large": ({"y": 10**400}, "int too large to convert to float"),
+    "identity-nan": ({"identity_labels": [float("nan")] * 9}, "field 'identity_labels[0]' out of [0,1]: nan"),
+    "identity-inf": ({"identity_labels": [0.0, float("inf")]}, "field 'identity_labels[1]' out of [0,1]: inf"),
+    "identity-string": ({"identity_labels": "0.5"}, "field 'identity_labels' is not a list of numbers"),
+    "identity-nested": ({"identity_labels": [[0.5]]}, "field 'identity_labels[0]' is not a number"),
+    "subtype-null": ({"subtype_labels": None}, "field 'subtype_labels' is not a list of numbers: None"),
+    "subtype-negative": ({"subtype_labels": [0.0, -1]}, "field 'subtype_labels[1]' out of [0,1]: -1.0"),
+    "beta-negative": ({"beta": -1}, "field 'beta' must be finite and > 0, got -1.0"),
+    "beta-nan": ({"beta": float("nan")}, "field 'beta' must be finite and > 0, got nan"),
+    "beta-zero": ({"beta": 0}, "field 'beta' must be finite and > 0, got 0.0"),
+    "beta-bool": ({"beta": True}, "field 'beta' must be a number, got True"),
+    "beta-int-too-large": ({"beta": 10**400}, "int too large to convert to float"),
+    "propagated-string": ({"propagated": "no"}, "field 'propagated' must be true or false, got 'no'"),
+    "propagated-int": ({"propagated": 0}, "field 'propagated' must be true or false, got 0"),
+    "y-bin-contradicts-y": ({"y_bin": 1}, "field 'y_bin' is 1, but 'y' 0.2 gives 0"),
+    "y-bin-out-of-range": ({"y_bin": 7}, "field 'y_bin' is 7, but 'y' 0.2 gives 0"),
+    "y-bin-bool": ({"y_bin": False}, "field 'y_bin' is False"),
+    "needs-propagation-string": ({"needs_propagation": "yes"}, "field 'needs_propagation' must be true or false"),
+    "needs-propagation-false-with-null-labels": (
+        {"identity_labels": None}, "field 'needs_propagation' is false, but 'identity_labels' is null"
+    ),
+    "not-an-object": (None, "a prepared line must be a JSON object, got [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("change, message", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_load_comments_refuses_a_bad_field_naming_file_and_row(tmp_path, change, message):
+    path = tmp_path / "d.jsonl"
+    line = [1, 2] if change is None else json.loads(PADDED_LINE) | change
+    path.write_text(PADDED_LINE + "\n" + json.dumps(line) + "\n")
+    with pytest.raises(CorpusError, match=rf"d\.jsonl: row 2: .*{re.escape(message)}"):
+        load_comments(path)
+
+
+def test_atomic_write_through_a_symlink_replaces_its_target(tmp_path):
+    (tmp_path / "target.tsv").write_text("old\n")
+    (tmp_path / "link.tsv").symlink_to("target.tsv")
+    make_vocab("a", "b").save(tmp_path / "link.tsv")
+    assert (tmp_path / "link.tsv").is_symlink()
+    assert (tmp_path / "target.tsv").read_text() == "a\t2\nb\t3\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.tsv", "target.tsv"]
 
 
 @given(text=st.text(max_size=60), max_len=st.integers(1, 30))

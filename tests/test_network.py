@@ -34,7 +34,7 @@ from mtltox.network import (
 def comment(cid, token_ids, n_identity):
     """A non-toxic, unweighted comment of the given real-token ids."""
     return Comment(
-        id=cid, token_ids=token_ids, y=0.0, y_bin=0, identity_labels=np.zeros(n_identity), subtype_labels=np.zeros(5)
+        id=cid, token_ids=token_ids, y=0.0, identity_labels=np.zeros(n_identity), subtype_labels=np.zeros(5)
     )
 
 

@@ -229,7 +229,7 @@ class TestTrainFold:
         rng = np.random.default_rng(0)
         comments = [
             Comment(
-                id=str(i), token_ids=rng.integers(2, len(vocab), size=3), y=float(i % 2), y_bin=i % 2,
+                id=str(i), token_ids=rng.integers(2, len(vocab), size=3), y=float(i % 2),
                 identity_labels=np.zeros(9), subtype_labels=np.zeros(5),
             )
             for i in range(8)
@@ -394,14 +394,14 @@ class TestPropagateIdentities:
     def test_empty_annotated_rejected(self):
         comments, table, _ = self.make_sets()
         for c in comments:
-            c.needs_propagation = True
+            c.identity_labels = None
         with pytest.raises(ValueError, match="no annotated"):
             propagate_identities(comments, table, toy_hyper(n_aux=6), quick_cfg(epochs=1))
 
     def test_scores_in_unit_interval_and_flagged(self):
         comments, table, _ = self.make_sets(seed=1)
         for c in comments[40:]:
-            c.needs_propagation = True
+            c.identity_labels = None
         out = propagate_identities(comments, table, toy_hyper(n_aux=6), quick_cfg(epochs=1))
         filled = [c for c in out if c.propagated]
         assert len(filled) == len(comments) - 40
@@ -416,9 +416,7 @@ class TestPropagateIdentities:
         table = random_table(vocab, 4, 4, seed=0, scale=5.0)
         target_idx = 0  # "gay"
         donors = [c for c in train if c.identity_labels[target_idx] == 1.0]
-        clone = dataclasses.replace(
-            donors[0], id="clone", identity_labels=np.zeros(6), needs_propagation=True
-        )
+        clone = dataclasses.replace(donors[0], id="clone", identity_labels=None)
         hyper = Hyper(
             embed_dim=8, hidden=12, dense1=16, dense2=16, n_aux=6,
             dropout_rate=0.0, attention=True, max_len=16,
@@ -455,7 +453,7 @@ class TestRunExperiment:
     def test_unannotated_without_propagation_rejected(self):
         train, _, vocab = biased_corpus(n_train=30, n_eval=8, seed=4)
         table = random_table(vocab, 4, 4, seed=0)
-        train[0].needs_propagation = True
+        train[0].identity_labels = None
         with pytest.raises(ValueError, match="propagat"):
             run_experiment(train, table, toy_hyper(n_aux=6), quick_cfg(epochs=1), [])
 
